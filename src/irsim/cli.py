@@ -154,13 +154,16 @@ def _pool_entry(payload: tuple) -> dict:
 
 
 def execute(spec: RunSpec) -> int:
-    """Run every (seed, pipeline) pair and write the sweep summary."""
-    run_dir = spec.out_dir / spec.config.canonical_hash()
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Run every (seed, pipeline) pair and write the sweep summary.
 
+    A failed run, or an output directory or file that cannot be written,
+    prints one ``run failed:`` line and returns EXIT_RUN_FAILURE.
+    """
+    run_dir = spec.out_dir / spec.config.canonical_hash()
     jobs = [(seed, pipeline) for pipeline in spec.pipelines for seed in spec.seeds]
     rows: list[dict] = []
     try:
+        run_dir.mkdir(parents=True, exist_ok=True)
         if spec.workers > 1 and len(jobs) > 1:
             config_dict = {
                 f.name: getattr(spec.config, f.name) for f in dataclasses.fields(spec.config)
@@ -171,19 +174,19 @@ def execute(spec: RunSpec) -> int:
         else:
             for seed, pipeline in jobs:
                 rows.append(run_one(spec.config, seed, pipeline, run_dir, spec.write_csv))
-    except RunFailure as exc:
+
+        summary, timings = _summarize(spec, rows)
+        (run_dir / "summary.json").write_text(
+            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline=""
+        )
+        # Wall-clock instrumentation varies run to run; keep it out of the
+        # byte-reproducible outputs.
+        (run_dir / "timings.json").write_text(
+            json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline=""
+        )
+    except (RunFailure, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-
-    summary, timings = _summarize(spec, rows)
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline=""
-    )
-    # Wall-clock instrumentation varies run to run; keep it out of the
-    # byte-reproducible outputs.
-    (run_dir / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline=""
-    )
     spec.summary = summary
     spec.summary["timings"] = timings
     _print_summary(summary, timings)

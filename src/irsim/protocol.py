@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .reputation import (
     HeuristicBand,
@@ -93,9 +96,9 @@ class MisbehaviorReport:
 
 @dataclass(frozen=True, slots=True)
 class RrlBroadcast:
-    issuer: RsuId
-    version: int
-    entries: tuple[tuple[VehicleId, int, int], ...]
+    """One publication of a roadside unit's ledger; receivers share ``rrl``."""
+
+    rrl: RsuReputationList
     timestamp: float
     signature_valid: bool = True
 
@@ -129,16 +132,31 @@ class PendingWarning:
     first_seen: float
     corroborators: set[VehicleId]
     state: PendingState
-    resolution: Optional[Disposition] = None
 
 
-class NeighborEntry(NamedTuple):
-    position: Position
-    last_seen: float
-    beacon: Optional[Beacon] = None
+@dataclass(frozen=True, slots=True)
+class NeighborView:
+    """Vehicles heard within the neighbor TTL, in id order.
+
+    ``xs``/``ys`` hold where each one was when its last beacon arrived.
+    """
+
+    ids: tuple[VehicleId, ...]
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def position(self, vehicle: VehicleId) -> Optional[Position]:
+        """Where ``vehicle`` was when last heard; None if it is not a neighbor."""
+        i = bisect_left(self.ids, vehicle)
+        if i == len(self.ids) or self.ids[i] != vehicle:
+            return None
+        return self.at(i)
+
+    def at(self, i: int) -> Position:
+        return (float(self.xs[i]), float(self.ys[i]))
 
 
-NeighborTable = dict[VehicleId, NeighborEntry]
+_NO_NEIGHBORS = NeighborView((), np.zeros(0), np.zeros(0))
 
 
 @dataclass
@@ -196,19 +214,9 @@ class VehicleNode:
         self.lrl = LocalReputationList()
         self.cached_rrl: Optional[RsuReputationList] = None
         self.pending: dict[EventId, PendingWarning] = {}
-        self.neighbors: NeighborTable = {}
+        # Set by whoever tracks beacons (the simulator) before each decision.
+        self.neighbors = _NO_NEIGHBORS
         self._distance_noise = distance_noise
-
-    # -- beacons ---------------------------------------------------------
-
-    def handle_beacon(self, beacon: Beacon, now: float) -> None:
-        """Refresh the neighbor table from a status beacon and evict stale rows."""
-        if beacon.sender != self.id:
-            self.neighbors[beacon.sender] = NeighborEntry(beacon.position, now, beacon)
-        ttl = self.config.neighbor_ttl
-        stale = [vid for vid, entry in self.neighbors.items() if now - entry.last_seen > ttl]
-        for vid in stale:
-            del self.neighbors[vid]
 
     # -- warnings ---------------------------------------------------------
 
@@ -242,7 +250,6 @@ class VehicleNode:
                 for vid in entry.corroborators:
                     self._adjust(vid, +1, now)
                 entry.state = PendingState.RESOLVED
-                entry.resolution = Disposition.ACCEPT
                 finalized.append((entry.warning.sender, warning.event_id, Disposition.ACCEPT))
             self._adjust(sender, +1, now)
             entry.corroborators.add(sender)
@@ -252,10 +259,10 @@ class VehicleNode:
         return WarningOutcome(Disposition.REJECT)
 
     def _implausibly_far(self, warning: Warning, now: float) -> Optional[MisbehaviorReport]:
-        entry = self.neighbors.get(warning.sender)
-        if entry is None:
+        pos = self.neighbors.position(warning.sender)
+        if pos is None:
             return None
-        est = self._estimate_distance(_distance(entry.position, warning.event_position), entry.position)
+        est = self._estimate_distance(_distance(pos, warning.event_position), pos)
         if est > self.config.plausibility_radius_m:
             self._adjust(warning.sender, -1, now)
             return MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
@@ -265,7 +272,7 @@ class VehicleNode:
         sender = warning.sender
         self.lrl.ensure(sender, self._default_points(), now)
         bands = compute_trust_bands(self.lrl.points())
-        nb = self.neighbors.get(sender)
+        nb = self.neighbors.position(sender)
 
         if nb is None:
             # Never heard a beacon from this sender: assume the worst.
@@ -278,16 +285,16 @@ class VehicleNode:
             h_band = self._sender_heuristic_band(nb, warning.event_position)
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
-            self._remember(warning, now, Disposition.ACCEPT)
+            self._remember(warning, now)
             return WarningOutcome(Disposition.ACCEPT)
 
         decision = decide_trust(level, standing_of(self.cached_rrl, sender))
         if decision is TrustDecision.ACCEPT:
-            self._remember(warning, now, Disposition.ACCEPT)
+            self._remember(warning, now)
             return WarningOutcome(Disposition.ACCEPT)
         if decision is TrustDecision.REJECT:
             self._adjust(sender, -1, now)
-            self._remember(warning, now, Disposition.REJECT)
+            self._remember(warning, now)
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, [report])
         # Unsure: hold the message and wait for somebody else to confirm it.
@@ -296,13 +303,15 @@ class VehicleNode:
         )
         return WarningOutcome(Disposition.PENDING)
 
-    def _sender_heuristic_band(self, nb: NeighborEntry, event_pos: Position) -> HeuristicBand:
-        hs = [
-            heuristic_from_distance(_distance(entry.position, event_pos))
-            for entry in self.neighbors.values()
-        ]
-        h_bands = compute_heuristic_bands(hs)
-        est = self._estimate_distance(_distance(nb.position, event_pos), nb.position)
+    def _sender_heuristic_band(self, nb: Position, event_pos: Position) -> HeuristicBand:
+        # The band width depends only on the nearest and farthest neighbor.
+        # np.hypot can differ from math.hypot in the last bit, so the two
+        # extremes are measured again with _distance.
+        view = self.neighbors
+        spread = np.hypot(view.xs - event_pos[0], view.ys - event_pos[1])
+        extremes = (view.at(int(spread.argmin())), view.at(int(spread.argmax())))
+        h_bands = compute_heuristic_bands([heuristic_from_distance(_distance(p, event_pos)) for p in extremes])
+        est = self._estimate_distance(_distance(nb, event_pos), nb)
         return classify_heuristic(heuristic_from_distance(est), h_bands)
 
     def _heuristic_acceptable(self, band: HeuristicBand) -> bool:
@@ -316,12 +325,10 @@ class VehicleNode:
         gap = _distance(reference.event_position, candidate.event_position)
         return gap <= self.config.corroboration_tolerance_m
 
-    def _remember(self, warning: Warning, now: float, resolution: Disposition) -> None:
+    def _remember(self, warning: Warning, now: float) -> None:
         # Keep decided warnings around (until the buffer ages out) so later
         # copies can corroborate and conflicting ones can be caught.
-        self.pending[warning.event_id] = PendingWarning(
-            warning, now, {warning.sender}, PendingState.RESOLVED, resolution
-        )
+        self.pending[warning.event_id] = PendingWarning(warning, now, {warning.sender}, PendingState.RESOLVED)
 
     # -- pending buffer ----------------------------------------------------
 
@@ -342,41 +349,28 @@ class VehicleNode:
                 self._adjust(sender, -1, now)
                 reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 entry.state = PendingState.RESOLVED
-                entry.resolution = Disposition.REJECT
                 resolutions.append((entry.warning, Disposition.REJECT))
         return resolutions, reports
 
     # -- network ledger ----------------------------------------------------
 
     def handle_rrl_broadcast(self, broadcast: RrlBroadcast) -> bool:
-        """Cache a newer ledger snapshot; seed an empty local ledger from it."""
+        """Keep a newer ledger snapshot (shared, not copied); seed an empty local ledger from it."""
+        rrl = broadcast.rrl
         if not broadcast.signature_valid:
             return False
-        if self.cached_rrl is not None and broadcast.version <= self.cached_rrl.version:
+        if self.cached_rrl is not None and rrl.version <= self.cached_rrl.version:
             return False
-        entries = {
-            vid: ReputationRecord(vid, points, misbehavior, broadcast.timestamp)
-            for vid, points, misbehavior in broadcast.entries
-        }
-        self.cached_rrl = RsuReputationList(entries, broadcast.version, broadcast.issuer)
+        self.cached_rrl = rrl
         if len(self.lrl) == 0:
-            for vid, points, misbehavior in broadcast.entries:
+            for vid, rec in rrl.entries.items():
                 if vid != self.id:
-                    self.lrl.upsert(ReputationRecord(vid, points, 0, broadcast.timestamp))
+                    self.lrl.upsert(ReputationRecord(vid, rec.points, 0, broadcast.timestamp))
         return True
 
-    def maybe_request_rrl(self, now: Optional[float] = None) -> bool:
+    def maybe_request_rrl(self) -> bool:
         """True when the cached ledger is missing or covers under half the neighbors."""
-        if self.cached_rrl is None:
-            return True
-        ids = self._neighbor_ids(now)
-        return rrl_is_stale(self.cached_rrl, ids)
-
-    def _neighbor_ids(self, now: Optional[float]) -> set[VehicleId]:
-        if now is None:
-            return set(self.neighbors)
-        ttl = self.config.neighbor_ttl
-        return {vid for vid, e in self.neighbors.items() if now - e.last_seen <= ttl}
+        return self.cached_rrl is None or rrl_is_stale(self.cached_rrl, self.neighbors.ids)
 
     # -- internals ---------------------------------------------------------
 
@@ -441,6 +435,7 @@ class RsuNode:
         self.version = 0
         self.suspicion: dict[VehicleId, SuspicionEntry] = {}
         self._settled: dict[tuple[VehicleId, EventId], float] = {}
+        self._snapshot: Optional[RsuReputationList] = None
 
     def seed(
         self,
@@ -459,6 +454,7 @@ class RsuNode:
             self.entries[vid] = ReputationRecord(vid, points, 0, now)
         for vid, pts, misbehavior in anchors:
             self.entries[vid] = ReputationRecord(vid, pts, misbehavior, now)
+        self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:
         """Process one misbehavior report; returns True when state changed."""
@@ -487,11 +483,11 @@ class RsuNode:
     def _escalate(self, report: MisbehaviorReport, entry: SuspicionEntry, now: float) -> None:
         accused = report.accused
         rec = self._ensure(accused, now)
-        self.entries[accused] = apply_point_delta(
+        self._put(apply_point_delta(
             ReputationRecord(accused, rec.points, rec.misbehavior_points + 1, rec.last_update),
             -1,
             now=now,
-        )
+        ))
         for reporter in (entry.reporter, report.reporter):
             self._bump(reporter, +1, now)
         # Both reporters are vindicated; the accusation is adjudicated.
@@ -513,12 +509,9 @@ class RsuNode:
             del self._settled[key]
 
         self.version += 1
-        entries = tuple(
-            (vid, rec.points, rec.misbehavior_points)
-            for vid, rec in sorted(self.entries.items())
-        )
-        broadcast = RrlBroadcast(self.id, self.version, entries, now)
-        misbehaving = tuple(e for e in entries if e[2] > 0)
+        snapshot = self.snapshot()
+        broadcast = RrlBroadcast(snapshot, now)
+        misbehaving = tuple(e for e in _ledger_rows(snapshot) if e[2] > 0)
         forwards = [
             RsuForward(self.id, neighbor, misbehaving, now)
             for neighbor in self.adjacent
@@ -535,17 +528,28 @@ class RsuNode:
         for vid, points, misbehavior in forward.entries:
             rec = self.entries.get(vid)
             if rec is None:
-                self.entries[vid] = ReputationRecord(vid, points, misbehavior, now)
+                self._put(ReputationRecord(vid, points, misbehavior, now))
             else:
-                self.entries[vid] = ReputationRecord(
+                self._put(ReputationRecord(
                     vid,
                     min(rec.points, points),
                     max(rec.misbehavior_points, misbehavior),
                     now,
-                )
+                ))
 
     def snapshot(self) -> RsuReputationList:
-        return RsuReputationList(dict(self.entries), self.version, self.id)
+        """The ledger as published, in vehicle order.
+
+        One object per ledger state: it is rebuilt only after an entry or
+        the version changes, so every receiver of a publication shares it.
+        """
+        if self._snapshot is None or self._snapshot.version != self.version:
+            self._snapshot = RsuReputationList(dict(sorted(self.entries.items())), self.version, self.id)
+        return self._snapshot
+
+    def _put(self, record: ReputationRecord) -> None:
+        self.entries[record.vehicle] = record
+        self._snapshot = None
 
     def _standing(self, vehicle: VehicleId) -> RrlStanding:
         if not self.entries or vehicle not in self.entries:
@@ -564,12 +568,11 @@ class RsuNode:
             pts = [r.points for r in self.entries.values()]
             default = (min(pts) + max(pts)) // 2 if pts else self.config.initial_points
             rec = ReputationRecord(vehicle, default, 0, now)
-            self.entries[vehicle] = rec
+            self._put(rec)
         return rec
 
     def _bump(self, vehicle: VehicleId, delta: int, now: float) -> None:
-        rec = self._ensure(vehicle, now)
-        self.entries[vehicle] = apply_point_delta(rec, delta, now=now)
+        self._put(apply_point_delta(self._ensure(vehicle, now), delta, now=now))
 
 
 # -- wire format -----------------------------------------------------------
@@ -615,8 +618,14 @@ def encode_report(r: MisbehaviorReport) -> bytes:
     )
 
 
+def _ledger_rows(rrl: RsuReputationList) -> tuple[tuple[VehicleId, int, int], ...]:
+    """(vehicle, points, misbehavior points) per entry, in the ledger's order."""
+    return tuple((vid, r.points, r.misbehavior_points) for vid, r in rrl.entries.items())
+
+
 def encode_rrl_broadcast(b: RrlBroadcast) -> bytes:
-    head = struct.pack("<QQI", b.issuer, b.version, len(b.entries))
-    body = b"".join(struct.pack("<Qqq", vid, pts, mis) for vid, pts, mis in b.entries)
+    rows = _ledger_rows(b.rrl)
+    head = struct.pack("<QQI", b.rrl.issuer, b.rrl.version, len(rows))
+    body = b"".join(struct.pack("<Qqq", vid, pts, mis) for vid, pts, mis in rows)
     tail = struct.pack("<dB", b.timestamp, int(b.signature_valid))
     return head + body + tail

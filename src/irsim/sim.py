@@ -18,6 +18,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .protocol import (
     Disposition,
     EventKind,
     MisbehaviorReport,
-    NeighborEntry,
+    NeighborView,
     ProtocolConfig,
     RrlBroadcast,
     RsuNode,
@@ -42,7 +43,6 @@ from .scenario import ConfigError, ScenarioConfig
 RSU_ID_BASE = 10_000
 ANCHOR_ID_BASE = 20_000
 _BEACON_WIRE_BYTES = 56
-_WARNING_WIRE_BYTES = 41
 _REPORT_WIRE_BYTES = 33
 
 _KINDS = (EventKind.CRASH, EventKind.ICE, EventKind.SUDDEN_BRAKE)
@@ -402,40 +402,22 @@ class _Runner:
 
     def handle_requests(self, t: float, positions: np.ndarray) -> None:
         world, cfg = self.world, self.cfg
-        ttl_floor = t - cfg.neighbor_ttl
-        for idx in range(world.n):
-            node = world.nodes[idx]
-            cached = node.cached_rrl
-            if cached is not None:
-                row = self.last_heard[idx]
-                ids = np.nonzero(row >= ttl_floor)[0]
-                present = sum(1 for v in ids if int(v) in cached.entries)
-                if 2 * present >= len(ids):
-                    continue
-            self.emit_line(t, "REQ", idx, "-", "-")
-            pos = positions[idx]
-            best = None
-            for rsu in world.rsus:
-                d = math.hypot(pos[0] - rsu.position[0], pos[1] - rsu.position[1])
-                if d <= cfg.transmission_range and (best is None or d < best[0]):
-                    best = (d, rsu)
-            if best is None:
+        for idx, node in enumerate(world.nodes):
+            node.neighbors = self.neighbor_view(idx, t)
+            if not node.maybe_request_rrl():
                 continue
-            rsu = best[1]
+            self.emit_line(t, "REQ", idx)
+            rsu = self.nearest_rsu(positions[idx])
+            if rsu is None:
+                continue
+            # The request and the response each cross the lossy channel.
             if world.rng_chan.random() < cfg.delivery_loss_probability:
                 continue
-            snapshot = rsu.snapshot()
-            broadcast = RrlBroadcast(
-                rsu.id,
-                snapshot.version,
-                tuple((vid, r.points, r.misbehavior_points) for vid, r in sorted(snapshot.entries.items())),
-                t,
-            )
             if world.rng_chan.random() < cfg.delivery_loss_probability:
                 continue
-            world.nodes[idx].handle_rrl_broadcast(broadcast)
+            node.handle_rrl_broadcast(RrlBroadcast(rsu.snapshot(), t))
             self.counters["rrl_deliveries"] += 1
-            self.emit_line(t, "RRL", rsu.id, idx, "-")
+            self.emit_line(t, "RRL", rsu.id, idx)
 
     def handle_rsu_tick(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
@@ -537,7 +519,7 @@ class _Runner:
         world, cfg = self.world, self.cfg
         node = world.nodes[idx]
         node.position = (float(positions[idx][0]), float(positions[idx][1]))
-        node.neighbors = self.neighbor_snapshot(idx, now)
+        node.neighbors = self.neighbor_view(idx, now)
 
         started = time.perf_counter_ns()
         outcome = node.handle_warning(warning, now)
@@ -580,20 +562,23 @@ class _Runner:
             _decision_name(disposition), "1" if truth else "0", f"{distance:.3f}",
         )
 
-    def neighbor_snapshot(self, idx: int, now: float) -> dict[int, NeighborEntry]:
+    def neighbor_view(self, idx: int, now: float) -> NeighborView:
+        """Whom ``idx`` heard within the neighbor TTL, and where each sender was then."""
         world, cfg = self.world, self.cfg
         row = self.last_heard[idx]
         fresh = np.nonzero(row >= now - cfg.neighbor_ttl)[0]
-        if not len(fresh):
-            return {}
-        heard = row[fresh]
-        width = cfg.grid[0]
-        xs = np.mod(world.x0[fresh] + world.direction[fresh] * world.speed[fresh] * heard, width)
-        ys = world.lane_y[fresh]
-        return {
-            int(v): NeighborEntry((float(px), float(py)), float(ts))
-            for v, px, py, ts in zip(fresh, xs, ys, heard)
-        }
+        xs = np.mod(world.x0[fresh] + world.direction[fresh] * world.speed[fresh] * row[fresh], cfg.grid[0])
+        return NeighborView(tuple(fresh.tolist()), xs, world.lane_y[fresh])
+
+    def nearest_rsu(self, pos: np.ndarray) -> Optional[RsuNode]:
+        """The closest roadside unit within transmission range of ``pos``, if any."""
+        best: Optional[RsuNode] = None
+        best_d = 0.0
+        for rsu in self.world.rsus:
+            d = math.hypot(pos[0] - rsu.position[0], pos[1] - rsu.position[1])
+            if d <= self.cfg.transmission_range and (best is None or d < best_d):
+                best, best_d = rsu, d
+        return best
 
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
         world, cfg = self.world, self.cfg
@@ -603,19 +588,14 @@ class _Runner:
         if world.is_attacker[reporter]:
             return
         self.counters["encoded_bytes"] += _REPORT_WIRE_BYTES
-        pos = positions[reporter]
-        best = None
-        for rsu in world.rsus:
-            dist = math.hypot(pos[0] - rsu.position[0], pos[1] - rsu.position[1])
-            if dist <= cfg.transmission_range and (best is None or dist < best[0]):
-                best = (dist, rsu)
-        if best is None:
+        rsu = self.nearest_rsu(positions[reporter])
+        if rsu is None:
             return
         if world.rng_chan.random() < cfg.delivery_loss_probability:
             return
-        best[1].handle_report(report, now)
+        rsu.handle_report(report, now)
         self.counters["reports_delivered"] += 1
-        self.emit_line(now, "REPORT", reporter, best[1].id, report.event_id)
+        self.emit_line(now, "REPORT", reporter, rsu.id, report.event_id)
 
     # -- pending expiry ------------------------------------------------------
 

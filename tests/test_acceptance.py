@@ -17,10 +17,10 @@ from irsim import sim
 from irsim.cli import run_one
 from irsim.metrics import BUCKET_WIDTH_M
 from irsim.protocol import (
-    Beacon,
     Disposition,
     EventKind,
     MisbehaviorReport,
+    NeighborView,
     ProtocolConfig,
     RrlBroadcast,
     RsuNode,
@@ -54,6 +54,14 @@ def check(num: int, description: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def neighbor_view(positions: dict) -> NeighborView:
+    """A neighbor view holding ``{vehicle: (x, y)}``."""
+    ids = sorted(positions)
+    return NeighborView(
+        tuple(ids), np.array([positions[v][0] for v in ids]), np.array([positions[v][1] for v in ids])
+    )
 
 
 @pytest.fixture(scope="module")
@@ -253,10 +261,9 @@ class TestCriterion8:
         ledger = {1: 13, 2: 11, 3: 7, 4: 4, 5: 1}
         for vid, pts in ledger.items():
             node.lrl.upsert(ReputationRecord(vid, pts))
-        entries = tuple((v, p, 0) for v, p in sorted(ledger.items()))
-        node.handle_rrl_broadcast(RrlBroadcast(9000, 1, entries, 0.0))
-        node.handle_beacon(Beacon(5, (100.0, 0.0), 20.0, (1.0, 0.0), 0.5), 0.5)
-        node.handle_beacon(Beacon(2, (140.0, 0.0), 20.0, (1.0, 0.0), 0.5), 0.5)
+        records = {v: ReputationRecord(v, p) for v, p in sorted(ledger.items())}
+        node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(records, 1, 9000), 0.0))
+        node.neighbors = neighbor_view({5: (100.0, 0.0), 2: (140.0, 0.0)})
         out = node.handle_warning(Warning(5, 70, EventKind.ICE, (110.0, 0.0), 1.0), 1.0)
         if out.disposition is not Disposition.PENDING:
             failures.append("pending setup")

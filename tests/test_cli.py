@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from irsim.cli import EXIT_CONFIG, EXIT_OK, main, parse_run_spec
+from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main, parse_run_spec
 from irsim.scenario import ConfigError
 
 FAST_SCENARIO = """
@@ -156,3 +156,19 @@ class TestExecute:
         markers = list(out.rglob("*.FAILED"))
         assert len(markers) == 1
         assert "synthetic failure" in markers[0].read_text()
+
+    @pytest.mark.parametrize("blocked", ["out-dir", "log-file"])
+    def test_unwritable_output_exits_two(self, scenario_file, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        argv = ["--scenario", str(scenario_file), "--out", str(out)]
+        if blocked == "out-dir":
+            out.write_text("a regular file, not a directory\n", encoding="utf-8")
+        else:
+            config_hash = parse_run_spec(argv, env={}).config.canonical_hash()
+            (out / config_hash / "irs-seed0.log").mkdir(parents=True)
+        code = main(argv)
+        assert code == EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

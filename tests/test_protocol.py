@@ -2,13 +2,16 @@
 
 import struct
 
+import numpy as np
 import pytest
 
+from irsim import sim
 from irsim.protocol import (
     Beacon,
     Disposition,
     EventKind,
     MisbehaviorReport,
+    NeighborView,
     PendingState,
     ProtocolConfig,
     RrlBroadcast,
@@ -21,7 +24,8 @@ from irsim.protocol import (
     encode_rrl_broadcast,
     encode_warning,
 )
-from irsim.reputation import ReputationRecord, RrlStanding, standing_of
+from irsim.reputation import ReputationRecord, RrlStanding, RsuReputationList, standing_of
+from irsim.scenario import ScenarioConfig
 
 
 CFG = ProtocolConfig()
@@ -29,10 +33,6 @@ CFG = ProtocolConfig()
 # Point spreads reproducing the worked ledger: sender 1 sits at the top,
 # senders 5..8 at the bottom.
 WORKED_POINTS = {1: 13, 2: 11, 3: 7, 4: 6, 5: 4, 6: 3, 7: 1, 8: 1}
-
-
-def beacon(sender, x, y=0.0, t=0.0):
-    return Beacon(sender, (x, y), 20.0, (1.0, 0.0), t)
 
 
 def make_node(vid=0, config=CFG):
@@ -45,35 +45,66 @@ def seed_lrl(node, points_by_vehicle, now=0.0):
 
 
 def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0, valid=True):
-    entries = tuple((vid, pts, 0) for vid, pts in sorted(points_by_vehicle.items()))
-    return RrlBroadcast(issuer, version, entries, t, valid)
+    ledger = {vid: ReputationRecord(vid, pts) for vid, pts in sorted(points_by_vehicle.items())}
+    return RrlBroadcast(RsuReputationList(ledger, version, issuer), t, valid)
+
+
+def hear(node, x_by_vehicle):
+    """Add senders on the y = 0 line, at the given x, to ``node``'s neighbor view."""
+    heard = {vid: node.neighbors.position(vid) for vid in node.neighbors.ids}
+    heard.update({vid: (float(x), 0.0) for vid, x in x_by_vehicle.items()})
+    ids = sorted(heard)
+    node.neighbors = NeighborView(
+        tuple(ids), np.array([heard[v][0] for v in ids]), np.array([heard[v][1] for v in ids])
+    )
+
+
+def beacon_runner():
+    """A lossless 8-vehicle world whose vehicles are all within radio range of each other."""
+    config = ScenarioConfig(
+        grid=(200.0, 1000.0),
+        vehicle_count=8,
+        duration=5.0,
+        delivery_loss_probability=0.0,
+        event_rate_per_min=0.0,
+        rsu_positions=(),
+    )
+    return sim._Runner(sim.build_scenario(config))
 
 
 class TestBeacons:
+    """The simulator's beacon rounds are the only source of a vehicle's neighbor view."""
+
     def test_new_sender_adds_entry(self):
-        node = make_node()
-        node.handle_beacon(beacon(5, 100.0), now=0.0)
-        assert 5 in node.neighbors
-        assert node.neighbors[5].position == (100.0, 0.0)
+        runner = beacon_runner()
+        runner.last_heard[0, 5] = 0.0  # vehicle 0 heard a beacon from 5 at t = 0
+        view = runner.neighbor_view(0, 0.0)
+        assert 5 in view.ids
+        assert view.position(5) == tuple(runner.world.positions_at(0.0)[5])
 
     def test_repeat_sender_updates_in_place(self):
-        node = make_node()
-        node.handle_beacon(beacon(5, 100.0), now=0.0)
-        node.handle_beacon(beacon(5, 110.0, t=0.1), now=0.1)
-        assert len(node.neighbors) == 1
-        assert node.neighbors[5].last_seen == 0.1
+        runner = beacon_runner()
+        runner.handle_round(0.0, 0)
+        runner.handle_round(0.1, 1)
+        view = runner.neighbor_view(0, 0.1)
+        assert view.ids.count(5) == 1
+        assert runner.last_heard[0, 5] == 0.1
+        assert view.position(5) == tuple(runner.world.positions_at(0.1)[5])
 
     def test_stale_entry_evicted_after_gap(self):
-        node = make_node()
-        node.handle_beacon(beacon(5, 100.0), now=0.0)
-        node.handle_beacon(beacon(6, 200.0, t=2.0), now=2.0)  # 2 s > 1.5 s TTL
-        assert 5 not in node.neighbors
-        assert 6 in node.neighbors
+        runner = beacon_runner()
+        runner.last_heard[0, 5] = 0.0
+        runner.last_heard[0, 6] = 2.0  # 2 s > 1.5 s TTL after 5 was last heard
+        view = runner.neighbor_view(0, 2.0)
+        assert 5 not in view.ids
+        assert 6 in view.ids
 
     def test_own_beacon_ignored(self):
-        node = make_node(vid=3)
-        node.handle_beacon(beacon(3, 50.0), now=0.0)
-        assert 3 not in node.neighbors
+        runner = beacon_runner()
+        runner.handle_round(0.0, 0)
+        view = runner.neighbor_view(3, 0.0)
+        assert 3 not in view.ids
+        assert len(view.ids) == runner.world.n - 1
 
 
 class TestWarningPipeline:
@@ -81,10 +112,7 @@ class TestWarningPipeline:
         node = make_node()
         seed_lrl(node, WORKED_POINTS)
         # Sender 1 close to the event, others spread out to the edge.
-        node.handle_beacon(beacon(1, 100.0), now=0.0)
-        node.handle_beacon(beacon(2, 150.0), now=0.0)
-        node.handle_beacon(beacon(3, 250.0), now=0.0)
-        node.handle_beacon(beacon(4, 400.0), now=0.0)
+        hear(node, {1: 100.0, 2: 150.0, 3: 250.0, 4: 400.0})
         return node
 
     def test_top_sender_near_event_accepted(self):
@@ -100,7 +128,7 @@ class TestWarningPipeline:
         seed_lrl(node, {**WORKED_POINTS, 5: 4})
         # Put sender 5 in Low so its lone warning parks as pending.
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
-        node.handle_beacon(beacon(5, 120.0), now=0.5)
+        hear(node, {5: 120.0})
         w1 = Warning(5, 77, EventKind.ICE, (115.0, 0.0), 1.0)
         out1 = node.handle_warning(w1, 1.0)
         assert out1.disposition is Disposition.PENDING
@@ -118,7 +146,7 @@ class TestWarningPipeline:
     def test_third_copy_credits_newcomer_only(self):
         node = self._node_with_neighbors()
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
-        node.handle_beacon(beacon(5, 120.0), now=0.5)
+        hear(node, {5: 120.0})
         node.handle_warning(Warning(5, 77, EventKind.ICE, (115.0, 0.0), 1.0), 1.0)
         node.handle_warning(Warning(3, 77, EventKind.ICE, (116.0, 0.0), 1.5), 1.5)
         before_5 = node.lrl.get(5).points
@@ -132,7 +160,7 @@ class TestWarningPipeline:
     def test_duplicate_from_same_sender_ignored(self):
         node = self._node_with_neighbors()
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
-        node.handle_beacon(beacon(5, 120.0), now=0.5)
+        hear(node, {5: 120.0})
         node.handle_warning(Warning(5, 77, EventKind.ICE, (115.0, 0.0), 1.0), 1.0)
         out = node.handle_warning(Warning(5, 77, EventKind.ICE, (115.0, 0.0), 1.1), 1.1)
         assert out.disposition is None
@@ -172,7 +200,7 @@ class TestWarningPipeline:
     def test_low_flagged_goes_pending(self):
         node = self._node_with_neighbors()
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
-        node.handle_beacon(beacon(7, 130.0), now=0.5)
+        hear(node, {7: 130.0})
         # Sender 7: local Low (1 point), network standing Flagged.
         assert standing_of(node.cached_rrl, 7) is RrlStanding.FLAGGED
         out = node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
@@ -185,7 +213,7 @@ class TestWarningPipeline:
         rrl_points = dict(WORKED_POINTS)
         rrl_points[7] = 7  # Watch standing in the network ledger
         node.handle_rrl_broadcast(make_rrl_broadcast(rrl_points))
-        node.handle_beacon(beacon(7, 130.0), now=0.5)
+        hear(node, {7: 130.0})
         before = node.lrl.get(7).points
         out = node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
         assert out.disposition is Disposition.REJECT
@@ -221,9 +249,7 @@ class TestWarningPipeline:
         seed_lrl(node, WORKED_POINTS)
         # Neighbor heuristics to the event at x=0: 2 -> 28 -> 40; the sender
         # sits in the middle band (2w = 25.33 <= 28 < 3w = 38).
-        node.handle_beacon(beacon(1, 280.0), now=0.0)
-        node.handle_beacon(beacon(2, 20.0), now=0.0)
-        node.handle_beacon(beacon(3, 400.0), now=0.0)
+        hear(node, {1: 280.0, 2: 20.0, 3: 400.0})
         # Flagged network standing: only the heuristic shortcut can accept.
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 1, 2: 13, 3: 7}))
         node.lrl.upsert(ReputationRecord(1, 13))
@@ -236,8 +262,7 @@ class TestPendingExpiry:
         node = make_node()
         seed_lrl(node, WORKED_POINTS)
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
-        node.handle_beacon(beacon(7, 130.0), now=0.5)
-        node.handle_beacon(beacon(2, 150.0), now=0.5)
+        hear(node, {7: 130.0, 2: 150.0})
         out = node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
         assert out.disposition is Disposition.PENDING
         return node
@@ -338,16 +363,14 @@ class TestRrlRequest:
     def test_under_half_coverage_requests(self):
         node = make_node()
         node.handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(4)}))
-        for v in range(10):
-            node.handle_beacon(beacon(v + 1, 100.0 + v), now=0.0)
+        hear(node, {v + 1: 100.0 + v for v in range(10)})
         # Neighbors 1..10, ledger covers 1..3 -> 3 of 10 known.
         assert node.maybe_request_rrl() is True
 
     def test_full_coverage_does_not_request(self):
         node = make_node()
         node.handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(1, 5)}))
-        for v in range(1, 5):
-            node.handle_beacon(beacon(v, 100.0 + v), now=0.0)
+        hear(node, {v: 100.0 + v for v in range(1, 5)})
         assert node.maybe_request_rrl() is False
 
 
@@ -453,8 +476,8 @@ class TestRsuTick:
         rsu.seed([1, 2], 5)
         b1, _ = rsu.tick(1.0)
         b2, _ = rsu.tick(2.0)
-        assert b2.version == b1.version + 1
-        assert len(b1.entries) == 2
+        assert b2.rrl.version == b1.rrl.version + 1
+        assert len(b1.rrl) == 2
 
     def test_forwards_list_misbehavers_only(self):
         rsu = make_rsu(adjacent=(9001,))
@@ -496,11 +519,38 @@ class TestRsuTick:
         assert rsu.entries[7].misbehavior_points == 4
 
 
+class TestLedgerSnapshot:
+    def test_snapshot_rebuilt_only_when_ledger_changes(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(20)), 5)
+        first = rsu.snapshot()
+        assert rsu.snapshot() is first
+        rsu.handle_report(report(2, 14), 1.0)  # suspicion only: no entry moves
+        assert rsu.snapshot() is first
+        rsu.handle_report(report(5, 14), 2.0)  # escalation
+        escalated = rsu.snapshot()
+        assert escalated is not first
+        assert escalated.entries[14].misbehavior_points == 1
+        assert first.entries[14].misbehavior_points == 0
+        broadcast, _ = rsu.tick(3.0)
+        assert broadcast.rrl is not escalated
+        assert broadcast.rrl.version == escalated.version + 1
+        assert rsu.snapshot() is broadcast.rrl
+
+    def test_receivers_share_one_ledger(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(4)), 5)
+        broadcast, _ = rsu.tick(1.0)
+        a, b = make_node(vid=0), make_node(vid=1)
+        assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
+        assert a.cached_rrl is b.cached_rrl is broadcast.rrl
+
+
 class TestWireFormat:
     def test_beacon_encoding(self):
         b = Beacon(7, (1.5, 2.5), 30.0, (1.0, 0.0), 4.25)
         blob = encode_beacon(b)
-        assert len(blob) == 56
+        assert len(blob) == 56 == sim._BEACON_WIRE_BYTES
         sender, x, y, speed, hx, hy, ts = struct.unpack("<Qdddddd", blob)
         assert (sender, x, y, speed, hx, hy, ts) == (7, 1.5, 2.5, 30.0, 1.0, 0.0, 4.25)
 
@@ -514,12 +564,13 @@ class TestWireFormat:
     def test_report_encoding(self):
         r = MisbehaviorReport(3, 9, 44, 2.0, True)
         blob = encode_report(r)
-        assert len(blob) == 33
+        assert len(blob) == 33 == sim._REPORT_WIRE_BYTES
         reporter, accused, event, ts, valid = struct.unpack("<QQQdB", blob)
         assert (reporter, accused, event, ts, valid) == (3, 9, 44, 2.0, 1)
 
     def test_rrl_broadcast_encoding(self):
-        b = RrlBroadcast(9000, 3, ((1, 5, 0), (2, 9, 1)), 6.0, True)
+        ledger = RsuReputationList({1: ReputationRecord(1, 5, 0), 2: ReputationRecord(2, 9, 1)}, 3, 9000)
+        b = RrlBroadcast(ledger, 6.0, True)
         blob = encode_rrl_broadcast(b)
         assert len(blob) == 20 + 2 * 24 + 9
         issuer, version, count = struct.unpack_from("<QQI", blob)

@@ -7,7 +7,7 @@ import pytest
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
-from irsim.protocol import Beacon, EventKind, VehicleNode
+from irsim.protocol import EventKind
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, deliver, run
 
@@ -152,7 +152,7 @@ class TestMobility:
 class TestBeaconEquivalence:
     def test_fast_path_matches_per_beacon_handling(self):
         # The engine updates neighbor state with vectorized beacon rounds;
-        # it must agree with feeding every beacon through handle_beacon.
+        # it must agree with recording every beacon one at a time.
         cfg = ScenarioConfig(
             vehicle_count=8,
             duration=2.0,
@@ -166,7 +166,8 @@ class TestBeaconEquivalence:
         result = runner.run()
         assert result.report.histogram == {}
 
-        reference = [VehicleNode(i, world.protocol_config) for i in range(world.n)]
+        # reference[receiver][sender] = (sender position, time heard)
+        reference = [{} for _ in range(world.n)]
         round_times = [i * 0.1 for i in range(25) if i * 0.1 <= 2.0]
         for t in round_times:
             positions = world.positions_at(t)
@@ -176,21 +177,20 @@ class TestBeaconEquivalence:
                         continue
                     d = math.dist(positions[s], positions[r])
                     if d <= cfg.transmission_range:
-                        b = Beacon(s, (float(positions[s][0]), float(positions[s][1])), 0.0, (1.0, 0.0), t)
-                        reference[r].handle_beacon(b, t)
+                        reference[r][s] = ((float(positions[s][0]), float(positions[s][1])), t)
 
         now = 2.0
         for r in range(world.n):
-            snapshot = runner.neighbor_snapshot(r, now)
+            view = runner.neighbor_view(r, now)
             expected = {
-                vid: entry
-                for vid, entry in reference[r].neighbors.items()
-                if now - entry.last_seen <= cfg.neighbor_ttl
+                vid: (position, last_seen)
+                for vid, (position, last_seen) in reference[r].items()
+                if now - last_seen <= cfg.neighbor_ttl
             }
-            assert set(snapshot) == set(expected)
-            for vid, entry in snapshot.items():
-                assert entry.last_seen == expected[vid].last_seen
-                assert entry.position == pytest.approx(expected[vid].position, abs=1e-9)
+            assert set(view.ids) == set(expected)
+            for vid in view.ids:
+                assert runner.last_heard[r, vid] == expected[vid][1]
+                assert view.position(vid) == pytest.approx(expected[vid][0], abs=1e-9)
 
 
 class TestAttackers:
