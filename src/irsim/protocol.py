@@ -29,6 +29,7 @@ from .reputation import (
     ReputationRecord,
     RsuReputationList,
     RrlStanding,
+    TrustBands,
     TrustDecision,
     TrustLevel,
     VehicleId,
@@ -36,7 +37,7 @@ from .reputation import (
     classify_heuristic,
     classify_trust,
     compute_heuristic_bands,
-    compute_trust_bands,
+    compute_trust_bands,  # noqa: F401  (perfbench/tracing.py patches this binding)
     decide_trust,
     heuristic_from_distance,
     rrl_is_stale,
@@ -192,6 +193,13 @@ def _distance(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def _neutral_points(bands: Optional[TrustBands], initial_points: int) -> int:
+    """Entry points for a vehicle a ledger has no history with: the middle of its range."""
+    if bands is None:
+        return initial_points
+    return (bands.min_points + bands.max_points) // 2
+
+
 class VehicleNode:
     """On-board trust state: local ledger, cached network ledger, pending buffer.
 
@@ -214,6 +222,8 @@ class VehicleNode:
         self.lrl = LocalReputationList()
         self.cached_rrl: Optional[RsuReputationList] = None
         self.pending: dict[EventId, PendingWarning] = {}
+        # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
+        self._oldest_pending = math.inf
         # Set by whoever tracks beacons (the simulator) before each decision.
         self.neighbors = _NO_NEIGHBORS
         self._distance_noise = distance_noise
@@ -270,8 +280,7 @@ class VehicleNode:
 
     def _handle_lone(self, warning: Warning, now: float) -> WarningOutcome:
         sender = warning.sender
-        self.lrl.ensure(sender, self._default_points(), now)
-        bands = compute_trust_bands(self.lrl.points())
+        rec = self.lrl.ensure(sender, self._default_points(), now)
         nb = self.neighbors.position(sender)
 
         if nb is None:
@@ -279,9 +288,7 @@ class VehicleNode:
             level = TrustLevel.LOW
             h_band = HeuristicBand.AWAY
         else:
-            rec = self.lrl.get(sender)
-            assert rec is not None
-            level = classify_trust(rec.points, bands)
+            level = classify_trust(rec.points, self.lrl.trust_bands())
             h_band = self._sender_heuristic_band(nb, warning.event_position)
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
@@ -298,9 +305,7 @@ class VehicleNode:
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, [report])
         # Unsure: hold the message and wait for somebody else to confirm it.
-        self.pending[warning.event_id] = PendingWarning(
-            warning, now, {sender}, PendingState.AWAITING
-        )
+        self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
         return WarningOutcome(Disposition.PENDING)
 
     def _sender_heuristic_band(self, nb: Position, event_pos: Position) -> HeuristicBand:
@@ -328,7 +333,11 @@ class VehicleNode:
     def _remember(self, warning: Warning, now: float) -> None:
         # Keep decided warnings around (until the buffer ages out) so later
         # copies can corroborate and conflicting ones can be caught.
-        self.pending[warning.event_id] = PendingWarning(warning, now, {warning.sender}, PendingState.RESOLVED)
+        self._hold(PendingWarning(warning, now, {warning.sender}, PendingState.RESOLVED))
+
+    def _hold(self, entry: PendingWarning) -> None:
+        self.pending[entry.warning.event_id] = entry
+        self._oldest_pending = min(self._oldest_pending, entry.first_seen)
 
     # -- pending buffer ----------------------------------------------------
 
@@ -342,6 +351,9 @@ class VehicleNode:
         resolutions: list[tuple[Warning, Disposition]] = []
         reports: list[MisbehaviorReport] = []
         ttl = self.config.pending_ttl
+        # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
+        if now - self._oldest_pending <= ttl:
+            return resolutions, reports
         for event_id in [e for e, p in self.pending.items() if now - p.first_seen > ttl]:
             entry = self.pending.pop(event_id)
             if entry.state is PendingState.AWAITING and len(entry.corroborators) == 1:
@@ -350,6 +362,7 @@ class VehicleNode:
                 reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 entry.state = PendingState.RESOLVED
                 resolutions.append((entry.warning, Disposition.REJECT))
+        self._oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
         return resolutions, reports
 
     # -- network ledger ----------------------------------------------------
@@ -363,9 +376,11 @@ class VehicleNode:
             return False
         self.cached_rrl = rrl
         if len(self.lrl) == 0:
-            for vid, rec in rrl.entries.items():
-                if vid != self.id:
-                    self.lrl.upsert(ReputationRecord(vid, rec.points, 0, broadcast.timestamp))
+            self.lrl.load(
+                ReputationRecord(vid, rec.points, 0, broadcast.timestamp)
+                for vid, rec in rrl.entries.items()
+                if vid != self.id
+            )
         return True
 
     def maybe_request_rrl(self) -> bool:
@@ -379,10 +394,7 @@ class VehicleNode:
 
     def _default_points(self) -> int:
         """Neutral entry points for a sender we have no history with."""
-        pts = self.lrl.points()
-        if not pts:
-            return self.config.initial_points
-        return (min(pts) + max(pts)) // 2
+        return _neutral_points(self.lrl.trust_bands(), self.config.initial_points)
 
     def _estimate_distance(self, true_distance: float, sender_position: Position) -> float:
         """Signal-strength estimate of a sender-derived distance.
@@ -460,7 +472,7 @@ class RsuNode:
         """Process one misbehavior report; returns True when state changed."""
         if not report.signature_valid:
             return False
-        if self._standing(report.reporter) is RrlStanding.FLAGGED:
+        if standing_of(self.snapshot(), report.reporter) is RrlStanding.FLAGGED:
             return False
         if (report.accused, report.event_id) in self._settled:
             return False
@@ -551,22 +563,10 @@ class RsuNode:
         self.entries[record.vehicle] = record
         self._snapshot = None
 
-    def _standing(self, vehicle: VehicleId) -> RrlStanding:
-        if not self.entries or vehicle not in self.entries:
-            return RrlStanding.CLEAR
-        bands = compute_trust_bands([r.points for r in self.entries.values()])
-        level = classify_trust(self.entries[vehicle].points, bands)
-        return {
-            TrustLevel.TOP: RrlStanding.CLEAR,
-            TrustLevel.MEDIUM: RrlStanding.WATCH,
-            TrustLevel.LOW: RrlStanding.FLAGGED,
-        }[level]
-
     def _ensure(self, vehicle: VehicleId, now: float) -> ReputationRecord:
         rec = self.entries.get(vehicle)
         if rec is None:
-            pts = [r.points for r in self.entries.values()]
-            default = (min(pts) + max(pts)) // 2 if pts else self.config.initial_points
+            default = _neutral_points(self.snapshot().trust_bands(), self.config.initial_points)
             rec = ReputationRecord(vehicle, default, 0, now)
             self._put(rec)
         return rec

@@ -1,8 +1,8 @@
 """Pure reputation mathematics: ledgers, trust/heuristic banding, and the decision matrix.
 
 Everything in this module is deterministic and side-effect free. Reputation
-points are non-negative integers; band thresholds are kept exact (integer
-band arithmetic uses rationals) so classification has no gaps or overlaps
+points are non-negative integers; band thresholds are compared in exact
+integer arithmetic (scaled by 3) so classification has no gaps or overlaps
 at boundaries.
 """
 
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
@@ -78,12 +79,20 @@ class LocalReputationList:
 
     At most one record per vehicle. The derived ranking puts the highest
     points first (the most trusted senders at the top).
+
+    Every write goes through ``load``, ``upsert``, ``ensure`` or ``adjust``,
+    which keep a count of entries per point value and the lowest and highest
+    value held, so ``trust_bands`` never walks the ledger. A bound is looked
+    up again among the distinct point values only when its last holder moves.
     """
 
     def __init__(self, records: Iterable[ReputationRecord] = ()) -> None:
         self.entries: dict[VehicleId, ReputationRecord] = {}
-        for rec in records:
-            self.upsert(rec)
+        self._counts: dict[int, int] = {}
+        self._lo = self._hi = 0
+        self._bands: Optional[TrustBands] = None
+        if records:
+            self.load(records)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,8 +103,25 @@ class LocalReputationList:
     def get(self, vehicle: VehicleId) -> Optional[ReputationRecord]:
         return self.entries.get(vehicle)
 
+    def load(self, records: Iterable[ReputationRecord]) -> None:
+        """Fill an empty list (a later record for a vehicle wins), counting points in one pass."""
+        if self.entries:
+            raise ValueError("load needs an empty ledger")
+        for rec in records:
+            self.entries[rec.vehicle] = rec
+        self._counts = Counter(rec.points for rec in self.entries.values())
+        if self._counts:
+            self._lo, self._hi = min(self._counts), max(self._counts)
+        self._bands = None
+
     def upsert(self, record: ReputationRecord) -> None:
+        old = self.entries.get(record.vehicle)
         self.entries[record.vehicle] = record
+        if old is None:
+            self._count_in(record.points)
+        elif old.points != record.points:
+            self._count_in(record.points)
+            self._count_out(old.points)
 
     def points(self) -> list[int]:
         return [rec.points for rec in self.entries.values()]
@@ -104,20 +130,53 @@ class LocalReputationList:
         """Records ordered by points descending (ties broken by vehicle id)."""
         return sorted(self.entries.values(), key=lambda r: (-r.points, r.vehicle))
 
+    def trust_bands(self) -> Optional[TrustBands]:
+        """Bands over the points held now; None while the ledger is empty."""
+        if self._bands is None and self.entries:
+            self._bands = TrustBands(self._lo, self._hi)
+        return self._bands
+
     def ensure(self, vehicle: VehicleId, default_points: int, now: float) -> ReputationRecord:
         """Return the record for ``vehicle``, creating one at ``default_points``."""
         rec = self.entries.get(vehicle)
         if rec is None:
             rec = ReputationRecord(vehicle, default_points, 0, now)
-            self.entries[vehicle] = rec
+            self.upsert(rec)
         return rec
 
     def adjust(self, vehicle: VehicleId, delta: int, now: float, default_points: int) -> ReputationRecord:
         """Apply a point delta to ``vehicle``, creating a neutral entry first if needed."""
-        rec = self.ensure(vehicle, default_points, now)
-        rec = apply_point_delta(rec, delta, now=now)
-        self.entries[vehicle] = rec
+        rec = apply_point_delta(self.ensure(vehicle, default_points, now), delta, now=now)
+        self.upsert(rec)
         return rec
+
+    def _count_in(self, points: int) -> None:
+        held = self._counts.get(points, 0)
+        self._counts[points] = held + 1
+        if held:
+            return
+        if len(self._counts) == 1:
+            self._lo = self._hi = points
+        elif points < self._lo:
+            self._lo = points
+        elif points > self._hi:
+            self._hi = points
+        else:
+            return
+        self._bands = None
+
+    def _count_out(self, points: int) -> None:
+        held = self._counts[points] - 1
+        if held:
+            self._counts[points] = held
+            return
+        del self._counts[points]
+        if points == self._lo:
+            self._lo = min(self._counts)
+            self._bands = None
+        elif points == self._hi:
+            self._hi = max(self._counts)
+            self._bands = None
 
 
 @dataclass
@@ -155,19 +214,21 @@ class RsuReputationList:
 class TrustBands:
     """Band geometry over a set of reputation points.
 
-    ``th`` is exactly (max_points - min_points) / 3, kept as a rational so
-    integer points classify without floating-point boundary wobble.
+    The band length ``th`` is (max_points - min_points) / 3. Classification
+    compares in integers scaled by 3 and never builds it.
     """
 
     min_points: int
     max_points: int
-    th: Fraction
 
     def __post_init__(self) -> None:
         if self.max_points < self.min_points:
             raise ValueError("max_points must be >= min_points")
-        if self.th != Fraction(self.max_points - self.min_points, 3):
-            raise ValueError("th must equal (max_points - min_points) / 3")
+
+    @property
+    def th(self) -> Fraction:
+        """The exact band length."""
+        return Fraction(self.max_points - self.min_points, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,11 +253,10 @@ def compute_trust_bands(points: Iterable[int]) -> TrustBands:
     pts = list(points)
     if not pts:
         raise ValueError("no reputation data")
-    for p in pts:
-        if p < 0:
-            raise ValueError("reputation points must be >= 0")
     lo, hi = min(pts), max(pts)
-    return TrustBands(lo, hi, Fraction(hi - lo, 3))
+    if lo < 0:
+        raise ValueError("reputation points must be >= 0")
+    return TrustBands(lo, hi)
 
 
 def classify_trust(points: int, bands: TrustBands) -> TrustLevel:
@@ -205,14 +265,15 @@ def classify_trust(points: int, bands: TrustBands) -> TrustLevel:
     LOW covers points below min + th, MEDIUM the middle third inclusive of
     both edges, TOP everything above min + 2*th. A degenerate spread
     (th == 0) carries no information, so everything classifies MEDIUM.
+    With spread = max - min = 3*th, both edges compare exactly in integers.
     """
-    if bands.th == 0:
+    spread = bands.max_points - bands.min_points
+    if spread == 0:
         return TrustLevel.MEDIUM
-    low_edge = bands.min_points + bands.th
-    high_edge = bands.min_points + 2 * bands.th
-    if points < low_edge:
+    offset = 3 * (points - bands.min_points)
+    if offset < spread:
         return TrustLevel.LOW
-    if points <= high_edge:
+    if offset <= 2 * spread:
         return TrustLevel.MEDIUM
     return TrustLevel.TOP
 
@@ -275,8 +336,7 @@ def decide_trust(local: TrustLevel, standing: RrlStanding) -> TrustDecision:
 def rrl_is_stale(rrl: RsuReputationList, neighbors: Iterable[VehicleId]) -> bool:
     """True when fewer than half of the current neighbors appear in the ledger."""
     ids = set(neighbors)
-    present = sum(1 for v in ids if v in rrl.entries)
-    return 2 * present < len(ids)
+    return 2 * len(rrl.entries.keys() & ids) < len(ids)
 
 
 def apply_point_delta(record: ReputationRecord, delta: int, now: Optional[float] = None) -> ReputationRecord:
@@ -284,11 +344,11 @@ def apply_point_delta(record: ReputationRecord, delta: int, now: Optional[float]
 
     Misbehavior points are untouched. ``now`` refreshes last_update when given.
     """
-    new_points = max(0, record.points + delta)
-    return replace(
-        record,
-        points=new_points,
-        last_update=record.last_update if now is None else now,
+    return ReputationRecord(
+        record.vehicle,
+        max(0, record.points + delta),
+        record.misbehavior_points,
+        record.last_update if now is None else now,
     )
 
 

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from irsim import sim
 from irsim.protocol import (
@@ -303,6 +304,46 @@ class TestPendingExpiry:
         assert resolutions == [] and reports == []
 
 
+class TestPendingOrder:
+    """Expiry holds however the caller's clock runs: nothing assumes increasing times."""
+
+    @staticmethod
+    def low_node():
+        node = make_node()
+        seed_lrl(node, WORKED_POINTS)
+        node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
+        hear(node, {7: 130.0, 8: 140.0, 2: 150.0})
+        return node
+
+    def test_older_entry_held_later_still_expires(self):
+        node = self.low_node()
+        assert node.handle_warning(Warning(8, 61, EventKind.ICE, (120.0, 0.0), 5.0), 5.0).disposition is Disposition.PENDING
+        assert node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0).disposition is Disposition.PENDING
+        assert node.expire_pending(3.0) == ([], [])  # 2.0 s is not past the TTL
+        resolutions, _ = node.expire_pending(3.5)
+        assert [w.event_id for w, _ in resolutions] == [60]
+        resolutions, _ = node.expire_pending(7.5)
+        assert [w.event_id for w, _ in resolutions] == [61]
+        assert not node.pending
+
+    @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=20.0)), max_size=30))
+    def test_expiry_matches_full_scan(self, steps):
+        node = self.low_node()
+        held: dict[int, float] = {}
+        for event_id, (warn, t) in enumerate(steps, start=100):
+            if warn:
+                out = node.handle_warning(Warning(7 + event_id % 2, event_id, EventKind.ICE, (120.0, 0.0), t), t)
+                assert out.disposition is Disposition.PENDING
+                held[event_id] = t
+                continue
+            expired = {e for e, seen in held.items() if t - seen > CFG.pending_ttl}
+            resolutions, reports = node.expire_pending(t)
+            assert {w.event_id for w, _ in resolutions} == expired
+            assert {r.event_id for r in reports} == expired
+            held = {e: seen for e, seen in held.items() if e not in expired}
+            assert set(node.pending) == set(held)
+
+
 class TestRrlBroadcastHandling:
     def test_newer_version_replaces(self):
         node = make_node()
@@ -386,7 +427,8 @@ class TestRsuReports:
     def test_first_report_marks_both_suspicious(self):
         rsu = make_rsu()
         rsu.seed(list(range(10)), 5)
-        assert rsu.handle_report(report(2, 14 % 10), 1.0) or True
+        assert rsu.handle_report(report(2, 4), 1.0) is True
+        assert 2 in rsu.suspicion and 4 in rsu.suspicion
         rsu = make_rsu()
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(report(2, 14), 1.0)

@@ -287,6 +287,79 @@ class TestLedgers:
             ReputationRecord(1, 0, misbehavior_points=-2)
 
 
+def fraction_classify(points, lo, hi):
+    # Reference rule with exact rational thresholds, as the paper states it.
+    th = Fraction(hi - lo, 3)
+    if th == 0:
+        return TrustLevel.MEDIUM
+    if points < lo + th:
+        return TrustLevel.LOW
+    if points <= lo + 2 * th:
+        return TrustLevel.MEDIUM
+    return TrustLevel.TOP
+
+
+class TestIntegerClassify:
+    @given(st.integers(min_value=0, max_value=5_000), st.integers(min_value=0, max_value=400))
+    def test_matches_fraction_reference(self, lo, spread):
+        hi = lo + spread
+        bands = compute_trust_bands([lo, hi])
+        for p in range(lo - 2, hi + 3):
+            assert classify_trust(p, bands) is fraction_classify(p, lo, hi), (lo, hi, p)
+
+
+_vehicles = st.integers(min_value=0, max_value=12)
+_points = st.integers(min_value=0, max_value=30)
+_ledger_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("upsert"), _vehicles, _points),
+        st.tuples(st.just("ensure"), _vehicles, _points),
+        # Deltas large enough to hit the floor at zero.
+        st.tuples(st.just("adjust"), _vehicles, st.integers(min_value=-40, max_value=40), _points),
+    ),
+    max_size=60,
+)
+
+
+class TestLrlBounds:
+    """The bounds kept as points change equal a full walk of the entries."""
+
+    @staticmethod
+    def check(lrl):
+        pts = [r.points for r in lrl.entries.values()]
+        if not pts:
+            assert lrl.trust_bands() is None
+        else:
+            bands = lrl.trust_bands()
+            assert (bands.min_points, bands.max_points) == (min(pts), max(pts))
+
+    @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _ledger_ops)
+    def test_bounds_match_brute_force(self, initial, ops):
+        lrl = LocalReputationList(ReputationRecord(v, p) for v, p in initial)
+        self.check(lrl)
+        for t, (op, vid, *args) in enumerate(ops):
+            if op == "upsert":
+                lrl.upsert(ReputationRecord(vid, args[0]))
+            elif op == "ensure":
+                lrl.ensure(vid, args[0], float(t))
+            else:
+                before = lrl.get(vid)
+                rec = lrl.adjust(vid, args[0], float(t), args[1])
+                start = args[1] if before is None else before.points
+                assert rec.points == max(0, start + args[0])
+            self.check(lrl)
+
+    def test_load_keeps_last_record_per_vehicle(self):
+        lrl = LocalReputationList([ReputationRecord(1, 2), ReputationRecord(2, 9), ReputationRecord(1, 5)])
+        assert lrl.get(1).points == 5
+        assert lrl.trust_bands() == compute_trust_bands([5, 9])
+
+    def test_load_needs_empty_ledger(self):
+        lrl = LocalReputationList([ReputationRecord(1, 2)])
+        with pytest.raises(ValueError):
+            lrl.load([ReputationRecord(2, 3)])
+
+
 class TestDeterminism:
     def test_pure_functions_repeat(self):
         pts = [13, 11, 7, 6, 4, 3, 1, 1]
