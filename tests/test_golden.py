@@ -3,8 +3,9 @@
 Each case runs one seed of a 60-vehicle, 30 s scenario and pins the SHA-256
 of its event log and of its metrics JSON (written with ``metrics.export``).
 The matrix covers every attacker profile on the IRS pipeline, the
-accept-all pipeline, two roadside units (which exchange FWD digests), and
-ranging noise switched off.
+accept-all pipeline, two roadside units (which exchange FWD digests),
+ranging noise switched off, jittered beacon intervals (so only some
+vehicles beacon in a round), and no roadside unit at all.
 
 A change that keeps behaviour leaves every digest unchanged. A change that
 alters output bytes on purpose re-pins them and says why. The digests were
@@ -61,6 +62,18 @@ MATRIX = {
         "irs",
         "26840fc2756704d50c1cc736fe9698decfb3d48e949fa80324fac26d664442fe",
         "f7aff613c64c5bc6a78e4c975eea904936755406236547dc6fd263127b2595cf",
+    ),
+    "irs-jittered-beacons": (
+        {"beacon_interval": (0.1, 0.35)},
+        "irs",
+        "a2a462fe7c3927cd7d9d9aafbdc1032639f6588ac11ae70094815780d11ce2eb",
+        "014e9699934d2adb4199377519fddc46883e921a0a5c6f95206eb2a5760ecc5d",
+    ),
+    "irs-no-rsu": (
+        {"rsu_positions": ()},
+        "irs",
+        "e547a81b348aa80d4144f74ffb350136ec37fd12667f10d8a1b57f725360e489",
+        "afa108f8218877602c36d62d0b4db10d6f3c3ceb18c1eaf2fdddff89d31733c7",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, radio model, mobility, attackers, replay."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -129,6 +130,26 @@ class TestRadio:
         assert len(result.decisions) == 0
         assert all(len(node.lrl) == 0 for node in world.nodes)
         assert all(node.cached_rrl is None for node in world.nodes)
+
+
+class TestCounters:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"rsu_positions": ((300.0, 500.0), (700.0, 500.0)), "beacon_interval": (0.1, 0.35)}],
+        ids=["one-rsu", "two-rsus-jittered"],
+    )
+    def test_each_counter_equals_its_log_line_count(self, overrides):
+        result = run(build_scenario(small_config(**overrides), "irs"))
+        kinds = Counter(line.split("\t")[1] for line in result.log_lines)
+        extras = result.report.extras
+        for counter, kind in (
+            ("warning_deliveries", "DELIVER"),
+            ("reports_delivered", "REPORT"),
+            ("rrl_deliveries", "RRL"),
+            ("warnings_emitted", "EMIT"),
+        ):
+            assert kinds[kind] > 0, kind
+            assert extras[counter] == kinds[kind], counter
 
 
 class TestMobility:
