@@ -39,7 +39,7 @@ from .protocol import (
     Warning,
 )
 from .scenario import ConfigError, ScenarioConfig
-from .sim import AttackerProfile, SimWorld, attacker_emit, build_scenario, deliver, run
+from .sim import AttackerProfile, SimWorld, attacker_emit, build_scenario, run
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "compute_heuristic_bands",
     "compute_trust_bands",
     "decide_trust",
-    "deliver",
     "heuristic_from_distance",
     "rrl_is_stale",
     "run",

@@ -24,12 +24,12 @@ from .protocol import Disposition
 
 BUCKET_WIDTH_M = 20.0
 
-_DISPOSITION_NAMES = {
+DISPOSITION_NAMES = {
     Disposition.ACCEPT: "accept",
     Disposition.REJECT: "reject",
     Disposition.PENDING: "pending",
 }
-_DISPOSITION_FROM_NAME = {v: k for k, v in _DISPOSITION_NAMES.items()}
+_DISPOSITION_FROM_NAME = {v: k for k, v in DISPOSITION_NAMES.items()}
 
 
 class MetricsError(Exception):
@@ -197,7 +197,7 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
 
     histogram: dict[str, int] = {}
     for r in finals:
-        name = _DISPOSITION_NAMES[r.decision]
+        name = DISPOSITION_NAMES[r.decision]
         histogram[name] = histogram.get(name, 0) + 1
 
     latencies = [r.latency_ns for r in log.records if r.latency_ns is not None]

@@ -341,6 +341,11 @@ class VehicleNode:
 
     # -- pending buffer ----------------------------------------------------
 
+    def pending_due(self, now: float) -> bool:
+        """True when some buffered entry is past the TTL at ``now``, so ``expire_pending`` has work."""
+        # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
+        return now - self._oldest_pending > self.config.pending_ttl
+
     def expire_pending(self, now: float) -> tuple[list[tuple[Warning, Disposition]], list[MisbehaviorReport]]:
         """Age out the pending buffer.
 
@@ -350,10 +355,9 @@ class VehicleNode:
         """
         resolutions: list[tuple[Warning, Disposition]] = []
         reports: list[MisbehaviorReport] = []
-        ttl = self.config.pending_ttl
-        # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
-        if now - self._oldest_pending <= ttl:
+        if not self.pending_due(now):
             return resolutions, reports
+        ttl = self.config.pending_ttl
         for event_id in [e for e, p in self.pending.items() if now - p.first_seen > ttl]:
             entry = self.pending.pop(event_id)
             if entry.state is PendingState.AWAITING and len(entry.corroborators) == 1:

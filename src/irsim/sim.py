@@ -9,7 +9,8 @@ bit-identical event logs and metrics.
 
 Two deterministic random streams are used: one for world building and
 emission schedules (shared between pipelines so both see the same traffic
-and attacks), one for channel loss and ranging noise.
+and attacks), and one that only the ``Channel`` draws from, for link loss,
+arrival order and ranging noise.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .metrics import DecisionLog, DecisionRecord, MetricsReport, RunInfo, finalize
+from .metrics import DISPOSITION_NAMES, DecisionLog, DecisionRecord, MetricsReport, RunInfo, finalize
 from .protocol import (
     Disposition,
     EventKind,
@@ -93,25 +94,57 @@ class AttackerProfile:
             raise ValueError("attacker rate must be >= 0")
 
 
-def deliver(
-    sender_position: tuple[float, float],
-    receiver_position: tuple[float, float],
-    range_m: float,
-    loss_probability: float,
-    rng: np.random.Generator,
-) -> bool:
-    """Radio model for one directed transmission.
+class Channel:
+    """The radio: a unit disk with independent Bernoulli loss per directed link.
 
-    Never delivers beyond ``range_m``; within range, delivery succeeds with
-    probability 1 - loss.
+    The only user of the channel random stream. Each draw keeps the order and
+    shape in which the event loop makes it, so a run stays reproducible:
+    loss draws, arrival orders and ranging noise all come from here.
     """
-    if range_m <= 0:
-        raise ValueError("range must be > 0")
-    dx = sender_position[0] - receiver_position[0]
-    dy = sender_position[1] - receiver_position[1]
-    if math.hypot(dx, dy) > range_m:
-        return False
-    return rng.random() >= loss_probability
+
+    def __init__(self, range_m: float, loss: float, rng: np.random.Generator, rsus: Sequence[RsuNode] = ()) -> None:
+        if range_m <= 0:
+            raise ValueError("range must be > 0")
+        self.range_m = range_m
+        self.loss = loss
+        self.rng = rng
+        self.rsus = rsus
+
+    def in_range(self, dx, dy, radius: Optional[float] = None):
+        """The range predicate: squared distance against the squared radius (default: the range)."""
+        return dx * dx + dy * dy <= (self.range_m if radius is None else radius) ** 2
+
+    def kept(self, shape=None):
+        """Loss draws: True where a link's transmission survives; one draw per element of ``shape``."""
+        return self.rng.random(shape) >= self.loss
+
+    def hears(self, receivers: np.ndarray, origin, radius: Optional[float] = None) -> np.ndarray:
+        """Which receivers hear a transmission from ``origin``: in range and not lost.
+
+        ``receivers`` and ``origin`` hold x, y in their last axis and broadcast
+        together; each element of the result gets its own loss draw.
+        """
+        origin = np.asarray(origin)
+        within = self.in_range(receivers[..., 0] - origin[..., 0], receivers[..., 1] - origin[..., 1], radius)
+        return within & self.kept(within.shape)
+
+    def arrival_order(self, ids) -> np.ndarray:
+        """A random permutation of ``ids``: the order in which they are served."""
+        return self.rng.permutation(ids)
+
+    def ranging_noise(self, sigma: float, per_m: float) -> Optional[Callable[[float], float]]:
+        """Signal-strength ranging error for ``VehicleNode``, or None when both terms are 0."""
+        if not (sigma > 0 or per_m > 0):
+            return None
+        return lambda ranging: float(self.rng.normal(0.0, sigma + per_m * ranging))
+
+    def nearest_rsu(self, pos) -> Optional[RsuNode]:
+        """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed."""
+        gaps = [(pos[0] - rsu.position[0], pos[1] - rsu.position[1]) for rsu in self.rsus]
+        if not gaps:
+            return None
+        k = min(range(len(gaps)), key=lambda k: gaps[k][0] * gaps[k][0] + gaps[k][1] * gaps[k][1])
+        return self.rsus[k] if self.in_range(*gaps[k]) else None
 
 
 class SimWorld:
@@ -127,7 +160,6 @@ class SimWorld:
         seq = np.random.SeedSequence(config.seed)
         sched_seed, chan_seed = seq.spawn(2)
         self.rng_sched = np.random.Generator(np.random.PCG64(sched_seed))
-        self.rng_chan = np.random.Generator(np.random.PCG64(chan_seed))
 
         n = config.vehicle_count
         self.n = n
@@ -165,23 +197,6 @@ class SimWorld:
             initial_points=config.initial_points,
         )
 
-        sigma = config.ranging_noise_sigma
-        per_m = config.ranging_noise_per_meter
-        noise = (
-            (lambda ranging: float(self.rng_chan.normal(0.0, sigma + per_m * ranging)))
-            if (sigma > 0 or per_m > 0)
-            else None
-        )
-        self.nodes: list[VehicleNode] = [
-            VehicleNode(
-                i,
-                self.protocol_config,
-                kind="attacker" if self.is_attacker[i] else "benign",
-                distance_noise=noise,
-            )
-            for i in range(n)
-        ]
-
         anchors = [
             (ANCHOR_ID_BASE + i, config.anchor_top_points, 0)
             for i in range(config.trusted_anchors)
@@ -209,6 +224,19 @@ class SimWorld:
             rsu.seed(list(range(n)), config.initial_points, anchors)
             self.rsus.append(rsu)
         self.rsus_by_id = {rsu.id: rsu for rsu in self.rsus}
+
+        chan_rng = np.random.Generator(np.random.PCG64(chan_seed))
+        self.channel = Channel(config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus)
+        noise = self.channel.ranging_noise(config.ranging_noise_sigma, config.ranging_noise_per_meter)
+        self.nodes: list[VehicleNode] = [
+            VehicleNode(
+                i,
+                self.protocol_config,
+                kind="attacker" if self.is_attacker[i] else "benign",
+                distance_noise=noise,
+            )
+            for i in range(n)
+        ]
 
         self.registry = EventRegistry()
         # Per-conflicting-attacker memory of true events they can distort.
@@ -373,11 +401,8 @@ class _Runner:
         due = self.next_tx <= t + 1e-9
         n_due = int(due.sum())
         if n_due:
-            dx = positions[:, 0][:, None] - positions[:, 0][None, :]
-            dy = positions[:, 1][:, None] - positions[:, 1][None, :]
-            within = dx * dx + dy * dy <= cfg.transmission_range**2
-            keep = world.rng_chan.random((world.n, world.n)) >= cfg.delivery_loss_probability
-            ok = within & keep & due[None, :]
+            # ok[r, s]: receiver r heard sender s's beacon this round.
+            ok = world.channel.hears(positions[:, None, :], positions[None, :, :]) & due[None, :]
             np.fill_diagonal(ok, False)
             self.last_heard = np.where(ok, t, self.last_heard)
             self.next_tx[due] += self.beacon_iv[due]
@@ -387,10 +412,12 @@ class _Runner:
             # Randomize processing order: report arrival at the roadside unit
             # would otherwise always favor low vehicle ids when crediting the
             # first two reporters of an event.
-            order = world.rng_chan.permutation(sorted(self.pending_vehicles))
-            for idx in order:
-                self.expire_for(int(idx), t, positions)
-            self.pending_vehicles = {i for i in self.pending_vehicles if world.nodes[i].pending}
+            for idx in world.channel.arrival_order(sorted(self.pending_vehicles)).tolist():
+                # Only a vehicle with an entry past the TTL can empty its buffer.
+                if world.nodes[idx].pending_due(t):
+                    self.expire_for(idx, t, positions)
+                    if not world.nodes[idx].pending:
+                        self.pending_vehicles.discard(idx)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
@@ -401,21 +428,20 @@ class _Runner:
             self.push(nxt, _ROUND, index + 1)
 
     def handle_requests(self, t: float, positions: np.ndarray) -> None:
-        world, cfg = self.world, self.cfg
-        for idx, node in enumerate(world.nodes):
+        channel = self.world.channel
+        for idx, node in enumerate(self.world.nodes):
             node.neighbors = self.neighbor_view(idx, t)
             if not node.maybe_request_rrl():
                 continue
             self.emit_line(t, "REQ", idx)
-            rsu = self.nearest_rsu(positions[idx])
-            if rsu is None:
-                continue
+            rsu = channel.nearest_rsu(positions[idx])
             # The request and the response each cross the lossy channel.
-            if world.rng_chan.random() < cfg.delivery_loss_probability:
-                continue
-            if world.rng_chan.random() < cfg.delivery_loss_probability:
-                continue
-            node.handle_rrl_broadcast(RrlBroadcast(rsu.snapshot(), t))
+            if rsu is not None and channel.kept() and channel.kept():
+                self.deliver_ledger(t, rsu, idx, RrlBroadcast(rsu.snapshot(), t))
+
+    def deliver_ledger(self, t: float, rsu: RsuNode, idx: int, broadcast: RrlBroadcast) -> None:
+        """Hand a ledger to vehicle ``idx``; count and log it only if the vehicle keeps it."""
+        if self.world.nodes[idx].handle_rrl_broadcast(broadcast):
             self.counters["rrl_deliveries"] += 1
             self.emit_line(t, "RRL", rsu.id, idx)
 
@@ -426,13 +452,8 @@ class _Runner:
             broadcast, forwards = rsu.tick(t)
             self.counters["rrl_broadcasts"] += 1
             self.counters["encoded_bytes"] += len(encode_rrl_broadcast(broadcast))
-            d = np.hypot(positions[:, 0] - rsu.position[0], positions[:, 1] - rsu.position[1])
-            in_range = d <= rsu.coverage_radius
-            keep = world.rng_chan.random(world.n) >= cfg.delivery_loss_probability
-            for idx in np.nonzero(in_range & keep)[0]:
-                if world.nodes[int(idx)].handle_rrl_broadcast(broadcast):
-                    self.counters["rrl_deliveries"] += 1
-                    self.emit_line(t, "RRL", rsu.id, int(idx), "-")
+            for idx in np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]:
+                self.deliver_ledger(t, rsu, int(idx), broadcast)
             for fwd in forwards:
                 target = world.rsus_by_id.get(fwd.destination)
                 if target is not None:
@@ -483,29 +504,29 @@ class _Runner:
         self.emit_line(now, "EMIT", sender, "-", warning.event_id)
 
         positions = world.positions_at(now)
-        spos = positions[sender]
-        d = np.hypot(positions[:, 0] - spos[0], positions[:, 1] - spos[1])
-        in_range = d <= cfg.transmission_range
-        in_range[sender] = False
-        keep = world.rng_chan.random(world.n) >= cfg.delivery_loss_probability
-        receivers = world.rng_chan.permutation(np.nonzero(in_range & keep)[0])
+        heard = world.channel.hears(positions, positions[sender])
+        heard[sender] = False
+        receivers = world.channel.arrival_order(np.nonzero(heard)[0])
+        gaps = positions[receivers] - positions[sender]
+        distances = np.hypot(gaps[:, 0], gaps[:, 1])
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
 
-        for r in receivers:
-            idx = int(r)
-            if idx in world.known_true and truth and warning.event_id not in world.known_true[idx]:
-                world.known_true[idx].append(warning.event_id)
+        for r, distance in zip(receivers.tolist(), distances.tolist()):
+            if r in world.known_true and truth and warning.event_id not in world.known_true[r]:
+                world.known_true[r].append(warning.event_id)
             if self.irs:
-                self.deliver_irs(idx, warning, now, float(d[idx]), truth, positions)
+                self.deliver_irs(r, warning, now, distance, truth, positions)
             else:
-                self.deliver_accept_all(idx, warning, now, float(d[idx]), truth)
+                self.deliver_accept_all(r, warning, now, distance, truth)
 
     def deliver_accept_all(self, idx: int, warning: Warning, now: float, distance: float, truth: bool) -> None:
         started = time.perf_counter_ns()
         disposition = Disposition.ACCEPT
         latency = time.perf_counter_ns() - started
         self.counters["warning_deliveries"] += 1
-        self.record_decision(now, idx, warning, truth, disposition, distance, latency)
+        self.record_decision(
+            "DELIVER", DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance, latency)
+        )
 
     def deliver_irs(
         self,
@@ -528,38 +549,25 @@ class _Runner:
         if outcome.disposition is None:
             return
         self.counters["warning_deliveries"] += 1
-        self.record_decision(now, idx, warning, truth, outcome.disposition, distance, latency)
+        self.record_decision(
+            "DELIVER",
+            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, outcome.disposition, distance, latency),
+        )
         if outcome.disposition is Disposition.PENDING:
             self.pending_meta[(idx, warning.event_id, warning.sender)] = (truth, distance)
             self.pending_vehicles.add(idx)
         for s_vid, event_id, disposition in outcome.finalized:
             p_truth, p_distance = self.pending_meta.pop((idx, event_id, s_vid))
-            self.decisions.record(
-                DecisionRecord(now, idx, s_vid, event_id, p_truth, disposition, p_distance)
-            )
-            self.emit_line(
-                now, "RESOLVE", s_vid, idx, event_id,
-                _decision_name(disposition), "1" if p_truth else "0", f"{p_distance:.3f}",
-            )
+            self.record_decision("RESOLVE", DecisionRecord(now, idx, s_vid, event_id, p_truth, disposition, p_distance))
         for report in outcome.reports:
             self.route_report(idx, report, now, positions)
 
-    def record_decision(
-        self,
-        now: float,
-        idx: int,
-        warning: Warning,
-        truth: bool,
-        disposition: Disposition,
-        distance: float,
-        latency: int,
-    ) -> None:
-        self.decisions.record(
-            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance, latency)
-        )
+    def record_decision(self, kind: str, r: DecisionRecord) -> None:
+        """Record one decision and write its DELIVER, RESOLVE or EXPIRE line."""
+        self.decisions.record(r)
         self.emit_line(
-            now, "DELIVER", warning.sender, idx, warning.event_id,
-            _decision_name(disposition), "1" if truth else "0", f"{distance:.3f}",
+            r.time, kind, r.sender, r.receiver, r.event_id,
+            DISPOSITION_NAMES[r.decision], "1" if r.ground_truth else "0", f"{r.distance_m:.3f}",
         )
 
     def neighbor_view(self, idx: int, now: float) -> NeighborView:
@@ -570,28 +578,16 @@ class _Runner:
         xs = np.mod(world.x0[fresh] + world.direction[fresh] * world.speed[fresh] * row[fresh], cfg.grid[0])
         return NeighborView(tuple(fresh.tolist()), xs, world.lane_y[fresh])
 
-    def nearest_rsu(self, pos: np.ndarray) -> Optional[RsuNode]:
-        """The closest roadside unit within transmission range of ``pos``, if any."""
-        best: Optional[RsuNode] = None
-        best_d = 0.0
-        for rsu in self.world.rsus:
-            d = math.hypot(pos[0] - rsu.position[0], pos[1] - rsu.position[1])
-            if d <= self.cfg.transmission_range and (best is None or d < best_d):
-                best, best_d = rsu, d
-        return best
-
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
-        world, cfg = self.world, self.cfg
+        world = self.world
         if not world.rsus:
             return
         # Attackers do not cooperate with the misbehavior-reporting scheme.
         if world.is_attacker[reporter]:
             return
         self.counters["encoded_bytes"] += _REPORT_WIRE_BYTES
-        rsu = self.nearest_rsu(positions[reporter])
-        if rsu is None:
-            return
-        if world.rng_chan.random() < cfg.delivery_loss_probability:
+        rsu = world.channel.nearest_rsu(positions[reporter])
+        if rsu is None or not world.channel.kept():
             return
         rsu.handle_report(report, now)
         self.counters["reports_delivered"] += 1
@@ -604,13 +600,8 @@ class _Runner:
         resolutions, reports = node.expire_pending(now)
         for warning, disposition in resolutions:
             truth, distance = self.pending_meta.pop((idx, warning.event_id, warning.sender))
-            self.decisions.record(
-                DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance)
-            )
-            self.emit_line(
-                now, "EXPIRE", warning.sender, idx, warning.event_id,
-                _decision_name(disposition), "1" if truth else "0", f"{distance:.3f}",
-            )
+            record = DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance)
+            self.record_decision("EXPIRE", record)
         for report in reports:
             self.route_report(idx, report, now, positions)
 
@@ -653,10 +644,6 @@ class _Runner:
             extras=extras,
         )
         return finalize(self.decisions, info)
-
-
-def _decision_name(d: Disposition) -> str:
-    return {Disposition.ACCEPT: "accept", Disposition.REJECT: "reject", Disposition.PENDING: "pending"}[d]
 
 
 def run(world: SimWorld) -> RunResult:

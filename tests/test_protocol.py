@@ -319,7 +319,9 @@ class TestPendingOrder:
         node = self.low_node()
         assert node.handle_warning(Warning(8, 61, EventKind.ICE, (120.0, 0.0), 5.0), 5.0).disposition is Disposition.PENDING
         assert node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0).disposition is Disposition.PENDING
+        assert not node.pending_due(3.0)
         assert node.expire_pending(3.0) == ([], [])  # 2.0 s is not past the TTL
+        assert node.pending_due(3.5)
         resolutions, _ = node.expire_pending(3.5)
         assert [w.event_id for w, _ in resolutions] == [60]
         resolutions, _ = node.expire_pending(7.5)
@@ -337,6 +339,7 @@ class TestPendingOrder:
                 held[event_id] = t
                 continue
             expired = {e for e, seen in held.items() if t - seen > CFG.pending_ttl}
+            assert node.pending_due(t) == bool(expired)
             resolutions, reports = node.expire_pending(t)
             assert {w.event_id for w, _ in resolutions} == expired
             assert {r.event_id for r in reports} == expired

@@ -8,9 +8,10 @@ import pytest
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
-from irsim.protocol import EventKind
+from irsim.protocol import EventKind, ProtocolConfig, RsuNode
+from irsim.reputation import RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
-from irsim.sim import attacker_emit, build_scenario, deliver, run
+from irsim.sim import attacker_emit, build_scenario, run
 
 
 def small_config(**kw):
@@ -90,31 +91,47 @@ class TestDeterminism:
                 assert parts[4] in emitted  # no delivery precedes its emission
 
 
+def make_channel(range_m=300.0, loss=0.0, seed=0, rsus=()):
+    return sim.Channel(range_m, loss, np.random.Generator(np.random.PCG64(seed)), rsus)
+
+
+def delivered(channel, sender, receiver):
+    """One directed transmission over ``channel``."""
+    return bool(channel.hears(np.array([receiver]), sender)[0])
+
+
 class TestRadio:
     def test_beyond_range_never_delivers(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert deliver((0.0, 0.0), (301.0, 0.0), 300.0, 0.0, rng) is False
+        assert delivered(make_channel(), (0.0, 0.0), (301.0, 0.0)) is False
 
     def test_within_range_no_loss_always_delivers(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert deliver((0.0, 0.0), (299.0, 0.0), 300.0, 0.0, rng) is True
+        assert delivered(make_channel(), (0.0, 0.0), (299.0, 0.0)) is True
 
     def test_full_loss_never_delivers(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert all(
-            deliver((0.0, 0.0), (1.0, 0.0), 300.0, 1.0, rng) is False for _ in range(100)
-        )
+        channel = make_channel(loss=1.0)
+        assert all(delivered(channel, (0.0, 0.0), (1.0, 0.0)) is False for _ in range(100))
 
     def test_invalid_range_rejected(self):
-        rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ValueError):
-            deliver((0.0, 0.0), (1.0, 0.0), 0.0, 0.0, rng)
+            make_channel(range_m=0.0)
 
     def test_monte_carlo_delivery_frequency(self):
-        rng = np.random.Generator(np.random.PCG64(12345))
+        channel = make_channel(loss=0.3, seed=12345)
         trials = 100_000
-        hits = sum(deliver((0.0, 0.0), (100.0, 0.0), 300.0, 0.3, rng) for _ in range(trials))
+        hits = int(channel.hears(np.tile([100.0, 0.0], (trials, 1)), (0.0, 0.0)).sum())
         assert abs(hits / trials - 0.7) <= 0.02
+
+    def test_radius_overrides_range(self):
+        # Roadside units broadcast over their own coverage radius.
+        channel = make_channel()
+        assert delivered(channel, (0.0, 0.0), (400.0, 0.0)) is False
+        assert channel.hears(np.array([[400.0, 0.0], [441.0, 0.0]]), (0.0, 0.0), 440.0).tolist() == [True, False]
+
+    def test_one_draw_per_link(self):
+        # A beacon round is one n x n draw: receivers by row, senders by column.
+        positions = np.array([[0.0, 0.0], [100.0, 0.0], [500.0, 0.0]])
+        ok = make_channel().hears(positions[:, None, :], positions[None, :, :])
+        assert ok.tolist() == [[True, True, False], [True, True, False], [False, False, True]]
 
     def test_no_in_sim_delivery_beyond_range(self):
         result = run(build_scenario(small_config()))
@@ -150,6 +167,43 @@ class TestCounters:
         ):
             assert kinds[kind] > 0, kind
             assert extras[counter] == kinds[kind], counter
+
+
+class TestNearestRsu:
+    @staticmethod
+    def rsus(*xs):
+        return [RsuNode(10_000 + k, (x, 0.0), 440.0, ProtocolConfig()) for k, x in enumerate(xs)]
+
+    def test_closest_in_range_wins(self):
+        rsus = self.rsus(0.0, 250.0, 900.0)
+        assert make_channel(rsus=rsus).nearest_rsu((200.0, 0.0)) is rsus[1]
+
+    def test_none_beyond_range(self):
+        assert make_channel(rsus=self.rsus(0.0, 650.0)).nearest_rsu((325.0, 0.0)) is None
+        assert make_channel().nearest_rsu((0.0, 0.0)) is None
+
+    def test_tie_goes_to_first_in_list_order(self):
+        rsus = self.rsus(100.0, 300.0)
+        assert make_channel(rsus=rsus).nearest_rsu((200.0, 0.0)) is rsus[0]
+        assert make_channel(rsus=rsus[::-1]).nearest_rsu((200.0, 0.0)) is rsus[1]
+
+
+class TestLedgerRequests:
+    def test_rejected_response_is_neither_counted_nor_logged(self):
+        cfg = small_config(vehicle_count=4, attacker_count=0, delivery_loss_probability=0.0, transmission_range=1000.0)
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        # Vehicle 0 caches a ledger newer than any the roadside unit serves, yet
+        # stale: it lists none of the vehicle's neighbors, so it asks again.
+        newer = RsuReputationList({}, 10**6, 0)
+        world.nodes[0].cached_rrl = newer
+        runner.last_heard[:] = 0.0
+        runner.handle_requests(0.0, world.positions_at(0.0))
+        lines = [line.split("\t") for line in runner.log]
+        assert [p[2] for p in lines if p[1] == "REQ"] == ["0", "1", "2", "3"]
+        assert [p[3] for p in lines if p[1] == "RRL"] == ["1", "2", "3"]
+        assert runner.counters["rrl_deliveries"] == 3
+        assert world.nodes[0].cached_rrl is newer
 
 
 class TestMobility:
