@@ -52,44 +52,43 @@ class DecisionRecord:
             raise ValueError("distance must be >= 0")
 
 
-@dataclass
-class _TripleState:
-    final: Optional[DecisionRecord] = None
-    was_pending: bool = False
-
-
 class DecisionLog:
     """Append-only log of warning decisions for one run."""
 
     def __init__(self) -> None:
         self.records: list[DecisionRecord] = []
-        self._state: dict[tuple[int, int, int], _TripleState] = {}
+        # (receiver, event, sender) -> its PENDING record, and its final record.
+        self._pending: dict[tuple[int, int, int], DecisionRecord] = {}
+        self._final: dict[tuple[int, int, int], DecisionRecord] = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
     def record(self, rec: DecisionRecord) -> None:
         key = (rec.receiver, rec.event_id, rec.sender)
-        state = self._state.setdefault(key, _TripleState())
         if rec.decision is Disposition.PENDING:
-            if state.final is not None or state.was_pending:
+            if key in self._final or key in self._pending:
                 raise MetricsError(f"duplicate provisional decision for {key}")
-            state.was_pending = True
+            self._pending[key] = rec
         else:
-            if state.final is not None:
+            if key in self._final:
                 raise MetricsError(f"duplicate final decision for {key}")
-            state.final = rec
+            self._final[key] = rec
         self.records.append(rec)
 
+    def provisional(self, receiver: int, event_id: int, sender: int) -> DecisionRecord:
+        """The PENDING record of a triple; KeyError if it never had one."""
+        return self._pending[(receiver, event_id, sender)]
+
     def final_records(self) -> list[DecisionRecord]:
-        return [s.final for s in self._state.values() if s.final is not None]
+        return list(self._final.values())
 
     def unresolved(self) -> list[tuple[int, int, int]]:
         """Triples still waiting for a final record."""
-        return [k for k, s in self._state.items() if s.was_pending and s.final is None]
+        return [k for k in self._pending if k not in self._final]
 
     def pending_resolved_count(self) -> int:
-        return sum(1 for s in self._state.values() if s.was_pending and s.final is not None)
+        return sum(1 for k in self._pending if k in self._final)
 
 
 @dataclass(frozen=True)

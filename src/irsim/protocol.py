@@ -177,11 +177,11 @@ class ProtocolConfig:
 
 @dataclass
 class WarningOutcome:
-    """Result of one warning delivery.
+    """Result of one warning delivery or one pass over the pending buffer.
 
-    ``disposition`` is None when the message was a duplicate and ignored.
-    ``finalized`` lists earlier pending messages this delivery resolved,
-    as (sender, event_id, disposition) tuples.
+    ``disposition`` is None when the message was a duplicate and ignored,
+    and for a pass over the buffer. ``finalized`` lists earlier pending
+    messages this call resolved, as (sender, event_id, disposition) tuples.
     """
 
     disposition: Optional[Disposition]
@@ -346,28 +346,27 @@ class VehicleNode:
         # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
         return now - self._oldest_pending > self.config.pending_ttl
 
-    def expire_pending(self, now: float) -> tuple[list[tuple[Warning, Disposition]], list[MisbehaviorReport]]:
+    def expire_pending(self, now: float) -> WarningOutcome:
         """Age out the pending buffer.
 
         Lone warnings past the TTL resolve to a rejection: the sender loses a
-        point and one misbehavior report is emitted. Entries that were
-        already resolved just drop out without penalty.
+        point, one misbehavior report is emitted, and the warning is listed in
+        ``finalized``. Entries that were already resolved just drop out
+        without penalty.
         """
-        resolutions: list[tuple[Warning, Disposition]] = []
-        reports: list[MisbehaviorReport] = []
+        outcome = WarningOutcome(None)
         if not self.pending_due(now):
-            return resolutions, reports
+            return outcome
         ttl = self.config.pending_ttl
         for event_id in [e for e, p in self.pending.items() if now - p.first_seen > ttl]:
             entry = self.pending.pop(event_id)
-            if entry.state is PendingState.AWAITING and len(entry.corroborators) == 1:
+            if entry.state is PendingState.AWAITING:
                 sender = entry.warning.sender
                 self._adjust(sender, -1, now)
-                reports.append(MisbehaviorReport(self.id, sender, event_id, now))
-                entry.state = PendingState.RESOLVED
-                resolutions.append((entry.warning, Disposition.REJECT))
+                outcome.reports.append(MisbehaviorReport(self.id, sender, event_id, now))
+                outcome.finalized.append((sender, event_id, Disposition.REJECT))
         self._oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
-        return resolutions, reports
+        return outcome
 
     # -- network ledger ----------------------------------------------------
 

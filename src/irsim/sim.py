@@ -34,6 +34,7 @@ from .protocol import (
     RsuNode,
     VehicleNode,
     Warning,
+    WarningOutcome,
     encode_rrl_broadcast,
     encode_warning,
     NON_SAFETY_MESSAGE_BYTES,
@@ -322,8 +323,6 @@ class _Runner:
             else np.zeros(0)
         )
         self.pending_vehicles: set[int] = set()
-        # (receiver, event, sender) -> (truth, distance) for provisional decisions.
-        self.pending_meta: dict[tuple[int, int, int], tuple[bool, float]] = {}
         self.counters = {
             "beacons_emitted": 0,
             "warnings_emitted": 0,
@@ -415,7 +414,7 @@ class _Runner:
             for idx in world.channel.arrival_order(sorted(self.pending_vehicles)).tolist():
                 # Only a vehicle with an entry past the TTL can empty its buffer.
                 if world.nodes[idx].pending_due(t):
-                    self.expire_for(idx, t, positions)
+                    self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
                     if not world.nodes[idx].pending:
                         self.pending_vehicles.discard(idx)
 
@@ -554,13 +553,8 @@ class _Runner:
             DecisionRecord(now, idx, warning.sender, warning.event_id, truth, outcome.disposition, distance, latency),
         )
         if outcome.disposition is Disposition.PENDING:
-            self.pending_meta[(idx, warning.event_id, warning.sender)] = (truth, distance)
             self.pending_vehicles.add(idx)
-        for s_vid, event_id, disposition in outcome.finalized:
-            p_truth, p_distance = self.pending_meta.pop((idx, event_id, s_vid))
-            self.record_decision("RESOLVE", DecisionRecord(now, idx, s_vid, event_id, p_truth, disposition, p_distance))
-        for report in outcome.reports:
-            self.route_report(idx, report, now, positions)
+        self.settle(idx, "RESOLVE", outcome, now, positions)
 
     def record_decision(self, kind: str, r: DecisionRecord) -> None:
         """Record one decision and write its DELIVER, RESOLVE or EXPIRE line."""
@@ -593,16 +587,19 @@ class _Runner:
         self.counters["reports_delivered"] += 1
         self.emit_line(now, "REPORT", reporter, rsu.id, report.event_id)
 
-    # -- pending expiry ------------------------------------------------------
+    # -- held warnings -------------------------------------------------------
 
-    def expire_for(self, idx: int, now: float, positions: np.ndarray) -> None:
-        node = self.world.nodes[idx]
-        resolutions, reports = node.expire_pending(now)
-        for warning, disposition in resolutions:
-            truth, distance = self.pending_meta.pop((idx, warning.event_id, warning.sender))
-            record = DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance)
-            self.record_decision("EXPIRE", record)
-        for report in reports:
+    def settle(self, idx: int, kind: str, outcome: WarningOutcome, now: float, positions: np.ndarray) -> None:
+        """Write the RESOLVE or EXPIRE record of each warning ``outcome`` finalized, then route its reports.
+
+        Truth and distance come from the warning's PENDING record.
+        """
+        for sender, event_id, disposition in outcome.finalized:
+            held = self.decisions.provisional(idx, event_id, sender)
+            self.record_decision(
+                kind, DecisionRecord(now, idx, sender, event_id, held.ground_truth, disposition, held.distance_m)
+            )
+        for report in outcome.reports:
             self.route_report(idx, report, now, positions)
 
     def final_expiry(self) -> None:
@@ -612,7 +609,7 @@ class _Runner:
         now = self.cfg.duration + self.cfg.pending_ttl + 0.001
         positions = self.world.positions_at(self.cfg.duration)
         for idx in sorted(self.pending_vehicles):
-            self.expire_for(idx, now, positions)
+            self.settle(idx, "EXPIRE", self.world.nodes[idx].expire_pending(now), now, positions)
         self.pending_vehicles.clear()
 
     # -- reporting -------------------------------------------------------------

@@ -270,8 +270,8 @@ class TestCriterion8:
         out2 = node.handle_warning(Warning(2, 70, EventKind.ICE, (111.0, 0.0), 1.5), 1.5)
         if out2.finalized != [(5, 70, Disposition.ACCEPT)]:
             failures.append("pending resolution")
-        resolutions, reports = node.expire_pending(10.0)
-        if resolutions or reports:
+        expired = node.expire_pending(10.0)
+        if expired.finalized or expired.reports:
             failures.append("pending double resolution")
 
         # Two-distinct-reporter escalation and flagged immunity.

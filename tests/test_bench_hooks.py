@@ -42,3 +42,4 @@ def test_tracer_installs_and_restores():
     layers = tracing.layer_metrics(tracer)
     assert layers["trace.spans"] > 0
     assert layers["protocol.handle_warning.calls"] > 0
+    assert layers["protocol.expire_pending.calls"] > 0

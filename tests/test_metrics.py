@@ -46,6 +46,15 @@ class TestDecisionLog:
         assert finals[0].decision is Disposition.ACCEPT
         assert log.pending_resolved_count() == 1
 
+    def test_provisional_record_outlives_its_final(self):
+        log = DecisionLog()
+        held = rec(decision=Disposition.PENDING, dist=123.5)
+        log.record(held)
+        log.record(rec(decision=Disposition.REJECT, t=3.0))
+        assert log.provisional(1, 10, 2) is held
+        with pytest.raises(MetricsError, match="duplicate provisional"):
+            log.record(rec(decision=Disposition.PENDING, t=4.0))
+
     def test_duplicate_final_rejected(self):
         log = DecisionLog()
         log.record(rec())

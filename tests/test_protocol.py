@@ -20,6 +20,7 @@ from irsim.protocol import (
     RsuNode,
     VehicleNode,
     Warning,
+    WarningOutcome,
     encode_beacon,
     encode_report,
     encode_rrl_broadcast,
@@ -271,26 +272,25 @@ class TestPendingExpiry:
     def test_lone_pending_expires_to_reject(self):
         node = self._pending_node()
         before = node.lrl.get(7).points
-        resolutions, reports = node.expire_pending(3.5)  # 2.5 s > 2.0 s TTL
-        assert len(resolutions) == 1
-        assert resolutions[0][1] is Disposition.REJECT
-        assert len(reports) == 1
-        assert reports[0].accused == 7
+        out = node.expire_pending(3.5)  # 2.5 s > 2.0 s TTL
+        assert out.finalized == [(7, 60, Disposition.REJECT)]
+        assert len(out.reports) == 1
+        assert out.reports[0].accused == 7
         assert node.lrl.get(7).points == before - 1
         assert 60 not in node.pending
 
     def test_pending_within_ttl_untouched(self):
         node = self._pending_node()
-        resolutions, reports = node.expire_pending(2.0)
-        assert resolutions == [] and reports == []
+        out = node.expire_pending(2.0)
+        assert out.finalized == [] and out.reports == []
         assert 60 in node.pending
 
     def test_corroborated_pending_expires_without_penalty(self):
         node = self._pending_node()
         node.handle_warning(Warning(2, 60, EventKind.ICE, (121.0, 0.0), 1.5), 1.5)
         points_before = {v: r.points for v, r in node.lrl.entries.items()}
-        resolutions, reports = node.expire_pending(10.0)
-        assert resolutions == [] and reports == []
+        out = node.expire_pending(10.0)
+        assert out.finalized == [] and out.reports == []
         assert 60 not in node.pending
         assert {v: r.points for v, r in node.lrl.entries.items()} == points_before
 
@@ -300,8 +300,8 @@ class TestPendingExpiry:
         node = self._pending_node()
         out = node.handle_warning(Warning(2, 60, EventKind.ICE, (121.0, 0.0), 1.5), 1.5)
         assert out.finalized == [(7, 60, Disposition.ACCEPT)]
-        resolutions, reports = node.expire_pending(10.0)
-        assert resolutions == [] and reports == []
+        out = node.expire_pending(10.0)
+        assert out.finalized == [] and out.reports == []
 
 
 class TestPendingOrder:
@@ -320,12 +320,10 @@ class TestPendingOrder:
         assert node.handle_warning(Warning(8, 61, EventKind.ICE, (120.0, 0.0), 5.0), 5.0).disposition is Disposition.PENDING
         assert node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0).disposition is Disposition.PENDING
         assert not node.pending_due(3.0)
-        assert node.expire_pending(3.0) == ([], [])  # 2.0 s is not past the TTL
+        assert node.expire_pending(3.0) == WarningOutcome(None)  # 2.0 s is not past the TTL
         assert node.pending_due(3.5)
-        resolutions, _ = node.expire_pending(3.5)
-        assert [w.event_id for w, _ in resolutions] == [60]
-        resolutions, _ = node.expire_pending(7.5)
-        assert [w.event_id for w, _ in resolutions] == [61]
+        assert [e for _, e, _ in node.expire_pending(3.5).finalized] == [60]
+        assert [e for _, e, _ in node.expire_pending(7.5).finalized] == [61]
         assert not node.pending
 
     @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=20.0)), max_size=30))
@@ -340,9 +338,9 @@ class TestPendingOrder:
                 continue
             expired = {e for e, seen in held.items() if t - seen > CFG.pending_ttl}
             assert node.pending_due(t) == bool(expired)
-            resolutions, reports = node.expire_pending(t)
-            assert {w.event_id for w, _ in resolutions} == expired
-            assert {r.event_id for r in reports} == expired
+            out = node.expire_pending(t)
+            assert {e for _, e, _ in out.finalized} == expired
+            assert {r.event_id for r in out.reports} == expired
             held = {e: seen for e, seen in held.items() if e not in expired}
             assert set(node.pending) == set(held)
 

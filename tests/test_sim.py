@@ -149,12 +149,12 @@ class TestRadio:
         assert all(node.cached_rrl is None for node in world.nodes)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"rsu_positions": ((300.0, 500.0), (700.0, 500.0)), "beacon_interval": (0.1, 0.35)}],
+    ids=["one-rsu", "two-rsus-jittered"],
+)
 class TestCounters:
-    @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"rsu_positions": ((300.0, 500.0), (700.0, 500.0)), "beacon_interval": (0.1, 0.35)}],
-        ids=["one-rsu", "two-rsus-jittered"],
-    )
     def test_each_counter_equals_its_log_line_count(self, overrides):
         result = run(build_scenario(small_config(**overrides), "irs"))
         kinds = Counter(line.split("\t")[1] for line in result.log_lines)
@@ -167,6 +167,18 @@ class TestCounters:
         ):
             assert kinds[kind] > 0, kind
             assert extras[counter] == kinds[kind], counter
+
+    def test_each_pending_delivery_settles_once(self, overrides):
+        result = run(build_scenario(small_config(**overrides), "irs"))
+        held, settled = Counter(), Counter()
+        for line in result.log_lines:
+            _t, kind, sender, receiver, event, decision, *_ = line.split("\t")
+            if kind == "DELIVER" and decision == "pending":
+                held[receiver, event, sender] += 1
+            elif kind in ("RESOLVE", "EXPIRE"):
+                settled[receiver, event, sender] += 1
+        assert held and set(held.values()) == {1}
+        assert settled == held
 
 
 class TestNearestRsu:
