@@ -322,7 +322,6 @@ class _Runner:
             if n
             else np.zeros(0)
         )
-        self.pending_vehicles: set[int] = set()
         self.counters = {
             "beacons_emitted": 0,
             "warnings_emitted": 0,
@@ -407,16 +406,13 @@ class _Runner:
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
-        if self.pending_vehicles:
+        due = [idx for idx, node in enumerate(world.nodes) if node.pending_due(t)]
+        if due:
             # Randomize processing order: report arrival at the roadside unit
             # would otherwise always favor low vehicle ids when crediting the
             # first two reporters of an event.
-            for idx in world.channel.arrival_order(sorted(self.pending_vehicles)).tolist():
-                # Only a vehicle with an entry past the TTL can empty its buffer.
-                if world.nodes[idx].pending_due(t):
-                    self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
-                    if not world.nodes[idx].pending:
-                        self.pending_vehicles.discard(idx)
+            for idx in world.channel.arrival_order(due).tolist():
+                self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
@@ -552,8 +548,6 @@ class _Runner:
             "DELIVER",
             DecisionRecord(now, idx, warning.sender, warning.event_id, truth, outcome.disposition, distance, latency),
         )
-        if outcome.disposition is Disposition.PENDING:
-            self.pending_vehicles.add(idx)
         self.settle(idx, "RESOLVE", outcome, now, positions)
 
     def record_decision(self, kind: str, r: DecisionRecord) -> None:
@@ -603,14 +597,11 @@ class _Runner:
             self.route_report(idx, report, now, positions)
 
     def final_expiry(self) -> None:
-        """Force-resolve anything still buffered when the run ends."""
-        if not self.irs:
-            return
+        """Force-resolve anything still buffered when the run ends, in vehicle id order."""
         now = self.cfg.duration + self.cfg.pending_ttl + 0.001
         positions = self.world.positions_at(self.cfg.duration)
-        for idx in sorted(self.pending_vehicles):
-            self.settle(idx, "EXPIRE", self.world.nodes[idx].expire_pending(now), now, positions)
-        self.pending_vehicles.clear()
+        for idx, node in enumerate(self.world.nodes):
+            self.settle(idx, "EXPIRE", node.expire_pending(now), now, positions)
 
     # -- reporting -------------------------------------------------------------
 

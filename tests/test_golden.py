@@ -30,20 +30,20 @@ MATRIX = {
     "irs-false-warning": (
         {"attacker_profile": "false-warning"},
         "irs",
-        "53f7d489853aa3352aefac75d792d4820ea36e76789133c61b10aac80f4de86e",
-        "61b45b8803c0c989096770a5bb8b45da7f40dc70aca2b135dcee11f7d56d4cd0",
+        "a1f6768445b7994f58b96317b4e186e7b620bfad8bf0eb6b9137af5b2bb10207",
+        "e62b66e9f898b2968fcaececab71f5918d47ebee59358bbb19ff9882e76c2a0d",
     ),
     "irs-conflicting-info": (
         {"attacker_profile": "conflicting-info"},
         "irs",
-        "30c651e6bae9982aaa002399f54b096819e9f13b314d61c9db6f647b8c463a83",
-        "062f81a7e2a31e9b9e307e0e9a7323819b3f1d572af5452dc45c82a60ba2dcca",
+        "f9f6a66eca851169e16dc64284eb9606b158b0641b309b53ad76d6088ecca0b3",
+        "4640d4ad7835493d70ee01e07adc2b65823d959ee3caa6aacbfe621b42cd2c63",
     ),
     "irs-far-event-claim": (
         {"attacker_profile": "far-event-claim"},
         "irs",
-        "47b3a77ba8aa9dae477ccfee9b5a74ed3511a42f25c9d45fe6f567a6981ae31a",
-        "bd0b423ba6b68fb33926254f91ab17944acbda805176c2d395dd4a733c4f6c70",
+        "ea5823869b636afd8f6264c4528988dd795d1125bf6c5b0cf61e1298c7444597",
+        "1c34ec23f6df7b1feca16b9e382247b0e11fc0dc3d7a03eaee83d81230c153ea",
     ),
     "accept-all-false-warning": (
         {"attacker_profile": "false-warning"},
@@ -54,26 +54,26 @@ MATRIX = {
     "irs-two-rsus": (
         {"rsu_positions": ((300.0, 500.0), (700.0, 500.0))},
         "irs",
-        "e2a88cb00b2c6083bbd41f6bd2803a3b513138be950e1273842d9e6de48cfb13",
-        "0f8bdf658941afeb9c829ab123a7cd970afc1c5056a7cf16ba021578d0fb9056",
+        "5671a96e065554fad274b943a626720bc6660a60f0c6240b805e6d8a9d9c074f",
+        "b833dce80c63883821652270db66d9264e8e31a091a71f00aa7c7f20982067ed",
     ),
     "irs-no-ranging-noise": (
         {"ranging_noise_sigma": 0.0, "ranging_noise_per_meter": 0.0},
         "irs",
-        "26840fc2756704d50c1cc736fe9698decfb3d48e949fa80324fac26d664442fe",
-        "f7aff613c64c5bc6a78e4c975eea904936755406236547dc6fd263127b2595cf",
+        "8d783f71a98b83b24d28b6b6fc9d6a97faf9ded71bb863449e94d5223db2784d",
+        "324946030bca56c99a0d521bf17b9eab8e3b31b2b7e4e09f795a1167afa95993",
     ),
     "irs-jittered-beacons": (
         {"beacon_interval": (0.1, 0.35)},
         "irs",
-        "a2a462fe7c3927cd7d9d9aafbdc1032639f6588ac11ae70094815780d11ce2eb",
-        "014e9699934d2adb4199377519fddc46883e921a0a5c6f95206eb2a5760ecc5d",
+        "a7b468928c1d98ab1428f528d8446132d53a936f683ae9494eb79a5b68d46f76",
+        "8db07d23e4047725cf1593b17e290b63ee6ad26c5318b54252aff04f78de2f20",
     ),
     "irs-no-rsu": (
         {"rsu_positions": ()},
         "irs",
-        "e547a81b348aa80d4144f74ffb350136ec37fd12667f10d8a1b57f725360e489",
-        "afa108f8218877602c36d62d0b4db10d6f3c3ceb18c1eaf2fdddff89d31733c7",
+        "50602f7bf8ec5f3169d6401ca7d98e5ee94cd8d6b2f44b3e07ca7766b0d697db",
+        "9d995fd07a8d6ff3d67edf7331d134d78331517d3161727468e779300d97151b",
     ),
 }
 

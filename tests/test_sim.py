@@ -8,7 +8,7 @@ import pytest
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
-from irsim.protocol import EventKind, ProtocolConfig, RsuNode
+from irsim.protocol import Disposition, EventKind, ProtocolConfig, RsuNode
 from irsim.reputation import RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
@@ -216,6 +216,37 @@ class TestLedgerRequests:
         assert [p[3] for p in lines if p[1] == "RRL"] == ["1", "2", "3"]
         assert runner.counters["rrl_deliveries"] == 3
         assert world.nodes[0].cached_rrl is newer
+
+
+class TestPendingAgeOut:
+    def test_accepted_warning_ages_out_in_the_first_round_past_the_ttl(self):
+        # Vehicle 0 accepts at once, so it never holds a PENDING decision.
+        cfg = small_config(vehicle_count=3, attacker_count=0, transmission_range=1000.0, rsu_positions=())
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        runner.last_heard[:] = 0.0
+        positions = world.positions_at(0.0)
+        warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
+        runner.deliver_irs(0, warning, 0.0, 10.0, True, positions)
+        assert [r.decision for r in runner.decisions.records] == [Disposition.ACCEPT]
+        runner.handle_round(2.0, 20)  # 2.0 s is not past the TTL
+        assert 1 in world.nodes[0].pending
+        runner.handle_round(2.1, 21)
+        assert not world.nodes[0].pending
+
+    def test_no_entry_outlives_the_ttl_by_more_than_a_round(self):
+        cfg = small_config(vehicle_count=40, attacker_count=4, duration=40.0)
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        handle_round = runner.handle_round
+
+        def checked_round(t, index):
+            handle_round(t, index)
+            for node in world.nodes:
+                assert all(t - p.first_seen <= cfg.pending_ttl for p in node.pending.values())
+
+        runner.handle_round = checked_round
+        runner.run()
 
 
 class TestMobility:
