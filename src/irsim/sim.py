@@ -503,10 +503,11 @@ class _Runner:
         heard[sender] = False
         receivers = world.channel.arrival_order(np.nonzero(heard)[0])
         gaps = positions[receivers] - positions[sender]
-        distances = np.hypot(gaps[:, 0], gaps[:, 1])
+        # Records keep the distance their log line prints, so a replayed log buckets it alike.
+        distances = [float(f"{d:.3f}") for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
 
-        for r, distance in zip(receivers.tolist(), distances.tolist()):
+        for r, distance in zip(receivers.tolist(), distances):
             if r in world.known_true and truth and warning.event_id not in world.known_true[r]:
                 world.known_true[r].append(warning.event_id)
             if self.irs:
