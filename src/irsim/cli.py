@@ -148,9 +148,7 @@ def run_one(config: ScenarioConfig, seed: int, pipeline: str, run_dir: Path, wri
 
 
 def _pool_entry(payload: tuple) -> dict:
-    config_dict, seed, pipeline, run_dir, write_csv = payload
-    config = make_config(config_dict)
-    return run_one(config, seed, pipeline, Path(run_dir), write_csv)
+    return run_one(*payload)
 
 
 def execute(spec: RunSpec) -> int:
@@ -165,10 +163,7 @@ def execute(spec: RunSpec) -> int:
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         if spec.workers > 1 and len(jobs) > 1:
-            config_dict = {
-                f.name: getattr(spec.config, f.name) for f in dataclasses.fields(spec.config)
-            }
-            payloads = [(config_dict, s, p, str(run_dir), spec.write_csv) for s, p in jobs]
+            payloads = [(spec.config, s, p, run_dir, spec.write_csv) for s, p in jobs]
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                 rows = list(pool.map(_pool_entry, payloads))
         else:

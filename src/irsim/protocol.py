@@ -121,12 +121,16 @@ class PendingState(Enum):
 
 @dataclass
 class PendingWarning:
-    """Per-event memory of received warnings.
+    """Per-event memory of received warnings, held in ``VehicleNode.pending``.
 
-    AWAITING entries are lone suspicious warnings waiting for a second
-    opinion; RESOLVED entries keep the reference information around so
-    later copies can still be credited or contradicted until the buffer
-    entry ages out.
+    The buffer is the only place a held warning lives. An AWAITING entry is
+    a lone suspicious warning whose one corroborator is its sender: a
+    consistent copy from another sender resolves it to ACCEPT, and
+    ``expire_pending`` past the TTL resolves it to REJECT with a
+    misbehavior report. A RESOLVED entry keeps a decided warning as the
+    reference that later copies are credited or contradicted against.
+    Entries of either state leave in the first ``expire_pending`` call past
+    the TTL.
     """
 
     warning: Warning
@@ -166,9 +170,7 @@ class ProtocolConfig:
 
     grid: tuple[float, float] = (1000.0, 1000.0)
     pending_ttl: float = 2.0
-    neighbor_ttl: float = 1.5
     suspicion_ttl: float = 30.0
-    broadcast_period: float = 1.0
     corroboration_tolerance_m: float = 20.0
     plausibility_radius_m: float = 300.0
     strict_top_heuristic: bool = False
@@ -212,12 +214,10 @@ class VehicleNode:
         self,
         vehicle_id: VehicleId,
         config: ProtocolConfig,
-        kind: str = "benign",
         distance_noise: Optional[Callable[[float], float]] = None,
     ) -> None:
         self.id = vehicle_id
         self.config = config
-        self.kind = kind
         self.position: Optional[Position] = None
         self.lrl = LocalReputationList()
         self.cached_rrl: Optional[RsuReputationList] = None

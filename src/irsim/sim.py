@@ -189,9 +189,7 @@ class SimWorld:
         self.protocol_config = ProtocolConfig(
             grid=config.grid,
             pending_ttl=config.pending_ttl,
-            neighbor_ttl=config.neighbor_ttl,
             suspicion_ttl=config.suspicion_ttl,
-            broadcast_period=config.broadcast_period,
             corroboration_tolerance_m=config.corroboration_tolerance_m,
             plausibility_radius_m=config.transmission_range,
             strict_top_heuristic=config.strict_top_heuristic,
@@ -229,15 +227,7 @@ class SimWorld:
         chan_rng = np.random.Generator(np.random.PCG64(chan_seed))
         self.channel = Channel(config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus)
         noise = self.channel.ranging_noise(config.ranging_noise_sigma, config.ranging_noise_per_meter)
-        self.nodes: list[VehicleNode] = [
-            VehicleNode(
-                i,
-                self.protocol_config,
-                kind="attacker" if self.is_attacker[i] else "benign",
-                distance_noise=noise,
-            )
-            for i in range(n)
-        ]
+        self.nodes: list[VehicleNode] = [VehicleNode(i, self.protocol_config, noise) for i in range(n)]
 
         self.registry = EventRegistry()
         # Per-conflicting-attacker memory of true events they can distort.
