@@ -396,13 +396,12 @@ class _Runner:
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
-        due = [idx for idx, node in enumerate(world.nodes) if node.pending_due(t)]
-        if due:
-            # Randomize processing order: report arrival at the roadside unit
-            # would otherwise always favor low vehicle ids when crediting the
-            # first two reporters of an event.
-            for idx in world.channel.arrival_order(due).tolist():
-                self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
+        # Randomize processing order: report arrival at the roadside unit
+        # would otherwise always favor low vehicle ids when crediting the
+        # first two reporters of an event.
+        expiring = [idx for idx, node in enumerate(world.nodes) if node.pending_due(t)]
+        for idx in world.channel.arrival_order(expiring).tolist():
+            self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
