@@ -39,12 +39,11 @@ from .protocol import (
     Warning,
 )
 from .scenario import ConfigError, ScenarioConfig
-from .sim import AttackerProfile, SimWorld, attacker_emit, build_scenario, run
+from .sim import SimWorld, attacker_emit, build_scenario, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackerProfile",
     "Beacon",
     "ConfigError",
     "Disposition",

@@ -16,13 +16,13 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sim
 from .metrics import export
-from .scenario import ConfigError, ScenarioConfig, load_scenario_file, make_config
+from .scenario import PIPELINES, ConfigError, ScenarioConfig, load_scenario_file, make_config
 
 OUT_DIR_ENV = "IRSIM_OUT"
 
@@ -43,7 +43,10 @@ class RunSpec:
     out_dir: Path
     write_csv: bool = False
     workers: int = 1
-    summary: dict = field(default_factory=dict)
+
+
+# The scenario fields that flags set directly; each flag's dest is the field name.
+_OVERRIDE_FLAGS = ("vehicle_count", "attacker_count", "transmission_range", "duration")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,12 +59,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--scenario", help="scenario file (key = value lines)")
     parser.add_argument("--seed", type=int, help="single seed")
     parser.add_argument("--seeds", help="inclusive seed range a..b")
-    parser.add_argument("--pipeline", choices=["irs", "accept-all", "both"], default="irs")
+    parser.add_argument("--pipeline", choices=[*PIPELINES, "both"], default="irs")
     parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
-    parser.add_argument("--vehicles", type=int, help="override vehicle_count")
-    parser.add_argument("--attackers", type=int, help="override attacker_count")
-    parser.add_argument("--tx-range", type=float, help="override transmission_range (m)")
-    parser.add_argument("--duration", type=float, help="override duration (s)")
+    parser.add_argument("--vehicles", dest="vehicle_count", type=int, help="override vehicle_count")
+    parser.add_argument("--attackers", dest="attacker_count", type=int, help="override attacker_count")
+    parser.add_argument("--tx-range", dest="transmission_range", type=float, help="override transmission_range (m)")
+    parser.add_argument("--duration", dest="duration", type=float, help="override duration (s)")
     parser.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     parser.add_argument("--csv", action="store_true", help="also write per-run CSV metrics")
     return parser
@@ -78,14 +81,9 @@ def parse_run_spec(argv: Sequence[str], env: Optional[dict] = None) -> RunSpec:
     overrides: dict = {}
     if args.scenario:
         overrides.update(load_scenario_file(args.scenario))
-    if args.vehicles is not None:
-        overrides["vehicle_count"] = args.vehicles
-    if args.attackers is not None:
-        overrides["attacker_count"] = args.attackers
-    if args.tx_range is not None:
-        overrides["transmission_range"] = args.tx_range
-    if args.duration is not None:
-        overrides["duration"] = args.duration
+    for name in _OVERRIDE_FLAGS:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
 
     config = make_config(overrides)
 
@@ -102,8 +100,10 @@ def parse_run_spec(argv: Sequence[str], env: Optional[dict] = None) -> RunSpec:
         seeds = [args.seed]
     else:
         seeds = [config.seed]
+    if seeds[0] < 0:
+        raise ConfigError(f"seed must be >= 0, got {seeds[0]}")
 
-    pipelines = ["irs", "accept-all"] if args.pipeline == "both" else [args.pipeline]
+    pipelines = list(PIPELINES) if args.pipeline == "both" else [args.pipeline]
     out_dir = Path(args.out or env.get(OUT_DIR_ENV) or "runs")
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -182,8 +182,6 @@ def execute(spec: RunSpec) -> int:
     except (RunFailure, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    spec.summary = summary
-    spec.summary["timings"] = timings
     _print_summary(summary, timings)
     return EXIT_OK
 

@@ -9,7 +9,8 @@ position lists are space-separated numbers, e.g.::
     rsu_positions = 500 500
     attacker_profile = false-warning
 
-Unknown keys are rejected.
+A field's type annotation picks how its value is read; booleans accept
+true/false, 1/0 and yes/no. Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,13 +73,14 @@ class ScenarioConfig:
     strict_top_heuristic: bool = False
 
     def validate(self) -> None:
+        # Written so that nan fails too: every comparison with nan is false.
         def positive(name: str, value: float) -> None:
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
         def non_negative(name: str, value: float) -> None:
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
         positive("grid width", self.grid[0])
         positive("grid height", self.grid[1])
@@ -93,15 +97,15 @@ class ScenarioConfig:
             )
         non_negative("attacker_rate", self.attacker_rate)
         positive("lanes_per_direction", self.lanes_per_direction)
-        if not 0 < self.speed_range[0] <= self.speed_range[1]:
-            raise ConfigError(f"speed_range must satisfy 0 < min <= max, got {self.speed_range!r}")
+        if not 0 < self.speed_range[0] <= self.speed_range[1] < math.inf:
+            raise ConfigError(f"speed_range must satisfy 0 < min <= max < inf, got {self.speed_range!r}")
         positive("transmission_range", self.transmission_range)
         if not 0.0 <= self.delivery_loss_probability <= 1.0:
             raise ConfigError(
                 f"delivery_loss_probability must be in [0, 1], got {self.delivery_loss_probability!r}"
             )
-        if not 0 < self.beacon_interval[0] <= self.beacon_interval[1]:
-            raise ConfigError(f"beacon_interval must satisfy 0 < min <= max, got {self.beacon_interval!r}")
+        if not 0 < self.beacon_interval[0] <= self.beacon_interval[1] < math.inf:
+            raise ConfigError(f"beacon_interval must satisfy 0 < min <= max < inf, got {self.beacon_interval!r}")
         for pos in self.rsu_positions:
             if not (0 <= pos[0] <= self.grid[0] and 0 <= pos[1] <= self.grid[1]):
                 raise ConfigError(f"rsu_positions entry {pos!r} outside the grid")
@@ -126,55 +130,12 @@ class ScenarioConfig:
         non_negative("anchor_top_points", self.anchor_top_points)
         non_negative("anchor_low_points", self.anchor_low_points)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["grid"] = list(self.grid)
-        out["speed_range"] = list(self.speed_range)
-        out["beacon_interval"] = list(self.beacon_interval)
-        out["rsu_positions"] = [list(p) for p in self.rsu_positions]
-        return out
-
     def canonical_hash(self) -> str:
         """Seed-independent digest identifying the scenario."""
-        payload = self.to_dict()
+        payload = dataclasses.asdict(self)
         payload.pop("seed")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-_INT_FIELDS = {
-    "vehicle_count",
-    "attacker_count",
-    "lanes_per_direction",
-    "seed",
-    "witness_count",
-    "initial_points",
-    "trusted_anchors",
-    "flagged_anchors",
-    "anchor_top_points",
-    "anchor_low_points",
-}
-_FLOAT_FIELDS = {
-    "duration",
-    "attacker_rate",
-    "transmission_range",
-    "delivery_loss_probability",
-    "rsu_coverage_radius",
-    "pending_ttl",
-    "neighbor_ttl",
-    "suspicion_ttl",
-    "broadcast_period",
-    "rrl_request_period",
-    "event_rate_per_min",
-    "sensing_radius",
-    "warning_jitter",
-    "ranging_noise_sigma",
-    "ranging_noise_per_meter",
-    "corroboration_tolerance_m",
-}
-_PAIR_FIELDS = {"grid", "speed_range", "beacon_interval"}
-_STR_FIELDS = {"attacker_profile"}
-_BOOL_FIELDS = {"strict_top_heuristic"}
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> dict:
@@ -187,39 +148,47 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"unknown scenario field: {key}")
         try:
-            overrides[key] = _parse_value(key, value)
-        except ConfigError:
-            raise
+            overrides[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
     return overrides
 
 
-def _parse_value(key: str, value: str):
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key in _STR_FIELDS:
-        return value
-    if key in _BOOL_FIELDS:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {value!r}")
-    if key in _PAIR_FIELDS:
-        parts = [float(p) for p in value.split()]
-        if len(parts) != 2:
-            raise ValueError(f"expected two numbers, got {value!r}")
-        return (parts[0], parts[1])
-    if key == "rsu_positions":
-        parts = [float(p) for p in value.split()]
-        if not parts or len(parts) % 2:
-            raise ValueError(f"expected an even number of coordinates, got {value!r}")
-        return tuple((parts[i], parts[i + 1]) for i in range(0, len(parts), 2))
-    raise ConfigError(f"unknown scenario field: {key}")
+def _parse_bool(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected boolean, got {value!r}")
+
+
+def _parse_pair(value: str) -> tuple[float, float]:
+    parts = [float(p) for p in value.split()]
+    if len(parts) != 2:
+        raise ValueError(f"expected two numbers, got {value!r}")
+    return (parts[0], parts[1])
+
+
+def _parse_positions(value: str) -> tuple[tuple[float, float], ...]:
+    parts = [float(p) for p in value.split()]
+    if not parts or len(parts) % 2:
+        raise ValueError(f"expected an even number of coordinates, got {value!r}")
+    return tuple((parts[i], parts[i + 1]) for i in range(0, len(parts), 2))
+
+
+# One parser per field type; a field's annotation picks its parser.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    tuple[float, float]: _parse_pair,
+    tuple[tuple[float, float], ...]: _parse_positions,
+}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 def load_scenario_file(path: Path | str) -> dict:
@@ -231,8 +200,7 @@ def load_scenario_file(path: Path | str) -> dict:
 
 def make_config(overrides: dict) -> ScenarioConfig:
     """Build and validate a config from field overrides on top of defaults."""
-    valid = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(overrides) - valid
+    unknown = overrides.keys() - _FIELD_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown scenario field: {sorted(unknown)[0]}")
     config = ScenarioConfig(**overrides)

@@ -40,7 +40,7 @@ from .protocol import (
     NON_SAFETY_MESSAGE_BYTES,
     SAFETY_MESSAGE_BYTES,
 )
-from .scenario import ConfigError, ScenarioConfig
+from .scenario import PIPELINES, ConfigError, ScenarioConfig
 
 RSU_ID_BASE = 10_000
 ANCHOR_ID_BASE = 20_000
@@ -81,18 +81,6 @@ class EventRegistry:
         dx = warning.event_position[0] - info.position[0]
         dy = warning.event_position[1] - info.position[1]
         return math.hypot(dx, dy) <= tolerance_m
-
-
-@dataclass(frozen=True, slots=True)
-class AttackerProfile:
-    """Attacker behavior: fabrication, alteration, or far-away claims."""
-
-    kind: str  # one of scenario.ATTACKER_PROFILES
-    rate: float  # emissions per second
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("attacker rate must be >= 0")
 
 
 class Channel:
@@ -153,8 +141,8 @@ class SimWorld:
 
     def __init__(self, config: ScenarioConfig, pipeline: str = "irs") -> None:
         config.validate()
-        if pipeline not in ("irs", "accept-all"):
-            raise ConfigError(f"pipeline must be 'irs' or 'accept-all', got {pipeline!r}")
+        if pipeline not in PIPELINES:
+            raise ConfigError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
         self.config = config
         self.pipeline = pipeline
 
@@ -184,7 +172,6 @@ class SimWorld:
         for idx in attacker_ids:
             self.is_attacker[idx] = True
         self.benign = frozenset(i for i in range(n) if not self.is_attacker[i])
-        self.profile = AttackerProfile(config.attacker_profile, config.attacker_rate)
 
         self.protocol_config = ProtocolConfig(
             grid=config.grid,
@@ -250,9 +237,8 @@ def attacker_emit(world: SimWorld, attacker: int, now: float) -> list[Warning]:
     rng = world.rng_sched
     cfg = world.config
     pos = world.positions_at(now)[attacker]
-    profile = world.profile
 
-    if profile.kind == "false-warning":
+    if cfg.attacker_profile == "false-warning":
         # Fabricated hazard close enough to pass the sender-distance check.
         ex = float(np.clip(pos[0] + rng.uniform(-60.0, 60.0), 0.0, cfg.grid[0]))
         ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
@@ -260,7 +246,7 @@ def attacker_emit(world: SimWorld, attacker: int, now: float) -> list[Warning]:
         event_id = world.registry.register(False, kind, (ex, ey), now)
         return [Warning(attacker, event_id, kind, (ex, ey), now)]
 
-    if profile.kind == "far-event-claim":
+    if cfg.attacker_profile == "far-event-claim":
         offset = cfg.transmission_range + float(rng.uniform(100.0, 250.0))
         ex = pos[0] + offset if pos[0] < cfg.grid[0] / 2.0 else pos[0] - offset
         ex = float(np.clip(ex, 0.0, cfg.grid[0]))
@@ -356,9 +342,9 @@ class _Runner:
             if cfg.event_rate_per_min > 0:
                 scale = 60.0 / cfg.event_rate_per_min
                 self.push(float(world.rng_sched.exponential(scale)), _HAZARD)
-            if world.profile.rate > 0:
+            if cfg.attacker_rate > 0:
                 for attacker in world.attacker_ids:
-                    self.push(float(world.rng_sched.exponential(1.0 / world.profile.rate)), _ATTACK, attacker)
+                    self.push(float(world.rng_sched.exponential(1.0 / cfg.attacker_rate)), _ATTACK, attacker)
 
         while self.heap:
             t, _seq, kind, payload = heapq.heappop(self.heap)
@@ -476,7 +462,7 @@ class _Runner:
         world = self.world
         for warning in attacker_emit(world, attacker, t):
             self.emit_warning(warning, t)
-        self.push(t + float(world.rng_sched.exponential(1.0 / world.profile.rate)), _ATTACK, attacker)
+        self.push(t + float(world.rng_sched.exponential(1.0 / self.cfg.attacker_rate)), _ATTACK, attacker)
 
     # -- warning dissemination ----------------------------------------------
 

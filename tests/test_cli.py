@@ -115,6 +115,37 @@ class TestExecute:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--duration", "inf"],
+            ["--duration", "nan"],
+            ["--tx-range", "nan"],
+            ["--seed", "-1"],
+            ["--seeds=-2..0"],
+            ["--scenario", "event_rate_per_min = inf"],
+        ],
+        ids=["duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file"],
+    )
+    def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):
+        from irsim import cli
+
+        # A value that slipped past validation would start a run that may never end.
+        def no_run(spec):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "execute", no_run)
+        if argv[0] == "--scenario":
+            path = tmp_path / "bad.cfg"
+            path.write_text(argv[1] + "\n", encoding="utf-8")
+            argv = ["--scenario", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         argv = ["--scenario", str(scenario_file), "--seed", "4", "--pipeline", "both", "--out", str(out)]

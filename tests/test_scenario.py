@@ -1,6 +1,7 @@
 """Scenario file parsing and config hashing."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -39,10 +40,73 @@ class TestParser:
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="duration"):
             parse_scenario_text("duration = soon\n")
+        with pytest.raises(ConfigError, match="strict_top_heuristic"):
+            parse_scenario_text("strict_top_heuristic = maybe\n")
 
     def test_odd_coordinate_count(self):
         with pytest.raises(ConfigError):
             parse_scenario_text("rsu_positions = 100 200 300\n")
+
+
+# A valid value other than the default for every ScenarioConfig field.
+NON_DEFAULTS = dict(
+    grid=(1200.0, 900.0),
+    duration=42.5,
+    vehicle_count=17,
+    attacker_count=3,
+    attacker_profile="conflicting-info",
+    attacker_rate=0.25,
+    lanes_per_direction=2,
+    speed_range=(12.5, 30.0),
+    transmission_range=250.0,
+    delivery_loss_probability=0.1,
+    beacon_interval=(0.1, 0.3),
+    rsu_positions=((100.0, 450.0), (900.0, 450.0)),
+    rsu_coverage_radius=400.0,
+    seed=7,
+    pending_ttl=1.5,
+    neighbor_ttl=2.0,
+    suspicion_ttl=20.0,
+    broadcast_period=0.5,
+    rrl_request_period=2.0,
+    event_rate_per_min=6.0,
+    sensing_radius=150.0,
+    witness_count=2,
+    warning_jitter=0.25,
+    ranging_noise_sigma=2.0,
+    ranging_noise_per_meter=0.1,
+    corroboration_tolerance_m=15.0,
+    initial_points=4,
+    trusted_anchors=1,
+    flagged_anchors=3,
+    anchor_top_points=12,
+    anchor_low_points=2,
+    strict_top_heuristic=True,
+)
+
+
+def as_text(value) -> str:
+    """A field value in scenario-file syntax."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(as_text(v) for v in value)
+    return str(value)
+
+
+class TestFileRoundTrip:
+    def test_every_field_survives_text(self):
+        defaults = ScenarioConfig()
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert sorted(NON_DEFAULTS) == sorted(names)
+        for name in names:
+            assert NON_DEFAULTS[name] != getattr(defaults, name), name
+        expected = ScenarioConfig(**NON_DEFAULTS)
+        text = "".join(f"{name} = {as_text(getattr(expected, name))}\n" for name in names)
+        parsed = make_config(parse_scenario_text(text))
+        assert parsed == expected
+        for name in names:
+            assert type(getattr(parsed, name)) is type(getattr(expected, name)), name
 
 
 class TestMakeConfig:
@@ -58,6 +122,28 @@ class TestMakeConfig:
         config = make_config({})
         assert config == ScenarioConfig()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"duration": math.inf},
+            {"duration": math.nan},
+            {"transmission_range": math.nan},
+            {"attacker_rate": math.inf},
+            {"beacon_interval": (0.1, math.inf)},
+            {"pending_ttl": math.inf},
+        ],
+        ids=["duration-inf", "duration-nan", "tx-range-nan", "attacker-rate-inf", "beacon-inf", "pending-ttl-inf"],
+    )
+    def test_non_finite_rejected(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=name):
+            make_config(overrides)
+
+    @pytest.mark.parametrize("line", ["speed_range = 15 inf", "event_rate_per_min = inf"])
+    def test_non_finite_from_text_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            make_config(parse_scenario_text(line + "\n"))
+
 
 class TestHash:
     def test_seed_independent(self):
@@ -71,5 +157,5 @@ class TestHash:
         assert a.canonical_hash() != b.canonical_hash()
 
     def test_stable_value(self):
-        # Hash must be stable across processes (used in output paths).
-        assert ScenarioConfig().canonical_hash() == ScenarioConfig().canonical_hash()
+        # Hash must be stable across processes and versions (used in output paths).
+        assert ScenarioConfig().canonical_hash() == "39cfcf851d5a"
