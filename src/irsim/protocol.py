@@ -223,7 +223,8 @@ class VehicleNode:
         self.cached_rrl: Optional[RsuReputationList] = None
         self.pending: dict[EventId, PendingWarning] = {}
         # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
-        self._oldest_pending = math.inf
+        # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
+        self.oldest_pending = math.inf
         # Set by whoever tracks beacons (the simulator) before each decision.
         self.neighbors = _NO_NEIGHBORS
         self._distance_noise = distance_noise
@@ -337,14 +338,14 @@ class VehicleNode:
 
     def _hold(self, entry: PendingWarning) -> None:
         self.pending[entry.warning.event_id] = entry
-        self._oldest_pending = min(self._oldest_pending, entry.first_seen)
+        self.oldest_pending = min(self.oldest_pending, entry.first_seen)
 
     # -- pending buffer ----------------------------------------------------
 
     def pending_due(self, now: float) -> bool:
         """True when some buffered entry is past the TTL at ``now``, so ``expire_pending`` has work."""
         # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
-        return now - self._oldest_pending > self.config.pending_ttl
+        return now - self.oldest_pending > self.config.pending_ttl
 
     def expire_pending(self, now: float) -> WarningOutcome:
         """Age out the pending buffer.
@@ -365,7 +366,7 @@ class VehicleNode:
                 self._adjust(sender, -1, now)
                 outcome.reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 outcome.finalized.append((sender, event_id, Disposition.REJECT))
-        self._oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
+        self.oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
         return outcome
 
     # -- network ledger ----------------------------------------------------
@@ -379,11 +380,7 @@ class VehicleNode:
             return False
         self.cached_rrl = rrl
         if len(self.lrl) == 0:
-            self.lrl.load(
-                ReputationRecord(vid, rec.points, 0, broadcast.timestamp)
-                for vid, rec in rrl.entries.items()
-                if vid != self.id
-            )
+            self.lrl.load(rrl.local_seed(broadcast.timestamp), owner=self.id)
         return True
 
     def maybe_request_rrl(self) -> bool:

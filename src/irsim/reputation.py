@@ -74,6 +74,24 @@ class ReputationRecord:
             raise ValueError("misbehavior points must be >= 0")
 
 
+@dataclass(frozen=True, slots=True)
+class LedgerSeed:
+    """Records keyed by vehicle, plus how many of them hold each point value.
+
+    ``LocalReputationList.load`` copies both tables; neither is written
+    after it is built.
+    """
+
+    records: dict[VehicleId, ReputationRecord]
+    counts: dict[int, int]
+
+    @classmethod
+    def of(cls, records: Iterable[ReputationRecord]) -> LedgerSeed:
+        """Index ``records`` by vehicle (a later record for a vehicle wins) and count their points."""
+        by_vehicle = {rec.vehicle: rec for rec in records}
+        return cls(by_vehicle, dict(Counter(rec.points for rec in by_vehicle.values())))
+
+
 class LocalReputationList:
     """A vehicle's private per-sender reputation ledger.
 
@@ -92,7 +110,7 @@ class LocalReputationList:
         self._lo = self._hi = 0
         self._bands: Optional[TrustBands] = None
         if records:
-            self.load(records)
+            self.load(LedgerSeed.of(records))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,16 +121,23 @@ class LocalReputationList:
     def get(self, vehicle: VehicleId) -> Optional[ReputationRecord]:
         return self.entries.get(vehicle)
 
-    def load(self, records: Iterable[ReputationRecord]) -> None:
-        """Fill an empty list (a later record for a vehicle wins), counting points in one pass."""
+    def load(self, seed: LedgerSeed, owner: Optional[VehicleId] = None) -> None:
+        """Fill an empty list with a copy of ``seed``, leaving out ``owner``'s own record.
+
+        The records themselves are shared, not copied: they are frozen, and
+        every later write replaces a record. So one seed can fill the list of
+        every vehicle that receives the same ledger publication.
+        """
         if self.entries:
             raise ValueError("load needs an empty ledger")
-        for rec in records:
-            self.entries[rec.vehicle] = rec
-        self._counts = Counter(rec.points for rec in self.entries.values())
+        self.entries = seed.records.copy()
+        self._counts = seed.counts.copy()
         if self._counts:
             self._lo, self._hi = min(self._counts), max(self._counts)
         self._bands = None
+        own = self.entries.pop(owner, None)
+        if own is not None:
+            self._count_out(own.points)
 
     def upsert(self, record: ReputationRecord) -> None:
         old = self.entries.get(record.vehicle)
@@ -171,7 +196,9 @@ class LocalReputationList:
             self._counts[points] = held
             return
         del self._counts[points]
-        if points == self._lo:
+        if not self._counts:
+            self._bands = None
+        elif points == self._lo:
             self._lo = min(self._counts)
             self._bands = None
         elif points == self._hi:
@@ -194,6 +221,7 @@ class RsuReputationList:
 
     def __post_init__(self) -> None:
         self._bands: Optional[TrustBands] = None
+        self._seed: Optional[tuple[float, LedgerSeed]] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -208,6 +236,19 @@ class RsuReputationList:
         if self._bands is None and self.entries:
             self._bands = compute_trust_bands([r.points for r in self.entries.values()])
         return self._bands
+
+    def local_seed(self, timestamp: float) -> LedgerSeed:
+        """What an empty local list takes from this ledger when it arrives at ``timestamp``.
+
+        Each entry keeps its points, with no misbehavior points and
+        ``last_update`` set to ``timestamp``. The seed of the latest
+        timestamp is cached, so all receivers of one publication share it.
+        """
+        if self._seed is None or self._seed[0] != timestamp:
+            self._seed = (timestamp, LedgerSeed.of(
+                ReputationRecord(vid, rec.points, 0, timestamp) for vid, rec in self.entries.items()
+            ))
+        return self._seed[1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,8 @@ position lists are space-separated numbers, e.g.::
     rsu_positions = 500 500
     attacker_profile = false-warning
 
+An empty position list (``rsu_positions =``) means no roadside unit.
+
 A field's type annotation picks how its value is read; booleans accept
 true/false, 1/0 and yes/no. Unknown keys are rejected.
 """
@@ -174,7 +176,7 @@ def _parse_pair(value: str) -> tuple[float, float]:
 
 def _parse_positions(value: str) -> tuple[tuple[float, float], ...]:
     parts = [float(p) for p in value.split()]
-    if not parts or len(parts) % 2:
+    if len(parts) % 2:
         raise ValueError(f"expected an even number of coordinates, got {value!r}")
     return tuple((parts[i], parts[i + 1]) for i in range(0, len(parts), 2))
 

@@ -292,6 +292,8 @@ class _Runner:
         self._seq = 0
         n = world.n
         self.last_heard = np.full((n, n), -np.inf)
+        # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
+        self.oldest_pending = np.full(n, np.inf)
         self.next_tx = np.zeros(n)
         self.beacon_iv = (
             world.rng_sched.uniform(self.cfg.beacon_interval[0], self.cfg.beacon_interval[1], n)
@@ -385,9 +387,13 @@ class _Runner:
         # Randomize processing order: report arrival at the roadside unit
         # would otherwise always favor low vehicle ids when crediting the
         # first two reporters of an event.
-        expiring = [idx for idx, node in enumerate(world.nodes) if node.pending_due(t)]
+        # The same test as VehicleNode.pending_due, over all vehicles at once, in id order.
+        expiring = np.nonzero(t - self.oldest_pending > cfg.pending_ttl)[0]
         for idx in world.channel.arrival_order(expiring).tolist():
-            self.settle(idx, "EXPIRE", world.nodes[idx].expire_pending(t), t, positions)
+            node = world.nodes[idx]
+            outcome = node.expire_pending(t)
+            self.oldest_pending[idx] = node.oldest_pending
+            self.settle(idx, "EXPIRE", outcome, t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
@@ -516,6 +522,7 @@ class _Runner:
         started = time.perf_counter_ns()
         outcome = node.handle_warning(warning, now)
         latency = time.perf_counter_ns() - started
+        self.oldest_pending[idx] = node.oldest_pending
 
         if outcome.disposition is None:
             return

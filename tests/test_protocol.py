@@ -26,7 +26,7 @@ from irsim.protocol import (
     encode_rrl_broadcast,
     encode_warning,
 )
-from irsim.reputation import ReputationRecord, RrlStanding, RsuReputationList, standing_of
+from irsim.reputation import ReputationRecord, RrlStanding, RsuReputationList, compute_trust_bands, standing_of
 from irsim.scenario import ScenarioConfig
 
 
@@ -587,6 +587,54 @@ class TestLedgerSnapshot:
         a, b = make_node(vid=0), make_node(vid=1)
         assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
         assert a.cached_rrl is b.cached_rrl is broadcast.rrl
+
+    def test_receivers_share_seed_records(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(6)), 5, anchors=[(50, 13, 0), (51, 1, 1)])
+        broadcast, _ = rsu.tick(1.0)
+        a, b = make_node(vid=0), make_node(vid=1)
+        assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
+        assert sorted(a.lrl.entries) == [1, 2, 3, 4, 5, 50, 51]
+        assert sorted(b.lrl.entries) == [0, 2, 3, 4, 5, 50, 51]
+        for vid in (2, 3, 4, 5, 50, 51):
+            assert a.lrl.get(vid) is b.lrl.get(vid)
+        assert a.lrl.get(51) == ReputationRecord(51, 1, 0, 1.0)  # misbehavior points are not imported
+
+    def test_adjust_touches_one_receiver_only(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(6)), 5, anchors=[(50, 13, 0), (51, 1, 1)])
+        broadcast, _ = rsu.tick(1.0)
+        a, b = make_node(vid=0), make_node(vid=1)
+        a.handle_rrl_broadcast(broadcast)
+        b.handle_rrl_broadcast(broadcast)
+        published = dict(broadcast.rrl.entries)
+        seeded = dict(broadcast.rrl.local_seed(broadcast.timestamp).records)
+        b_before = dict(b.lrl.entries)
+        for _ in range(6):
+            a.lrl.adjust(51, -1, 2.0, 5)
+            a.lrl.adjust(50, +1, 2.0, 5)
+        a.lrl.adjust(9, +2, 2.0, 5)
+        assert (a.lrl.get(51).points, a.lrl.get(50).points) == (0, 19)
+        assert a.lrl.trust_bands() == compute_trust_bands([0, 19])
+        assert b.lrl.entries == b_before
+        assert b.lrl.trust_bands() == compute_trust_bands([1, 13])
+        assert broadcast.rrl.entries == published
+        assert broadcast.rrl.local_seed(broadcast.timestamp).records == seeded
+
+    def test_owner_only_ledger_gives_empty_lrl(self):
+        node = make_node(vid=3)
+        assert node.handle_rrl_broadcast(make_rrl_broadcast({3: 4}))
+        assert len(node.lrl) == 0
+        assert node.lrl.trust_bands() is None
+        # Still empty, so the next newer ledger seeds it.
+        assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 6, 3: 4}, version=2))
+        assert node.lrl.entries == {1: ReputationRecord(1, 6)}
+
+    def test_ledger_without_owner_is_taken_whole(self):
+        node = make_node(vid=7)
+        assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 5, 2: 9, 4: 2}, t=3.0))
+        assert node.lrl.entries == {v: ReputationRecord(v, p, 0, 3.0) for v, p in ((1, 5), (2, 9), (4, 2))}
+        assert node.lrl.trust_bands() == compute_trust_bands([5, 9, 2])
 
 
 class TestWireFormat:

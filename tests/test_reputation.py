@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from irsim.reputation import (
     HeuristicBand,
+    LedgerSeed,
     LocalReputationList,
     ReputationRecord,
     RrlStanding,
@@ -358,6 +359,44 @@ class TestLrlBounds:
         lrl = LocalReputationList([ReputationRecord(1, 2)])
         with pytest.raises(ValueError):
             lrl.load([ReputationRecord(2, 3)])
+
+    @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _vehicles, _ledger_ops)
+    def test_load_leaves_out_owner(self, initial, owner, ops):
+        seed = LedgerSeed.of(ReputationRecord(v, p) for v, p in initial)
+        lrl = LocalReputationList()
+        lrl.load(seed, owner=owner)
+        assert lrl.entries == {v: r for v, r in seed.records.items() if v != owner}
+        self.check(lrl)
+        # Writes after the load reach neither the seed's records nor its counts.
+        counts = dict(seed.counts)
+        for t, (op, vid, *args) in enumerate(ops):
+            if op == "adjust":
+                lrl.adjust(vid, args[0], float(t), args[1])
+            else:
+                lrl.upsert(ReputationRecord(vid, args[0]))
+            self.check(lrl)
+        assert seed.records == {v: ReputationRecord(v, p) for v, p in initial}
+        assert seed.counts == counts
+
+    def test_owner_only_ledger_loads_empty(self):
+        lrl = LocalReputationList()
+        lrl.load(LedgerSeed.of([ReputationRecord(4, 7)]), owner=4)
+        assert len(lrl) == 0
+        assert lrl.trust_bands() is None
+        lrl.upsert(ReputationRecord(2, 3))
+        assert lrl.trust_bands() == compute_trust_bands([3])
+
+
+class TestLocalSeed:
+    def test_one_seed_per_timestamp(self):
+        rrl = RsuReputationList({1: ReputationRecord(1, 4, 2, 0.5), 2: ReputationRecord(2, 9)}, 3, 100)
+        seed = rrl.local_seed(1.0)
+        assert rrl.local_seed(1.0) is seed
+        assert seed.records == {1: ReputationRecord(1, 4, 0, 1.0), 2: ReputationRecord(2, 9, 0, 1.0)}
+        assert seed.counts == {4: 1, 9: 1}
+        later = rrl.local_seed(2.0)
+        assert later is not seed
+        assert [r.last_update for r in later.records.values()] == [2.0, 2.0]
 
 
 class TestDeterminism:

@@ -108,6 +108,12 @@ class TestFileRoundTrip:
         for name in names:
             assert type(getattr(parsed, name)) is type(getattr(expected, name)), name
 
+    def test_no_rsu_survives_text(self):
+        assert parse_scenario_text("rsu_positions =\n") == {"rsu_positions": ()}
+        expected = ScenarioConfig(rsu_positions=())
+        parsed = make_config(parse_scenario_text(f"rsu_positions = {as_text(expected.rsu_positions)}\n"))
+        assert parsed == expected
+
 
 class TestMakeConfig:
     def test_unknown_field_named(self):

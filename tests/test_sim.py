@@ -9,7 +9,7 @@ import pytest
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
 from irsim.protocol import Disposition, EventKind, ProtocolConfig, RsuNode
-from irsim.reputation import RsuReputationList
+from irsim.reputation import ReputationRecord, RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
 
@@ -218,6 +218,38 @@ class TestLedgerRequests:
         assert world.nodes[0].cached_rrl is newer
 
 
+class TestLedgerBootstrap:
+    def test_every_bootstrap_equals_a_per_record_copy(self):
+        cfg = small_config(vehicle_count=30, duration=6.0, rsu_positions=((300.0, 500.0), (700.0, 500.0)))
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        deliver_ledger = runner.deliver_ledger
+        seeded = set()
+
+        def checked(t, rsu, idx, broadcast):
+            lrl = world.nodes[idx].lrl
+            was_empty = len(lrl) == 0
+            deliver_ledger(t, rsu, idx, broadcast)
+            if not was_empty or len(lrl) == 0:
+                return
+            # The list the per-record bootstrap loop built, in the same order.
+            expected = [
+                (vid, ReputationRecord(vid, rec.points, 0, broadcast.timestamp))
+                for vid, rec in broadcast.rrl.entries.items()
+                if vid != idx
+            ]
+            assert list(lrl.entries.items()) == expected
+            points = [rec.points for _, rec in expected]
+            bands = lrl.trust_bands()
+            assert (bands.min_points, bands.max_points) == (min(points), max(points))
+            seeded.add(idx)
+
+        runner.deliver_ledger = checked
+        runner.run()
+        assert seeded == set(range(cfg.vehicle_count))
+        assert {line.split("\t")[2] for line in runner.log if "\tRRL\t" in line} == {"10000", "10001"}
+
+
 class TestPendingAgeOut:
     def test_accepted_warning_ages_out_in_the_first_round_past_the_ttl(self):
         # Vehicle 0 accepts at once, so it never holds a PENDING decision.
@@ -244,6 +276,7 @@ class TestPendingAgeOut:
             handle_round(t, index)
             for node in world.nodes:
                 assert all(t - p.first_seen <= cfg.pending_ttl for p in node.pending.values())
+            assert runner.oldest_pending.tolist() == [node.oldest_pending for node in world.nodes]
 
         runner.handle_round = checked_round
         runner.run()
