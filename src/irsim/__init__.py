@@ -22,6 +22,7 @@ from .reputation import (
     classify_trust,
     compute_heuristic_bands,
     compute_trust_bands,
+    coverage_is_stale,
     decide_trust,
     heuristic_from_distance,
     rrl_is_stale,
@@ -72,6 +73,7 @@ __all__ = [
     "classify_trust",
     "compute_heuristic_bands",
     "compute_trust_bands",
+    "coverage_is_stale",
     "decide_trust",
     "heuristic_from_distance",
     "rrl_is_stale",

@@ -40,7 +40,6 @@ from .reputation import (
     compute_trust_bands,  # noqa: F401  (perfbench/tracing.py patches this binding)
     decide_trust,
     heuristic_from_distance,
-    rrl_is_stale,
     standing_of,
 )
 
@@ -382,10 +381,6 @@ class VehicleNode:
         if len(self.lrl) == 0:
             self.lrl.load(rrl.local_seed(broadcast.timestamp), owner=self.id)
         return True
-
-    def maybe_request_rrl(self) -> bool:
-        """True when the cached ledger is missing or covers under half the neighbors."""
-        return self.cached_rrl is None or rrl_is_stale(self.cached_rrl, self.neighbors.ids)
 
     # -- internals ---------------------------------------------------------
 

@@ -33,6 +33,12 @@ class ConfigError(ValueError):
 ATTACKER_PROFILES = ("false-warning", "conflicting-info", "far-event-claim")
 PIPELINES = ("irs", "accept-all")
 
+# The most events a run may schedule: beacon rounds, ledger ticks, hazards
+# and attacks, each at its configured rate over the duration. The stock
+# scenario schedules about 3400; a config past this ceiling is rejected,
+# because a finite but huge setting would start a run that never ends in practice.
+MAX_SCHEDULED_EVENTS = 1_000_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -131,6 +137,18 @@ class ScenarioConfig:
         non_negative("flagged_anchors", self.flagged_anchors)
         non_negative("anchor_top_points", self.anchor_top_points)
         non_negative("anchor_low_points", self.anchor_low_points)
+        per_s = (
+            1.0 / self.beacon_interval[0]
+            + 1.0 / self.broadcast_period
+            + self.event_rate_per_min / 60.0
+            + self.attacker_count * self.attacker_rate
+        )
+        scheduled = self.duration * per_s
+        if not scheduled <= MAX_SCHEDULED_EVENTS:
+            raise ConfigError(
+                f"the run would schedule {scheduled:.3g} events, over the ceiling of {MAX_SCHEDULED_EVENTS}:"
+                " shorten duration or lower a rate"
+            )
 
     def canonical_hash(self) -> str:
         """Seed-independent digest identifying the scenario."""

@@ -40,6 +40,7 @@ from .protocol import (
     NON_SAFETY_MESSAGE_BYTES,
     SAFETY_MESSAGE_BYTES,
 )
+from .reputation import RsuReputationList, coverage_is_stale
 from .scenario import PIPELINES, ConfigError, ScenarioConfig
 
 RSU_ID_BASE = 10_000
@@ -101,7 +102,11 @@ class Channel:
 
     def in_range(self, dx, dy, radius: Optional[float] = None):
         """The range predicate: squared distance against the squared radius (default: the range)."""
-        return dx * dx + dy * dy <= (self.range_m if radius is None else radius) ** 2
+        return self.in_range_sq(dx, dy * dy, radius)
+
+    def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None):
+        """``in_range`` with the y gap given squared, for a caller that keeps it (lanes never change)."""
+        return dx * dx + dy_sq <= (self.range_m if radius is None else radius) ** 2
 
     def kept(self, shape=None):
         """Loss draws: True where a link's transmission survives; one draw per element of ``shape``."""
@@ -111,10 +116,17 @@ class Channel:
         """Which receivers hear a transmission from ``origin``: in range and not lost.
 
         ``receivers`` and ``origin`` hold x, y in their last axis and broadcast
-        together; each element of the result gets its own loss draw.
+        together; each element of the result gets its own loss draw. Warnings
+        and ledger broadcasts use it; the beacon round, whose y gaps never
+        change, calls ``hears_gaps`` with squared gaps it computed once.
         """
         origin = np.asarray(origin)
-        within = self.in_range(receivers[..., 0] - origin[..., 0], receivers[..., 1] - origin[..., 1], radius)
+        dy = receivers[..., 1] - origin[..., 1]
+        return self.hears_gaps(receivers[..., 0] - origin[..., 0], dy * dy, radius)
+
+    def hears_gaps(self, dx, dy_sq, radius: Optional[float] = None) -> np.ndarray:
+        """``hears`` for links given by their x gaps and squared y gaps; one loss draw per link."""
+        within = self.in_range_sq(dx, dy_sq, radius)
         return within & self.kept(within.shape)
 
     def arrival_order(self, ids) -> np.ndarray:
@@ -292,6 +304,9 @@ class _Runner:
         self._seq = 0
         n = world.n
         self.last_heard = np.full((n, n), -np.inf)
+        # Squared lane gap of each (receiver, sender) pair: vehicles never change lane.
+        lane_gap = world.lane_y[:, None] - world.lane_y[None, :]
+        self.lane_gap_sq = lane_gap * lane_gap
         # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
         self.oldest_pending = np.full(n, np.inf)
         self.next_tx = np.zeros(n)
@@ -378,7 +393,8 @@ class _Runner:
         n_due = int(due.sum())
         if n_due:
             # ok[r, s]: receiver r heard sender s's beacon this round.
-            ok = world.channel.hears(positions[:, None, :], positions[None, :, :]) & due[None, :]
+            x = positions[:, 0]
+            ok = world.channel.hears_gaps(x[:, None] - x[None, :], self.lane_gap_sq) & due[None, :]
             np.fill_diagonal(ok, False)
             self.last_heard = np.where(ok, t, self.last_heard)
             self.next_tx[due] += self.beacon_iv[due]
@@ -405,15 +421,37 @@ class _Runner:
 
     def handle_requests(self, t: float, positions: np.ndarray) -> None:
         channel = self.world.channel
-        for idx, node in enumerate(self.world.nodes):
-            node.neighbors = self.neighbor_view(idx, t)
-            if not node.maybe_request_rrl():
-                continue
+        for idx in self.askers(t).tolist():
             self.emit_line(t, "REQ", idx)
             rsu = channel.nearest_rsu(positions[idx])
             # The request and the response each cross the lossy channel.
             if rsu is not None and channel.kept() and channel.kept():
                 self.deliver_ledger(t, rsu, idx, RrlBroadcast(rsu.snapshot(), t))
+
+    def askers(self, t: float) -> np.ndarray:
+        """The vehicles that ask for a ledger at ``t``, in id order: those holding none or a stale one.
+
+        Staleness is ``coverage_is_stale`` over the ids in each vehicle's
+        ``neighbor_view``, counted for all vehicles at once. Vehicles share
+        ledger snapshots, so there is one membership test per distinct ledger.
+        """
+        n = self.world.n
+        fresh = self.last_heard >= t - self.cfg.neighbor_ttl
+        heard = np.count_nonzero(fresh, axis=1)
+        asks = np.zeros(n, dtype=bool)
+        holders: dict[int, tuple[RsuReputationList, list[int]]] = {}
+        for idx, node in enumerate(self.world.nodes):
+            rrl = node.cached_rrl
+            if rrl is None:
+                asks[idx] = True
+            else:
+                holders.setdefault(id(rrl), (rrl, []))[1].append(idx)
+        for rrl, rows in holders.values():
+            member = np.zeros(n, dtype=bool)
+            member[[vid for vid in rrl.entries if 0 <= vid < n]] = True
+            known = np.count_nonzero(fresh[rows] & member, axis=1)
+            asks[rows] = coverage_is_stale(known, heard[rows])
+        return np.nonzero(asks)[0]
 
     def deliver_ledger(self, t: float, rsu: RsuNode, idx: int, broadcast: RrlBroadcast) -> None:
         """Hand a ledger to vehicle ``idx``; count and log it only if the vehicle keeps it."""

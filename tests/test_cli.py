@@ -124,8 +124,14 @@ class TestExecute:
             ["--seed", "-1"],
             ["--seeds=-2..0"],
             ["--scenario", "event_rate_per_min = inf"],
+            ["--vehicles", "4", "--duration", "1e9"],
+            ["--scenario", "beacon_interval = 1e-9 1e-9"],
+            ["--scenario", "event_rate_per_min = 1e12"],
         ],
-        ids=["duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file"],
+        ids=[
+            "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
+            "duration-huge", "beacon-tiny-file", "event-rate-huge-file",
+        ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):
         from irsim import cli

@@ -398,22 +398,24 @@ class TestRrlBroadcastHandling:
 
 
 class TestRrlRequest:
+    """A vehicle asks for a ledger when it holds none, or one that covers under half its neighbors."""
+
     def test_no_cache_requests(self):
-        node = make_node()
-        assert node.maybe_request_rrl() is True
+        runner = beacon_runner()
+        assert 0 in runner.askers(0.0)
 
     def test_under_half_coverage_requests(self):
-        node = make_node()
-        node.handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(4)}))
-        hear(node, {v + 1: 100.0 + v for v in range(10)})
-        # Neighbors 1..10, ledger covers 1..3 -> 3 of 10 known.
-        assert node.maybe_request_rrl() is True
+        runner = beacon_runner()
+        runner.world.nodes[0].handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(4)}))
+        runner.last_heard[0, 1:] = 0.0
+        # Neighbors 1..7, ledger covers 1..3 -> 3 of 7 known.
+        assert 0 in runner.askers(0.0)
 
     def test_full_coverage_does_not_request(self):
-        node = make_node()
-        node.handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(1, 5)}))
-        hear(node, {v: 100.0 + v for v in range(1, 5)})
-        assert node.maybe_request_rrl() is False
+        runner = beacon_runner()
+        runner.world.nodes[0].handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(1, 5)}))
+        runner.last_heard[0, 1:5] = 0.0
+        assert 0 not in runner.askers(0.0)
 
 
 def make_rsu(**kwargs):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from irsim.reputation import (
     classify_trust,
     compute_heuristic_bands,
     compute_trust_bands,
+    coverage_is_stale,
     decide_trust,
     heuristic_from_distance,
     rrl_is_stale,
@@ -201,6 +203,14 @@ class TestStaleness:
     def test_exact_half_boundary(self):
         rrl = self._rrl([0, 1, 2])
         assert rrl_is_stale(rrl, {0, 1, 2, 10, 11, 12}) is False
+
+    def test_count_rule_on_arrays(self):
+        known = np.array([0, 0, 1, 3, 3, 4])
+        heard = np.array([0, 1, 3, 6, 7, 4])
+        assert coverage_is_stale(known, heard).tolist() == [False, True, True, False, True, False]
+        assert [coverage_is_stale(int(k), int(h)) for k, h in zip(known, heard)] == [
+            False, True, True, False, True, False
+        ]
 
     @given(
         st.sets(st.integers(min_value=0, max_value=50), max_size=30),

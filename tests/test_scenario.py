@@ -6,6 +6,7 @@ import math
 import pytest
 
 from irsim.scenario import (
+    MAX_SCHEDULED_EVENTS,
     ConfigError,
     ScenarioConfig,
     make_config,
@@ -149,6 +150,32 @@ class TestMakeConfig:
     def test_non_finite_from_text_rejected(self, line):
         with pytest.raises(ConfigError, match=line.split()[0]):
             make_config(parse_scenario_text(line + "\n"))
+
+
+
+class TestScheduleCeiling:
+    def test_ceiling_is_inclusive(self):
+        # 10 beacon rounds and 1 ledger tick per second; no hazards or attacks.
+        rates = {"event_rate_per_min": 0.0, "attacker_count": 0}
+        at = MAX_SCHEDULED_EVENTS / 11
+        make_config({**rates, "duration": at})
+        with pytest.raises(ConfigError, match="ceiling of 1000000"):
+            make_config({**rates, "duration": at * 1.001})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"duration": 1e9},
+            {"beacon_interval": (1e-9, 1e-9)},
+            {"broadcast_period": 1e-300},
+            {"event_rate_per_min": 1e12},
+            {"vehicle_count": 10, "attacker_count": 10, "attacker_rate": 1e5},
+        ],
+        ids=["duration", "beacon-interval", "broadcast-period", "event-rate", "attacker-rate"],
+    )
+    def test_each_term_counts(self, overrides):
+        with pytest.raises(ConfigError, match="events, over the ceiling"):
+            make_config(overrides)
 
 
 class TestHash:

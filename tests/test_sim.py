@@ -9,7 +9,7 @@ import pytest
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
 from irsim.protocol import Disposition, EventKind, ProtocolConfig, RsuNode
-from irsim.reputation import ReputationRecord, RsuReputationList
+from irsim.reputation import ReputationRecord, RsuReputationList, rrl_is_stale
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
 
@@ -218,6 +218,58 @@ class TestLedgerRequests:
         assert world.nodes[0].cached_rrl is newer
 
 
+class TestBulkStaleness:
+    """``_Runner.askers`` picks the same vehicles as the per-vehicle rule over each ``NeighborView``."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"rsu_positions": ((300.0, 500.0), (700.0, 500.0))}, {"beacon_interval": (0.1, 0.35)}],
+        ids=["one-rsu", "two-rsus", "jittered-beacons"],
+    )
+    def test_askers_match_the_per_vehicle_rule(self, kw):
+        n = 30
+        cfg = small_config(vehicle_count=n, duration=12.0, **kw)
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        # Ledgers no roadside unit publishes, newer than any it will: their holders keep them.
+        empty = RsuReputationList({}, 10**6, 99)
+        evens = RsuReputationList({v: ReputationRecord(v, 5) for v in range(0, n, 2)}, 10**6, 98)
+        handle_requests = runner.handle_requests
+        seen = Counter()
+
+        def checked(t, positions):
+            k = int(round(t))
+            world.nodes[k % n].cached_rrl = None
+            world.nodes[(7 * k + 1) % n].cached_rrl = empty
+            world.nodes[(5 * k + 2) % n].cached_rrl = evens
+            expected = []
+            for i, node in enumerate(world.nodes):
+                rrl = node.cached_rrl
+                ids = runner.neighbor_view(i, t).ids
+                if rrl is None:
+                    seen["none"] += 1
+                    expected.append(i)
+                    continue
+                known = len(rrl.entries.keys() & set(ids))
+                stale = rrl_is_stale(rrl, ids)
+                assert stale == (2 * known < len(ids))  # under half, in counts
+                seen["held-stale" if stale else "held-fresh"] += 1
+                seen["exact-half"] += 2 * known == len(ids) > 0
+                seen["partly-known"] += 0 < known < len(ids)
+                if stale:
+                    expected.append(i)
+            start = len(runner.log)
+            handle_requests(t, positions)
+            asked = [int(line.split("\t")[2]) for line in runner.log[start:] if "\tREQ\t" in line]
+            assert asked == expected
+            seen["rounds"] += 1
+
+        runner.handle_requests = checked
+        runner.run()
+        assert seen["rounds"] == 13
+        assert min(seen[key] for key in ("none", "held-stale", "held-fresh", "exact-half", "partly-known")) > 0
+
+
 class TestLedgerBootstrap:
     def test_every_bootstrap_equals_a_per_record_copy(self):
         cfg = small_config(vehicle_count=30, duration=6.0, rsu_positions=((300.0, 500.0), (700.0, 500.0)))
@@ -342,6 +394,53 @@ class TestBeaconEquivalence:
             for vid in view.ids:
                 assert runner.last_heard[r, vid] == expected[vid][1]
                 assert view.position(vid) == pytest.approx(expected[vid][0], abs=1e-9)
+
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
+    def test_last_heard_matches_scalar_range_test(self, lanes, interval):
+        # Every round's last_heard equals a per-pair Channel.in_range over the senders due in it.
+        cfg = ScenarioConfig(
+            vehicle_count=24,
+            duration=3.0,
+            seed=4,
+            attacker_count=0,
+            lanes_per_direction=lanes,
+            beacon_interval=interval,
+            delivery_loss_probability=0.0,
+            event_rate_per_min=0.0,
+            rsu_positions=(),
+        )
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        channel = world.channel
+        reference = np.full((world.n, world.n), -np.inf)
+        next_tx = [0.0] * world.n
+        beacon_iv = runner.beacon_iv.tolist()
+        handle_round = runner.handle_round
+        rounds = 0
+
+        def checked_round(t, index):
+            nonlocal rounds
+            handle_round(t, index)
+            positions = world.positions_at(t).tolist()
+            for s in range(world.n):
+                if next_tx[s] > t + 1e-9:
+                    continue
+                next_tx[s] += beacon_iv[s]
+                for r in range(world.n):
+                    dx, dy = positions[r][0] - positions[s][0], positions[r][1] - positions[s][1]
+                    if r != s and channel.in_range(dx, dy):
+                        reference[r, s] = t
+            assert np.array_equal(runner.last_heard, reference)
+            rounds += 1
+
+        runner.handle_round = checked_round
+        runner.run()
+        assert rounds == 31
+        assert len(set(world.lane_y.tolist())) == 2 * lanes
+        heard = np.isfinite(reference)
+        assert heard.any() and not heard.all()
 
 
 class TestAttackers:
