@@ -20,7 +20,7 @@ import statistics
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .protocol import Disposition
 
@@ -32,14 +32,15 @@ DISPOSITION_NAMES = {
     Disposition.PENDING: "pending",
 }
 _DISPOSITION_FROM_NAME = {v: k for k, v in DISPOSITION_NAMES.items()}
+_ACCEPT = Disposition.ACCEPT
+_PENDING = Disposition.PENDING
 
 
 class MetricsError(Exception):
     """Raised when the decision log is fed inconsistent records."""
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionRecord:
+class _DecisionFields(NamedTuple):
     time: float
     receiver: int
     sender: int
@@ -49,9 +50,38 @@ class DecisionRecord:
     distance_m: float
     latency_ns: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.distance_m < 0:
+
+class DecisionRecord(_DecisionFields):
+    """One decision on one delivered warning: an immutable tuple.
+
+    A tuple rather than a frozen dataclass because replay builds one per
+    decision line, and a frozen dataclass pays one ``object.__setattr__`` per
+    field: built from positional arguments, a record took 1.5-2.4 us as a
+    frozen dataclass and 0.5-0.7 us as this tuple (Python 3.11, 2-core VM),
+    with the same check on the distance.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time: float,
+        receiver: int,
+        sender: int,
+        event_id: int,
+        ground_truth: bool,
+        decision: Disposition,
+        distance_m: float,
+        latency_ns: Optional[int] = None,
+    ) -> DecisionRecord:
+        if distance_m < 0:
             raise ValueError("distance must be >= 0")
+        return tuple.__new__(cls, (time, receiver, sender, event_id, ground_truth, decision, distance_m, latency_ns))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DecisionRecord:
+        # NamedTuple's _make (and so _replace) would skip the check in __new__.
+        return cls(*iterable)
 
 
 class DecisionLog:
@@ -68,13 +98,13 @@ class DecisionLog:
 
     def record(self, rec: DecisionRecord) -> None:
         key = (rec.receiver, rec.event_id, rec.sender)
-        if rec.decision is Disposition.PENDING:
+        if rec.decision is _PENDING:
             if key in self._final or key in self._pending:
                 raise MetricsError(f"duplicate provisional decision for {key}")
             self._pending[key] = rec
+        elif key in self._final:
+            raise MetricsError(f"duplicate final decision for {key}")
         else:
-            if key in self._final:
-                raise MetricsError(f"duplicate final decision for {key}")
             self._final[key] = rec
         self.records.append(rec)
 
@@ -160,27 +190,24 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
     if dangling:
         raise MetricsError(f"{len(dangling)} pending decisions never finalized")
 
-    finals = log.final_records()
-    victims = len(
-        {
-            r.receiver
-            for r in finals
-            if r.decision is Disposition.ACCEPT and not r.ground_truth and r.receiver in info.benign
-        }
-    )
-
     n_buckets = max(1, int(-(-info.range_m // BUCKET_WIDTH_M)))
+    last = n_buckets - 1
     samples = [0] * n_buckets
     correct = [0] * n_buckets
     accepts = [0] * n_buckets
-    for r in finals:
-        idx = min(int(r.distance_m // BUCKET_WIDTH_M), n_buckets - 1)
+    benign = info.benign
+    victims: set[int] = set()
+    finals = log.final_records()
+    for _time, receiver, _sender, _event, truth, decision, distance, _latency in finals:
+        idx = min(int(distance // BUCKET_WIDTH_M), last)
         samples[idx] += 1
-        if r.decision is Disposition.ACCEPT:
+        if decision is _ACCEPT:
             accepts[idx] += 1
-            if r.ground_truth:
+            if truth:
                 correct[idx] += 1
-        elif not r.ground_truth:
+            elif receiver in benign:
+                victims.add(receiver)
+        elif not truth:
             correct[idx] += 1
     buckets = [
         BucketStat(
@@ -192,11 +219,10 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
         )
         for i in range(n_buckets)
     ]
-
-    histogram: dict[str, int] = {}
-    for r in finals:
-        name = DISPOSITION_NAMES[r.decision]
-        histogram[name] = histogram.get(name, 0) + 1
+    # A final record is never PENDING, so whatever was not accepted was rejected.
+    accepted = sum(accepts)
+    counts = ((_ACCEPT, accepted), (Disposition.REJECT, len(finals) - accepted))
+    histogram = {DISPOSITION_NAMES[d]: n for d, n in counts if n}
 
     latencies = [r.latency_ns for r in log.records if r.latency_ns is not None]
     mean_ns = float(statistics.fmean(latencies)) if latencies else None
@@ -206,7 +232,7 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
         config_hash=info.config_hash,
         seed=info.seed,
         pipeline=info.pipeline,
-        victims=victims,
+        victims=len(victims),
         buckets=buckets,
         histogram=histogram,
         pending_resolved=log.pending_resolved_count(),
@@ -295,33 +321,38 @@ def load_report(path: Path | str) -> MetricsReport:
 
 # -- event-log replay ---------------------------------------------------------
 
-_DECISION_LINE_KINDS = ("DELIVER", "RESOLVE", "EXPIRE")
+_DECISION_LINE_KINDS = frozenset(("DELIVER", "RESOLVE", "EXPIRE"))
 
 
 def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
     """Rebuild a decision log from a persisted event log.
 
-    Only decision-bearing lines are consumed. Latency is instrumentation
-    and is not recoverable from a log.
+    Only decision-bearing lines are consumed, each through
+    :meth:`DecisionLog.record`; blank lines are skipped, and a line may end
+    in ``\\n``, ``\\r\\n`` or nothing. Latency is instrumentation and is not
+    recoverable from a log.
     """
     log = DecisionLog()
+    record = log.record
     for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
         parts = line.split("\t")
+        if len(parts) == 1:
+            if line.strip():
+                raise MetricsError(f"malformed event-log line: {line!r}")
+            continue
         if parts[1] not in _DECISION_LINE_KINDS:
             continue
+        # The last field keeps the line ending; float() ignores it.
         time_s, _kind, sender, receiver, event_id, decision, truth, distance = parts
-        log.record(
+        record(
             DecisionRecord(
-                time=float(time_s),
-                receiver=int(receiver),
-                sender=int(sender),
-                event_id=int(event_id),
-                ground_truth=truth == "1",
-                decision=_DISPOSITION_FROM_NAME[decision],
-                distance_m=float(distance),
+                float(time_s),
+                int(receiver),
+                int(sender),
+                int(event_id),
+                truth == "1",
+                _DISPOSITION_FROM_NAME[decision],
+                float(distance),
             )
         )
     return log

@@ -7,6 +7,9 @@ pipeline, the accept-all pipeline, two roadside units (which exchange FWD
 digests), ranging noise switched off, jittered beacon intervals (so only
 some vehicles beacon in a round), and no roadside unit at all.
 
+Each case's event log must also replay, record by record, to the decision
+log of the live run.
+
 A change that keeps behaviour leaves every digest unchanged. A change that
 alters output bytes on purpose re-pins them and says why. The digests were
 pinned on Python 3.11.7 with numpy 2.4.6; other numpy versions may draw
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from irsim import sim
-from irsim.metrics import export
+from irsim.metrics import RunInfo, export, replay_event_log
 from irsim.scenario import ScenarioConfig
 
 BASE = dict(vehicle_count=60, attacker_count=6, duration=30.0)
@@ -101,3 +104,23 @@ def digests(overrides: dict, pipeline: str, out_dir: Path, seed: int = SEED) -> 
 def test_outputs_match_pinned_digests(name, tmp_path):
     overrides, pipeline, *pinned = MATRIX[name]
     assert digests(overrides, pipeline, tmp_path) == tuple(pinned)
+
+
+def as_logged(records):
+    """Records as the event log keeps them: time to 6 decimals, no latency."""
+    return [r._replace(time=float(f"{r.time:.6f}"), latency_ns=None) for r in records]
+
+
+@pytest.mark.parametrize("name", list(MATRIX))
+def test_replay_rebuilds_every_record(name):
+    overrides, pipeline, *_ = MATRIX[name]
+    config = ScenarioConfig(**{**BASE, **overrides, "seed": SEED})
+    world = sim.build_scenario(config, pipeline)
+    result = sim.run(world)
+    info = RunInfo(config.canonical_hash(), SEED, pipeline, world.benign, config.transmission_range)
+    replayed = replay_event_log(result.log_lines, info)
+    live = result.decisions
+    assert len(replayed.records) == len(live.records) > 0
+    for got, want in zip(as_logged(replayed.records), as_logged(live.records)):
+        assert got == want
+    assert as_logged(replayed.final_records()) == as_logged(live.final_records())

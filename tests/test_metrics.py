@@ -1,8 +1,15 @@
 """Decision log, report finalization, export round-trips, replay."""
 
+import io
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from irsim.metrics import (
+    BUCKET_WIDTH_M,
+    DISPOSITION_NAMES,
     DecisionLog,
     DecisionRecord,
     MetricsError,
@@ -29,6 +36,44 @@ def info(benign=range(100), extras=None):
         range_m=300.0,
         extras=extras or {},
     )
+
+
+class TestDecisionRecord:
+    def test_fields_in_order(self):
+        assert DecisionRecord._fields == (
+            "time", "receiver", "sender", "event_id", "ground_truth", "decision", "distance_m", "latency_ns",
+        )
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            rec(dist=-1.0)
+
+    def test_negative_distance_rejected_on_replay(self):
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            replay_event_log(["1.000000\tDELIVER\t9\t1\t4\taccept\t0\t-1.000\n"], info())
+
+    def test_replace_keeps_the_distance_check(self):
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            rec()._replace(distance_m=-0.5)
+        assert rec()._replace(distance_m=7.0) == rec(dist=7.0)
+
+    def test_fields_are_read_only(self):
+        r = rec()
+        for name in DecisionRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            r.note = "new attribute"
+
+    def test_latency_defaults_to_none(self):
+        assert DecisionRecord(1.0, 1, 2, 10, True, Disposition.ACCEPT, 50.0).latency_ns is None
+
+    def test_keyword_construction(self):
+        r = DecisionRecord(
+            time=1.0, receiver=1, sender=2, event_id=10, ground_truth=True,
+            decision=Disposition.ACCEPT, distance_m=50.0, latency_ns=7,
+        )
+        assert r == rec(latency=7)
 
 
 class TestDecisionLog:
@@ -142,6 +187,62 @@ class TestFinalize:
         assert report.latency_median_ns == 2000.0
 
 
+def reference_report(records, benign, range_m):
+    """Victims, bucket rows and histogram, each computed on its own from the final records."""
+    finals = [r for r in records if r.decision is not Disposition.PENDING]
+    victims = {
+        r.receiver for r in finals
+        if r.decision is Disposition.ACCEPT and not r.ground_truth and r.receiver in benign
+    }
+    n_buckets = max(1, math.ceil(range_m / BUCKET_WIDTH_M))
+    rows = []
+    for i in range(n_buckets):
+        low, high = i * BUCKET_WIDTH_M, (i + 1) * BUCKET_WIDTH_M
+        last = i == n_buckets - 1
+        inside = [r for r in finals if low <= r.distance_m and (r.distance_m < high or last)]
+        right = [r for r in inside if (r.decision is Disposition.ACCEPT) == r.ground_truth]
+        accepted = [r for r in inside if r.decision is Disposition.ACCEPT]
+        n = len(inside)
+        rows.append((low, high, n, len(right) / n if n else 0.0, len(accepted) / n if n else 0.0))
+    histogram = dict(Counter(DISPOSITION_NAMES[r.decision] for r in finals))
+    return len(victims), rows, histogram
+
+
+_BUCKET_EDGES = [k * BUCKET_WIDTH_M for k in range(18)]
+_decisions = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 7), st.integers(0, 4), st.integers(0, 7)),  # receiver, event, sender
+        st.booleans(),  # ground truth
+        st.sampled_from([Disposition.ACCEPT, Disposition.REJECT]),  # final decision
+        st.booleans(),  # held as PENDING first
+        st.one_of(st.sampled_from(_BUCKET_EDGES + [249.999, 250.0, 299.999, 300.0, 1000.0]),
+                  st.floats(0.0, 400.0)),
+        st.one_of(st.none(), st.integers(0, 10**6)),  # latency
+    ),
+    unique_by=lambda d: d[0],
+    max_size=40,
+)
+
+
+class TestFinalizeProperty:
+    @given(_decisions, st.frozensets(st.integers(0, 7)), st.sampled_from([300.0, 250.0, 10.0]))
+    def test_matches_brute_force_reference(self, decisions, benign, range_m):
+        log = DecisionLog()
+        # Every provisional record first, then the finals in reverse order.
+        for t, ((receiver, event, sender), truth, _final, held, dist, latency) in enumerate(decisions):
+            if held:
+                log.record(DecisionRecord(t, receiver, sender, event, truth, Disposition.PENDING, dist, latency))
+        for t, ((receiver, event, sender), truth, final, _held, dist, latency) in reversed(list(enumerate(decisions))):
+            log.record(DecisionRecord(t + 0.5, receiver, sender, event, truth, final, dist, latency))
+
+        report = finalize(log, RunInfo("cafe", 0, "irs", benign, range_m))
+        victims, rows, histogram = reference_report(log.records, benign, range_m)
+        assert report.victims == victims
+        assert [(b.low_m, b.high_m, b.samples, b.trusted_fraction, b.acceptance_rate) for b in report.buckets] == rows
+        assert report.histogram == histogram
+        assert report.pending_resolved == sum(held for _, _, _, held, _, _ in decisions)
+
+
 class TestExport:
     def _report(self):
         log = DecisionLog()
@@ -214,3 +315,55 @@ class TestReplay:
         live_report = finalize(live, info())
         replay_report = finalize(replayed, info())
         assert replay_report.deterministic_view() == live_report.deterministic_view()
+
+
+# One line of every kind the simulator writes, in its column layout.
+_CLEAN_LOG = [
+    "0.500000\tSPAWN\t-\t-\t4\t-\t-\t-",
+    "0.700000\tEMIT\t9\t-\t4\t-\t-\t-",
+    "1.000000\tDELIVER\t9\t1\t4\tpending\t0\t55.000",
+    "1.100000\tREQ\t1\t-\t-\t-\t-\t-",
+    "1.200000\tRRL\t10000\t1\t-\t-\t-\t-",
+    "1.300000\tFWD\t10000\t10001\t-\t-\t-\t-",
+    "2.000000\tRESOLVE\t9\t1\t4\treject\t0\t55.000",
+    "2.000000\tREPORT\t1\t10000\t4\t-\t-\t-",
+    "2.500000\tDELIVER\t8\t2\t5\taccept\t1\t120.000",
+    "3.000000\tDELIVER\t7\t3\t6\tpending\t0\t80.000",
+    "35.001000\tEXPIRE\t7\t3\t6\treject\t0\t80.000",
+]
+
+
+class TestReplayEdgeInput:
+    def _replay(self, text):
+        return replay_event_log(io.StringIO(text, newline=""), info())
+
+    def test_clean_input(self):
+        log = self._replay("\n".join(_CLEAN_LOG) + "\n")
+        assert [(r.receiver, r.sender, r.event_id, r.decision) for r in log.records] == [
+            (1, 9, 4, Disposition.PENDING),
+            (1, 9, 4, Disposition.REJECT),
+            (2, 8, 5, Disposition.ACCEPT),
+            (3, 7, 6, Disposition.PENDING),
+            (3, 7, 6, Disposition.REJECT),
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\r\n".join(_CLEAN_LOG) + "\r\n",
+            "\n".join(_CLEAN_LOG),
+            "\r\n".join(_CLEAN_LOG),
+            "\n" + "\n\n".join(_CLEAN_LOG) + "\n\n",
+            "\r\n" + "\r\n\r\n".join(_CLEAN_LOG) + "\r\n \r\n",
+        ],
+        ids=["crlf", "no-final-newline", "crlf-no-final-newline", "blank-lines", "crlf-blank-lines"],
+    )
+    def test_same_log_as_clean_input(self, text):
+        clean = self._replay("\n".join(_CLEAN_LOG) + "\n")
+        edged = self._replay(text)
+        assert edged.records == clean.records
+        assert edged.final_records() == clean.final_records()
+
+    def test_line_without_columns_rejected(self):
+        with pytest.raises(MetricsError, match="malformed event-log line"):
+            replay_event_log(["1.000000 DELIVER 9 1 4 accept 0 5.000\n"], info())
