@@ -22,7 +22,6 @@ from .reputation import (
     classify_trust,
     compute_heuristic_bands,
     compute_trust_bands,
-    coverage_is_stale,
     decide_trust,
     heuristic_from_distance,
     rrl_is_stale,
@@ -73,7 +72,6 @@ __all__ = [
     "classify_trust",
     "compute_heuristic_bands",
     "compute_trust_bands",
-    "coverage_is_stale",
     "decide_trust",
     "heuristic_from_distance",
     "rrl_is_stale",

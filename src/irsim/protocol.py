@@ -581,10 +581,13 @@ NON_SAFETY_MESSAGE_BYTES = 512
 
 _KIND_CODES = {EventKind.CRASH: 0, EventKind.ICE: 1, EventKind.SUDDEN_BRAKE: 2}
 
+BEACON_FORMAT = "<Qdddddd"
+REPORT_FORMAT = "<QQQdB"
+
 
 def encode_beacon(b: Beacon) -> bytes:
     return struct.pack(
-        "<Qdddddd",
+        BEACON_FORMAT,
         b.sender,
         b.position[0],
         b.position[1],
@@ -609,7 +612,7 @@ def encode_warning(w: Warning) -> bytes:
 
 def encode_report(r: MisbehaviorReport) -> bytes:
     return struct.pack(
-        "<QQQdB", r.reporter, r.accused, r.event_id, r.timestamp, int(r.signature_valid)
+        REPORT_FORMAT, r.reporter, r.accused, r.event_id, r.timestamp, int(r.signature_valid)
     )
 
 

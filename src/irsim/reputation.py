@@ -374,18 +374,10 @@ def decide_trust(local: TrustLevel, standing: RrlStanding) -> TrustDecision:
     return _DECISION_MATRIX[(local, standing)]
 
 
-def coverage_is_stale(known, heard):
-    """The staleness rule in counts: fewer than half of ``heard`` neighbors are ``known`` to the ledger.
-
-    Works elementwise on arrays, so the simulator checks every vehicle at once.
-    """
-    return 2 * known < heard
-
-
 def rrl_is_stale(rrl: RsuReputationList, neighbors: Iterable[VehicleId]) -> bool:
     """True when fewer than half of the current neighbors appear in the ledger."""
     ids = set(neighbors)
-    return coverage_is_stale(len(rrl.entries.keys() & ids), len(ids))
+    return 2 * len(rrl.entries.keys() & ids) < len(ids)
 
 
 def apply_point_delta(record: ReputationRecord, delta: int, now: Optional[float] = None) -> ReputationRecord:

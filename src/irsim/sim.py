@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -37,16 +38,17 @@ from .protocol import (
     WarningOutcome,
     encode_rrl_broadcast,
     encode_warning,
+    BEACON_FORMAT,
     NON_SAFETY_MESSAGE_BYTES,
+    REPORT_FORMAT,
     SAFETY_MESSAGE_BYTES,
 )
-from .reputation import RsuReputationList, coverage_is_stale
 from .scenario import PIPELINES, ConfigError, ScenarioConfig
 
 RSU_ID_BASE = 10_000
 ANCHOR_ID_BASE = 20_000
-_BEACON_WIRE_BYTES = 56
-_REPORT_WIRE_BYTES = 33
+_BEACON_WIRE_BYTES = struct.calcsize(BEACON_FORMAT)
+_REPORT_WIRE_BYTES = struct.calcsize(REPORT_FORMAT)
 
 _KINDS = (EventKind.CRASH, EventKind.ICE, EventKind.SUDDEN_BRAKE)
 
@@ -233,10 +235,12 @@ class SimWorld:
         self.known_true: dict[int, list[int]] = {i: [] for i in attacker_ids}
         self.altered: set[int] = set()
 
+    def x_at(self, t, ids=slice(None)) -> np.ndarray:
+        """The x of vehicles ``ids`` (default: all) at ``t``: one time for all, or one per vehicle."""
+        return np.mod(self.x0[ids] + self.direction[ids] * self.speed[ids] * t, self.config.grid[0])
+
     def positions_at(self, t: float) -> np.ndarray:
-        width = self.config.grid[0]
-        x = np.mod(self.x0 + self.direction * self.speed * t, width)
-        return np.column_stack((x, self.lane_y))
+        return np.column_stack((self.x_at(t), self.lane_y))
 
 
 def build_scenario(config: ScenarioConfig, pipeline: str = "irs") -> SimWorld:
@@ -420,38 +424,21 @@ class _Runner:
             self.push(nxt, _ROUND, index + 1)
 
     def handle_requests(self, t: float, positions: np.ndarray) -> None:
+        """Each vehicle holding no ledger asks its nearest roadside unit for one, in id order.
+
+        A held ledger is never stale (``rrl_is_stale``) here: every roadside
+        unit is seeded with every vehicle id and no ledger drops an entry, so
+        it lists every neighbor a vehicle can hear.
+        """
         channel = self.world.channel
-        for idx in self.askers(t).tolist():
+        for idx, node in enumerate(self.world.nodes):
+            if node.cached_rrl is not None:
+                continue
             self.emit_line(t, "REQ", idx)
             rsu = channel.nearest_rsu(positions[idx])
             # The request and the response each cross the lossy channel.
             if rsu is not None and channel.kept() and channel.kept():
                 self.deliver_ledger(t, rsu, idx, RrlBroadcast(rsu.snapshot(), t))
-
-    def askers(self, t: float) -> np.ndarray:
-        """The vehicles that ask for a ledger at ``t``, in id order: those holding none or a stale one.
-
-        Staleness is ``coverage_is_stale`` over the ids in each vehicle's
-        ``neighbor_view``, counted for all vehicles at once. Vehicles share
-        ledger snapshots, so there is one membership test per distinct ledger.
-        """
-        n = self.world.n
-        fresh = self.last_heard >= t - self.cfg.neighbor_ttl
-        heard = np.count_nonzero(fresh, axis=1)
-        asks = np.zeros(n, dtype=bool)
-        holders: dict[int, tuple[RsuReputationList, list[int]]] = {}
-        for idx, node in enumerate(self.world.nodes):
-            rrl = node.cached_rrl
-            if rrl is None:
-                asks[idx] = True
-            else:
-                holders.setdefault(id(rrl), (rrl, []))[1].append(idx)
-        for rrl, rows in holders.values():
-            member = np.zeros(n, dtype=bool)
-            member[[vid for vid in rrl.entries if 0 <= vid < n]] = True
-            known = np.count_nonzero(fresh[rows] & member, axis=1)
-            asks[rows] = coverage_is_stale(known, heard[rows])
-        return np.nonzero(asks)[0]
 
     def deliver_ledger(self, t: float, rsu: RsuNode, idx: int, broadcast: RrlBroadcast) -> None:
         """Hand a ledger to vehicle ``idx``; count and log it only if the vehicle keeps it."""
@@ -469,10 +456,8 @@ class _Runner:
             for idx in np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]:
                 self.deliver_ledger(t, rsu, int(idx), broadcast)
             for fwd in forwards:
-                target = world.rsus_by_id.get(fwd.destination)
-                if target is not None:
-                    target.handle_forward(fwd, t)
-                    self.emit_line(t, "FWD", fwd.origin, fwd.destination, "-")
+                world.rsus_by_id[fwd.destination].handle_forward(fwd, t)
+                self.emit_line(t, "FWD", fwd.origin, fwd.destination, "-")
         nxt = (index + 1) * cfg.broadcast_period
         if nxt <= cfg.duration:
             self.push(nxt, _RSU_TICK, index + 1)
@@ -581,11 +566,10 @@ class _Runner:
 
     def neighbor_view(self, idx: int, now: float) -> NeighborView:
         """Whom ``idx`` heard within the neighbor TTL, and where each sender was then."""
-        world, cfg = self.world, self.cfg
+        world = self.world
         row = self.last_heard[idx]
-        fresh = np.nonzero(row >= now - cfg.neighbor_ttl)[0]
-        xs = np.mod(world.x0[fresh] + world.direction[fresh] * world.speed[fresh] * row[fresh], cfg.grid[0])
-        return NeighborView(tuple(fresh.tolist()), xs, world.lane_y[fresh])
+        fresh = np.nonzero(row >= now - self.cfg.neighbor_ttl)[0]
+        return NeighborView(tuple(fresh.tolist()), world.x_at(row[fresh], fresh), world.lane_y[fresh])
 
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
         world = self.world

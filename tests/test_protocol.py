@@ -398,24 +398,20 @@ class TestRrlBroadcastHandling:
 
 
 class TestRrlRequest:
-    """A vehicle asks for a ledger when it holds none, or one that covers under half its neighbors."""
+    """A vehicle asks for a ledger when it holds none."""
+
+    @staticmethod
+    def requesters(runner, t=0.0):
+        runner.handle_requests(t, runner.world.positions_at(t))
+        return [int(line.split("\t")[2]) for line in runner.log if "\tREQ\t" in line]
 
     def test_no_cache_requests(self):
-        runner = beacon_runner()
-        assert 0 in runner.askers(0.0)
-
-    def test_under_half_coverage_requests(self):
-        runner = beacon_runner()
-        runner.world.nodes[0].handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(4)}))
-        runner.last_heard[0, 1:] = 0.0
-        # Neighbors 1..7, ledger covers 1..3 -> 3 of 7 known.
-        assert 0 in runner.askers(0.0)
+        assert 0 in self.requesters(beacon_runner())
 
     def test_full_coverage_does_not_request(self):
         runner = beacon_runner()
-        runner.world.nodes[0].handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(1, 5)}))
-        runner.last_heard[0, 1:5] = 0.0
-        assert 0 not in runner.askers(0.0)
+        runner.world.nodes[0].handle_rrl_broadcast(make_rrl_broadcast({v: 5 for v in range(8)}))
+        assert self.requesters(runner) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def make_rsu(**kwargs):

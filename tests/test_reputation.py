@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +19,6 @@ from irsim.reputation import (
     classify_trust,
     compute_heuristic_bands,
     compute_trust_bands,
-    coverage_is_stale,
     decide_trust,
     heuristic_from_distance,
     rrl_is_stale,
@@ -205,10 +203,10 @@ class TestStaleness:
         assert rrl_is_stale(rrl, {0, 1, 2, 10, 11, 12}) is False
 
     def test_count_rule_on_arrays(self):
-        known = np.array([0, 0, 1, 3, 3, 4])
-        heard = np.array([0, 1, 3, 6, 7, 4])
-        assert coverage_is_stale(known, heard).tolist() == [False, True, True, False, True, False]
-        assert [coverage_is_stale(int(k), int(h)) for k, h in zip(known, heard)] == [
+        # (known, heard) pairs: the ledger lists ``known`` of the ``heard`` neighbors.
+        known = [0, 0, 1, 3, 3, 4]
+        heard = [0, 1, 3, 6, 7, 4]
+        assert [rrl_is_stale(self._rrl(range(k)), set(range(h))) for k, h in zip(known, heard)] == [
             False, True, True, False, True, False
         ]
 
