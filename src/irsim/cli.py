@@ -164,7 +164,8 @@ def execute(spec: RunSpec) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         if spec.workers > 1 and len(jobs) > 1:
             payloads = [(spec.config, s, p, run_dir, spec.write_csv) for s, p in jobs]
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            # With fork, the pool starts all its workers up front: ask for no more than can run.
+            with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs), os.cpu_count() or 1)) as pool:
                 rows = list(pool.map(_pool_entry, payloads))
         else:
             for seed, pipeline in jobs:

@@ -5,7 +5,10 @@ corroboration against warnings it is already holding, conflict detection,
 sender-distance plausibility, then a banded trust decision combining its
 own ledger with the roadside unit's published one. Lone suspicious
 warnings are buffered and expire to a rejection if nobody corroborates
-them. The roadside unit pairs misbehavior reports from distinct reporters
+them. What the vehicle's beacons say about a warning's sender arrives with
+the warning as a ``Heard``: where the sender was when last heard, the
+vehicle's own position, and the nearest and farthest fresh neighbors to the
+event. The roadside unit pairs misbehavior reports from distinct reporters
 before it dings anyone, and periodically broadcasts its ledger.
 
 Nodes are single-owner state machines: all mutation happens through the
@@ -16,12 +19,9 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .reputation import (
     HeuristicBand,
@@ -138,29 +138,17 @@ class PendingWarning:
     state: PendingState
 
 
-@dataclass(frozen=True, slots=True)
-class NeighborView:
-    """Vehicles heard within the neighbor TTL, in id order.
+class Heard(NamedTuple):
+    """What a receiver's beacon rounds say about one warning, as (x, y) positions.
 
-    ``xs``/``ys`` hold where each one was when its last beacon arrived.
+    ``receiver`` is where it is now; ``sender``, ``nearest`` and ``farthest`` are where the sender
+    and the fresh neighbors nearest to and farthest from the event were at their last beacons.
     """
 
-    ids: tuple[VehicleId, ...]
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def position(self, vehicle: VehicleId) -> Optional[Position]:
-        """Where ``vehicle`` was when last heard; None if it is not a neighbor."""
-        i = bisect_left(self.ids, vehicle)
-        if i == len(self.ids) or self.ids[i] != vehicle:
-            return None
-        return self.at(i)
-
-    def at(self, i: int) -> Position:
-        return (float(self.xs[i]), float(self.ys[i]))
-
-
-_NO_NEIGHBORS = NeighborView((), np.zeros(0), np.zeros(0))
+    receiver: Position
+    sender: Position
+    nearest: Position
+    farthest: Position
 
 
 @dataclass
@@ -205,8 +193,9 @@ class VehicleNode:
     """On-board trust state: local ledger, cached network ledger, pending buffer.
 
     ``distance_noise`` models signal-strength ranging error: called with the
-    true distance in meters, it returns an additive offset. Ranging error
-    grows with range, so the offset distribution may depend on the input.
+    receiver's range to the sender in meters, it returns an additive offset.
+    Ranging error grows with range, so the offset distribution may depend on
+    the input.
     """
 
     def __init__(
@@ -217,21 +206,21 @@ class VehicleNode:
     ) -> None:
         self.id = vehicle_id
         self.config = config
-        self.position: Optional[Position] = None
         self.lrl = LocalReputationList()
         self.cached_rrl: Optional[RsuReputationList] = None
         self.pending: dict[EventId, PendingWarning] = {}
         # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
         # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
         self.oldest_pending = math.inf
-        # Set by whoever tracks beacons (the simulator) before each decision.
-        self.neighbors = _NO_NEIGHBORS
         self._distance_noise = distance_noise
 
     # -- warnings ---------------------------------------------------------
 
-    def handle_warning(self, warning: Warning, now: float) -> WarningOutcome:
-        """Run the full message-trust pipeline for one incoming warning."""
+    def handle_warning(self, warning: Warning, now: float, heard: Optional[Heard] = None) -> WarningOutcome:
+        """Run the full message-trust pipeline for one incoming warning.
+
+        ``heard`` is None when no beacon of the sender arrived within the neighbor TTL.
+        """
         if warning.sender == self.id:
             return WarningOutcome(None)
         if not self._position_ok(warning.event_position):
@@ -241,11 +230,11 @@ class VehicleNode:
         if entry is not None:
             return self._handle_repeat(entry, warning, now)
 
-        report = self._implausibly_far(warning, now)
+        report = self._implausibly_far(warning, now, heard)
         if report is not None:
             return WarningOutcome(Disposition.REJECT, [report])
 
-        return self._handle_lone(warning, now)
+        return self._handle_lone(warning, now, heard)
 
     def _handle_repeat(self, entry: PendingWarning, warning: Warning, now: float) -> WarningOutcome:
         sender = warning.sender
@@ -268,28 +257,27 @@ class VehicleNode:
         self._adjust(sender, -1, now)
         return WarningOutcome(Disposition.REJECT)
 
-    def _implausibly_far(self, warning: Warning, now: float) -> Optional[MisbehaviorReport]:
-        pos = self.neighbors.position(warning.sender)
-        if pos is None:
+    def _implausibly_far(self, warning: Warning, now: float, heard: Optional[Heard]) -> Optional[MisbehaviorReport]:
+        if heard is None:
             return None
-        est = self._estimate_distance(_distance(pos, warning.event_position), pos)
+        ranging = _distance(heard.receiver, heard.sender)
+        est = self._estimate_distance(_distance(heard.sender, warning.event_position), ranging)
         if est > self.config.plausibility_radius_m:
             self._adjust(warning.sender, -1, now)
             return MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
         return None
 
-    def _handle_lone(self, warning: Warning, now: float) -> WarningOutcome:
+    def _handle_lone(self, warning: Warning, now: float, heard: Optional[Heard]) -> WarningOutcome:
         sender = warning.sender
         rec = self.lrl.ensure(sender, self._default_points(), now)
-        nb = self.neighbors.position(sender)
 
-        if nb is None:
+        if heard is None:
             # Never heard a beacon from this sender: assume the worst.
             level = TrustLevel.LOW
             h_band = HeuristicBand.AWAY
         else:
             level = classify_trust(rec.points, self.lrl.trust_bands())
-            h_band = self._sender_heuristic_band(nb, warning.event_position)
+            h_band = self._sender_heuristic_band(heard, warning.event_position)
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
             self._remember(warning, now)
@@ -308,15 +296,11 @@ class VehicleNode:
         self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
         return WarningOutcome(Disposition.PENDING)
 
-    def _sender_heuristic_band(self, nb: Position, event_pos: Position) -> HeuristicBand:
+    def _sender_heuristic_band(self, heard: Heard, event_pos: Position) -> HeuristicBand:
         # The band width depends only on the nearest and farthest neighbor.
-        # np.hypot can differ from math.hypot in the last bit, so the two
-        # extremes are measured again with _distance.
-        view = self.neighbors
-        spread = np.hypot(view.xs - event_pos[0], view.ys - event_pos[1])
-        extremes = (view.at(int(spread.argmin())), view.at(int(spread.argmax())))
+        extremes = (heard.nearest, heard.farthest)
         h_bands = compute_heuristic_bands([heuristic_from_distance(_distance(p, event_pos)) for p in extremes])
-        est = self._estimate_distance(_distance(nb, event_pos), nb)
+        est = self._estimate_distance(_distance(heard.sender, event_pos), _distance(heard.receiver, heard.sender))
         return classify_heuristic(heuristic_from_distance(est), h_bands)
 
     def _heuristic_acceptable(self, band: HeuristicBand) -> bool:
@@ -391,14 +375,13 @@ class VehicleNode:
         """Neutral entry points for a sender we have no history with."""
         return _neutral_points(self.lrl.trust_bands(), self.config.initial_points)
 
-    def _estimate_distance(self, true_distance: float, sender_position: Position) -> float:
+    def _estimate_distance(self, true_distance: float, ranging: float) -> float:
         """Signal-strength estimate of a sender-derived distance.
 
-        The ranging error scales with how far away the measured sender is.
+        The ranging error scales with ``ranging``, how far away the measured sender is.
         """
         if self._distance_noise is None:
             return true_distance
-        ranging = _distance(self.position, sender_position) if self.position is not None else true_distance
         return max(0.0, true_distance + self._distance_noise(ranging))
 
     def _position_ok(self, pos: Position) -> bool:

@@ -28,8 +28,8 @@ from .metrics import DISPOSITION_NAMES, DecisionLog, DecisionRecord, MetricsRepo
 from .protocol import (
     Disposition,
     EventKind,
+    Heard,
     MisbehaviorReport,
-    NeighborView,
     ProtocolConfig,
     RrlBroadcast,
     RsuNode,
@@ -503,19 +503,20 @@ class _Runner:
         self.emit_line(now, "EMIT", sender, "-", warning.event_id)
 
         positions = world.positions_at(now)
-        heard = world.channel.hears(positions, positions[sender])
-        heard[sender] = False
-        receivers = world.channel.arrival_order(np.nonzero(heard)[0])
+        reached = world.channel.hears(positions, positions[sender])
+        reached[sender] = False
+        receivers = world.channel.arrival_order(np.nonzero(reached)[0])
         gaps = positions[receivers] - positions[sender]
         # Records keep the distance their log line prints, so a replayed log buckets it alike.
         distances = [float(f"{d:.3f}") for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
+        facts = self.heard(receivers, sender, warning.event_position, now) if self.irs else [None] * len(distances)
 
-        for r, distance in zip(receivers.tolist(), distances):
+        for r, distance, heard in zip(receivers.tolist(), distances, facts):
             if r in world.known_true and truth and warning.event_id not in world.known_true[r]:
                 world.known_true[r].append(warning.event_id)
             if self.irs:
-                self.deliver_irs(r, warning, now, distance, truth, positions)
+                self.deliver_irs(r, warning, now, distance, truth, positions, heard)
             else:
                 self.deliver_accept_all(r, warning, now, distance, truth)
 
@@ -536,14 +537,11 @@ class _Runner:
         distance: float,
         truth: bool,
         positions: np.ndarray,
+        heard: Optional[Heard],
     ) -> None:
-        world, cfg = self.world, self.cfg
-        node = world.nodes[idx]
-        node.position = (float(positions[idx][0]), float(positions[idx][1]))
-        node.neighbors = self.neighbor_view(idx, now)
-
+        node = self.world.nodes[idx]
         started = time.perf_counter_ns()
-        outcome = node.handle_warning(warning, now)
+        outcome = node.handle_warning(warning, now, heard)
         latency = time.perf_counter_ns() - started
         self.oldest_pending[idx] = node.oldest_pending
 
@@ -564,12 +562,30 @@ class _Runner:
             DISPOSITION_NAMES[r.decision], "1" if r.ground_truth else "0", f"{r.distance_m:.3f}",
         )
 
-    def neighbor_view(self, idx: int, now: float) -> NeighborView:
-        """Whom ``idx`` heard within the neighbor TTL, and where each sender was then."""
+    def heard(self, receivers: np.ndarray, sender: int, event: tuple[float, float], now: float) -> list[Optional[Heard]]:
+        """Each receiver's beacon facts for a warning from ``sender`` about ``event``, in one pass.
+
+        None where no beacon of ``sender`` arrived within the neighbor TTL. A tie for the nearest or
+        farthest fresh neighbor goes to the lowest id. np.hypot can differ from math.hypot in the
+        last bit, so it only picks the two; the decision measures them again.
+        """
         world = self.world
-        row = self.last_heard[idx]
-        fresh = np.nonzero(row >= now - self.cfg.neighbor_ttl)[0]
-        return NeighborView(tuple(fresh.tolist()), world.x_at(row[fresh], fresh), world.lane_y[fresh])
+        rows = self.last_heard[receivers]
+        fresh = rows >= now - self.cfg.neighbor_ttl
+        # Stale entries take x at ``now`` only to keep -inf out of x_at; the mask drops them.
+        xs = world.x_at(np.where(fresh, rows, now))
+        spread = np.hypot(xs - event[0], world.lane_y - event[1])
+        nearest = np.where(fresh, spread, np.inf).argmin(axis=1)
+        farthest = np.where(fresh, spread, -np.inf).argmax(axis=1)
+        k = np.arange(len(receivers))
+        own = zip(world.x_at(now, receivers).tolist(), world.lane_y[receivers].tolist())
+        near = zip(xs[k, nearest].tolist(), world.lane_y[nearest].tolist())
+        far = zip(xs[k, farthest].tolist(), world.lane_y[farthest].tolist())
+        sender_y = float(world.lane_y[sender])
+        return [
+            Heard(r, (x, sender_y), n, f) if ok else None
+            for r, x, n, f, ok in zip(own, xs[:, sender].tolist(), near, far, fresh[:, sender].tolist())
+        ]
 
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
         world = self.world

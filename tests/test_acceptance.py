@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from neighbors import heard_from
 
 from irsim import sim
 from irsim.cli import run_one
@@ -20,7 +21,6 @@ from irsim.protocol import (
     Disposition,
     EventKind,
     MisbehaviorReport,
-    NeighborView,
     ProtocolConfig,
     RrlBroadcast,
     RsuNode,
@@ -54,14 +54,6 @@ def check(num: int, description: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def neighbor_view(positions: dict) -> NeighborView:
-    """A neighbor view holding ``{vehicle: (x, y)}``."""
-    ids = sorted(positions)
-    return NeighborView(
-        tuple(ids), np.array([positions[v][0] for v in ids]), np.array([positions[v][1] for v in ids])
-    )
 
 
 @pytest.fixture(scope="module")
@@ -263,11 +255,13 @@ class TestCriterion8:
             node.lrl.upsert(ReputationRecord(vid, pts))
         records = {v: ReputationRecord(v, p) for v, p in sorted(ledger.items())}
         node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(records, 1, 9000), 0.0))
-        node.neighbors = neighbor_view({5: (100.0, 0.0), 2: (140.0, 0.0)})
-        out = node.handle_warning(Warning(5, 70, EventKind.ICE, (110.0, 0.0), 1.0), 1.0)
+        neighbors = {5: (100.0, 0.0), 2: (140.0, 0.0)}
+        w1 = Warning(5, 70, EventKind.ICE, (110.0, 0.0), 1.0)
+        out = node.handle_warning(w1, 1.0, heard_from(neighbors, w1))
         if out.disposition is not Disposition.PENDING:
             failures.append("pending setup")
-        out2 = node.handle_warning(Warning(2, 70, EventKind.ICE, (111.0, 0.0), 1.5), 1.5)
+        w2 = Warning(2, 70, EventKind.ICE, (111.0, 0.0), 1.5)
+        out2 = node.handle_warning(w2, 1.5, heard_from(neighbors, w2))
         if out2.finalized != [(5, 70, Disposition.ACCEPT)]:
             failures.append("pending resolution")
         expired = node.expire_pending(10.0)

@@ -174,6 +174,33 @@ class TestExecute:
             if p.name != "timings.json":
                 assert (p_dir / p.name).read_bytes() == p.read_bytes()
 
+    @pytest.mark.parametrize("cpus,expected", [(8, 2), (1, 1), (None, 1)])
+    def test_workers_capped_by_jobs_and_cpus(self, scenario_file, tmp_path, monkeypatch, cpus, expected):
+        # With fork, a pool starts every worker it is given up front. A fake pool records
+        # the size asked for and runs the jobs serially, so no process starts here.
+        from irsim import cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["--scenario", str(scenario_file), "--seeds", "0..1", "--workers", "5000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert sizes == [expected]
+
     def test_csv_flag_adds_metrics_csv(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["--scenario", str(scenario_file), "--csv", "--out", str(out)])

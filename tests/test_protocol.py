@@ -5,14 +5,15 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from neighbors import heard_from
 
 from irsim import sim
 from irsim.protocol import (
     Beacon,
     Disposition,
     EventKind,
+    Heard,
     MisbehaviorReport,
-    NeighborView,
     PendingState,
     ProtocolConfig,
     RrlBroadcast,
@@ -21,6 +22,7 @@ from irsim.protocol import (
     VehicleNode,
     Warning,
     WarningOutcome,
+    _distance,
     encode_beacon,
     encode_report,
     encode_rrl_broadcast,
@@ -37,8 +39,19 @@ CFG = ProtocolConfig()
 WORKED_POINTS = {1: 13, 2: 11, 3: 7, 4: 6, 5: 4, 6: 3, 7: 1, 8: 1}
 
 
+class HandPlacedNode(VehicleNode):
+    """A vehicle whose fresh neighbors a test places by hand; each warning gets the facts they give it."""
+
+    def __init__(self, vid, config):
+        super().__init__(vid, config)
+        self.placed: dict = {}
+
+    def handle_warning(self, warning, now):
+        return super().handle_warning(warning, now, heard_from(self.placed, warning))
+
+
 def make_node(vid=0, config=CFG):
-    return VehicleNode(vid, config)
+    return HandPlacedNode(vid, config)
 
 
 def seed_lrl(node, points_by_vehicle, now=0.0):
@@ -52,13 +65,8 @@ def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0, valid=T
 
 
 def hear(node, x_by_vehicle):
-    """Add senders on the y = 0 line, at the given x, to ``node``'s neighbor view."""
-    heard = {vid: node.neighbors.position(vid) for vid in node.neighbors.ids}
-    heard.update({vid: (float(x), 0.0) for vid, x in x_by_vehicle.items()})
-    ids = sorted(heard)
-    node.neighbors = NeighborView(
-        tuple(ids), np.array([heard[v][0] for v in ids]), np.array([heard[v][1] for v in ids])
-    )
+    """Add senders on the y = 0 line, at the given x, to ``node``'s fresh neighbors."""
+    node.placed.update({vid: (float(x), 0.0) for vid, x in x_by_vehicle.items()})
 
 
 def beacon_runner():
@@ -74,39 +82,48 @@ def beacon_runner():
     return sim._Runner(sim.build_scenario(config))
 
 
+def heard_one(runner, receiver, sender, now, event=(100.0, 500.0)):
+    """The beacon facts ``receiver`` holds at ``now`` for a warning from ``sender``."""
+    return runner.heard(np.array([receiver]), sender, event, now)[0]
+
+
 class TestBeacons:
-    """The simulator's beacon rounds are the only source of a vehicle's neighbor view."""
+    """The simulator's beacon rounds are the only source of a vehicle's beacon facts."""
 
     def test_new_sender_adds_entry(self):
         runner = beacon_runner()
         runner.last_heard[0, 5] = 0.0  # vehicle 0 heard a beacon from 5 at t = 0
-        view = runner.neighbor_view(0, 0.0)
-        assert 5 in view.ids
-        assert view.position(5) == tuple(runner.world.positions_at(0.0)[5])
+        heard = heard_one(runner, 0, 5, 0.0)
+        assert heard is not None
+        assert heard.sender == tuple(runner.world.positions_at(0.0)[5])
 
     def test_repeat_sender_updates_in_place(self):
         runner = beacon_runner()
         runner.handle_round(0.0, 0)
         runner.handle_round(0.1, 1)
-        view = runner.neighbor_view(0, 0.1)
-        assert view.ids.count(5) == 1
+        heard = heard_one(runner, 0, 5, 0.1)
         assert runner.last_heard[0, 5] == 0.1
-        assert view.position(5) == tuple(runner.world.positions_at(0.1)[5])
+        assert heard.sender == tuple(runner.world.positions_at(0.1)[5])
+        assert heard.sender != tuple(runner.world.positions_at(0.0)[5])
 
     def test_stale_entry_evicted_after_gap(self):
         runner = beacon_runner()
         runner.last_heard[0, 5] = 0.0
         runner.last_heard[0, 6] = 2.0  # 2 s > 1.5 s TTL after 5 was last heard
-        view = runner.neighbor_view(0, 2.0)
-        assert 5 not in view.ids
-        assert 6 in view.ids
+        assert heard_one(runner, 0, 5, 2.0) is None
+        heard = heard_one(runner, 0, 6, 2.0)
+        # 6 is the only fresh neighbor, so it is both the nearest and the farthest.
+        assert heard.nearest == heard.farthest == heard.sender == tuple(runner.world.positions_at(2.0)[6])
 
     def test_own_beacon_ignored(self):
         runner = beacon_runner()
         runner.handle_round(0.0, 0)
-        view = runner.neighbor_view(3, 0.0)
-        assert 3 not in view.ids
-        assert len(view.ids) == runner.world.n - 1
+        own = tuple(runner.world.positions_at(0.0)[3])
+        assert heard_one(runner, 3, 3, 0.0, event=own) is None
+        facts = [heard_one(runner, 3, s, 0.0, event=own) for s in range(runner.world.n) if s != 3]
+        assert all(h is not None and h.receiver == own for h in facts)
+        # An event where 3 stands: its nearest fresh neighbor is another vehicle.
+        assert facts[0].nearest != own
 
 
 class TestWarningPipeline:
@@ -257,6 +274,35 @@ class TestWarningPipeline:
         node.lrl.upsert(ReputationRecord(1, 13))
         out = node.handle_warning(Warning(1, 65, EventKind.ICE, (0.0, 0.0), 1.0), 1.0)
         assert out.disposition is expected
+
+
+class TestRangingInput:
+    """Ranging noise is drawn for the receiver's range to the sender's last beacon position."""
+
+    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), nearest=(100.0, 0.0), farthest=(400.0, 0.0))
+
+    @staticmethod
+    def recording_node(ranges):
+        node = VehicleNode(0, CFG, distance_noise=lambda ranging: ranges.append(ranging) or 0.0)
+        seed_lrl(node, WORKED_POINTS)
+        return node
+
+    def test_implausibly_far_path(self):
+        ranges = []
+        out = self.recording_node(ranges).handle_warning(
+            Warning(4, 50, EventKind.CRASH, (900.0, 0.0), 1.0), 1.0, self.HEARD
+        )
+        assert out.disposition is Disposition.REJECT and out.reports  # 800 m from the sender
+        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)]
+
+    def test_heuristic_band_path(self):
+        ranges = []
+        # Sender 1 is Top, so after the plausibility check its distance is ranged again for the band.
+        out = self.recording_node(ranges).handle_warning(
+            Warning(1, 51, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD
+        )
+        assert out.disposition is Disposition.ACCEPT
+        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)] * 2
 
 
 class TestPendingExpiry:

@@ -8,7 +8,7 @@ import pytest
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
-from irsim.protocol import Disposition, EventKind, ProtocolConfig, RsuNode
+from irsim.protocol import Disposition, EventKind, Heard, ProtocolConfig, RsuNode, _distance
 from irsim.reputation import ReputationRecord, RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
@@ -306,7 +306,8 @@ class TestPendingAgeOut:
         runner.last_heard[:] = 0.0
         positions = world.positions_at(0.0)
         warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
-        runner.deliver_irs(0, warning, 0.0, 10.0, True, positions)
+        heard = runner.heard(np.array([0]), 1, warning.event_position, 0.0)[0]
+        runner.deliver_irs(0, warning, 0.0, 10.0, True, positions, heard)
         assert [r.decision for r in runner.decisions.records] == [Disposition.ACCEPT]
         runner.handle_round(2.0, 20)  # 2.0 s is not past the TTL
         assert 1 in world.nodes[0].pending
@@ -379,17 +380,72 @@ class TestBeaconEquivalence:
 
         now = 2.0
         for r in range(world.n):
-            view = runner.neighbor_view(r, now)
             expected = {
                 vid: (position, last_seen)
                 for vid, (position, last_seen) in reference[r].items()
                 if now - last_seen <= cfg.neighbor_ttl
             }
-            assert set(view.ids) == set(expected)
-            for vid in view.ids:
+            facts = {s: runner.heard(np.array([r]), s, (500.0, 500.0), now)[0] for s in range(world.n)}
+            assert {s for s, heard in facts.items() if heard is not None} == set(expected)
+            for vid in expected:
                 assert runner.last_heard[r, vid] == expected[vid][1]
-                assert view.position(vid) == pytest.approx(expected[vid][0], abs=1e-9)
+                assert facts[vid].sender == pytest.approx(expected[vid][0], abs=1e-9)
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_heard_matches_per_receiver_reference(self, lanes, interval, loss):
+        # Every (receiver, sender) pair's beacon facts equal a reference built from last_heard alone.
+        cfg = ScenarioConfig(
+            grid=(500.0, 1000.0),  # short enough that vehicles wrap between a beacon and a warning
+            vehicle_count=16,
+            duration=4.0,
+            seed=5,
+            attacker_count=0,
+            lanes_per_direction=lanes,
+            beacon_interval=interval,
+            delivery_loss_probability=loss,
+            event_rate_per_min=0.0,
+            rsu_positions=(),
+        )
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        for index in range(31):
+            runner.handle_round(index * 0.1, index)
+        ttl, width, n = cfg.neighbor_ttl, cfg.grid[0], world.n
+        last_heard = runner.last_heard.tolist()
+
+        def where(v, t):
+            x = (float(world.x0[v]) + float(world.direction[v]) * float(world.speed[v]) * t) % width
+            return (x, float(world.lane_y[v]))
+
+        def reference(r, s, event, now):
+            fresh = [v for v in range(n) if v != r and last_heard[r][v] >= now - ttl]
+            if s not in fresh:
+                return None
+            at = {v: where(v, last_heard[r][v]) for v in fresh}
+            nearest = min(fresh, key=lambda v: _distance(at[v], event))
+            farthest = max(fresh, key=lambda v: _distance(at[v], event))
+            return Heard(where(r, now), at[s], at[nearest], at[farthest])
+
+        # The last round, and times that put some beacon exactly on the TTL boundary.
+        beacon_times = sorted({t for row in last_heard for t in row if t > -math.inf and (t + ttl) - ttl == t})
+        nows = [3.0] + [t + ttl for t in beacon_times[-2:]]
+        seen = Counter()
+        for now in nows:
+            events = [(0.0, 500.0), (width, 497.0), (width / 2, 506.0)] + [where(v, now) for v in (0, 5, 10, 15)]
+            for event in events:
+                for s in range(n):
+                    receivers = np.array([r for r in range(n) if r != s])
+                    facts = runner.heard(receivers, s, event, now)
+                    for r, heard in zip(receivers.tolist(), facts):
+                        assert heard == reference(r, s, event, now), (r, s, event, now)
+                        if heard is None:
+                            seen["stale" if last_heard[r][s] > -math.inf else "unheard"] += 1
+                            continue
+                        seen["boundary"] += last_heard[r][s] == now - ttl
+                        seen["wrapped"] += bool(world.direction[s] * (where(s, now)[0] - heard.sender[0]) < 0)
+        assert all(seen[k] for k in ("boundary", "wrapped", "stale", "unheard")), seen
 
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
