@@ -219,7 +219,10 @@ class VehicleNode:
     def handle_warning(self, warning: Warning, now: float, heard: Optional[Heard] = None) -> WarningOutcome:
         """Run the full message-trust pipeline for one incoming warning.
 
-        ``heard`` is None when no beacon of the sender arrived within the neighbor TTL.
+        ``heard`` is None when no beacon of the sender arrived within the neighbor TTL. The simulator
+        builds it from the index of the last beacon round in which this vehicle heard each neighbor and
+        from a ring of every vehicle's x over the recent rounds. It also passes None when this vehicle
+        already holds the event: that copy takes the repeat path, which reads no beacon facts.
         """
         if warning.sender == self.id:
             return WarningOutcome(None)

@@ -106,13 +106,28 @@ class Channel:
         """The range predicate: squared distance against the squared radius (default: the range)."""
         return self.in_range_sq(dx, dy * dy, radius)
 
-    def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None):
-        """``in_range`` with the y gap given squared, for a caller that keeps it (lanes never change)."""
-        return dx * dx + dy_sq <= (self.range_m if radius is None else radius) ** 2
+    def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None, out: Optional[np.ndarray] = None):
+        """``in_range`` with the y gap given squared, for a caller that keeps it (lanes never change).
 
-    def kept(self, shape=None):
-        """Loss draws: True where a link's transmission survives; one draw per element of ``shape``."""
-        return self.rng.random(shape) >= self.loss
+        With ``out`` (a bool array) the result goes there, and ``dx``, then a float array of the result's
+        shape, is overwritten with the squared distances. Each element takes the same operations either way.
+        """
+        limit = (self.range_m if radius is None else radius) ** 2
+        if out is None:
+            return dx * dx + dy_sq <= limit
+        np.multiply(dx, dx, out=dx)
+        dx += dy_sq
+        return np.less_equal(dx, limit, out=out)
+
+    def kept(self, shape=None, out: Optional[np.ndarray] = None, draws: Optional[np.ndarray] = None):
+        """Loss draws: True where a link's transmission survives; one draw per element of ``shape``.
+
+        With ``out`` (a bool array) the result goes there, and the uniforms are drawn into ``draws``, a
+        float array of the same shape, in the order a draw of that shape makes them.
+        """
+        if out is None:
+            return self.rng.random(shape) >= self.loss
+        return np.greater_equal(self.rng.random(out=draws), self.loss, out=out)
 
     def hears(self, receivers: np.ndarray, origin, radius: Optional[float] = None) -> np.ndarray:
         """Which receivers hear a transmission from ``origin``: in range and not lost.
@@ -120,15 +135,12 @@ class Channel:
         ``receivers`` and ``origin`` hold x, y in their last axis and broadcast
         together; each element of the result gets its own loss draw. Warnings
         and ledger broadcasts use it; the beacon round, whose y gaps never
-        change, calls ``hears_gaps`` with squared gaps it computed once.
+        change, calls ``in_range_sq`` and ``kept`` itself, with squared gaps it
+        computed once and buffers it keeps for the run.
         """
         origin = np.asarray(origin)
         dy = receivers[..., 1] - origin[..., 1]
-        return self.hears_gaps(receivers[..., 0] - origin[..., 0], dy * dy, radius)
-
-    def hears_gaps(self, dx, dy_sq, radius: Optional[float] = None) -> np.ndarray:
-        """``hears`` for links given by their x gaps and squared y gaps; one loss draw per link."""
-        within = self.in_range_sq(dx, dy_sq, radius)
+        within = self.in_range_sq(receivers[..., 0] - origin[..., 0], dy * dy, radius)
         return within & self.kept(within.shape)
 
     def arrival_order(self, ids) -> np.ndarray:
@@ -235,9 +247,9 @@ class SimWorld:
         self.known_true: dict[int, list[int]] = {i: [] for i in attacker_ids}
         self.altered: set[int] = set()
 
-    def x_at(self, t, ids=slice(None)) -> np.ndarray:
-        """The x of vehicles ``ids`` (default: all) at ``t``: one time for all, or one per vehicle."""
-        return np.mod(self.x0[ids] + self.direction[ids] * self.speed[ids] * t, self.config.grid[0])
+    def x_at(self, t: float) -> np.ndarray:
+        """Every vehicle's x at time ``t``."""
+        return np.mod(self.x0 + self.direction * self.speed * t, self.config.grid[0])
 
     def positions_at(self, t: float) -> np.ndarray:
         return np.column_stack((self.x_at(t), self.lane_y))
@@ -307,10 +319,24 @@ class _Runner:
         self.heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
         n = world.n
-        self.last_heard = np.full((n, n), -np.inf)
+        interval = self.cfg.beacon_interval[0]
+        # heard_round[r, s]: the last round index in which r heard s's beacon, -1 for never.
+        # Round ``index`` runs at ``index * interval``, so indices order beacons as their times do.
+        self.heard_round = np.full((n, n), -1, dtype=np.int32)
+        # Every vehicle's x in the last ``ring`` rounds, round k in row k % ring. The rounds fresh at
+        # any time span at most neighbor_ttl / interval + 2, so no fresh round's row is overwritten.
+        self.ring = min(int(self.cfg.neighbor_ttl / interval) + 3, int(self.cfg.duration / interval) + 2)
+        self.round_x = np.zeros((self.ring, n))
+        self.last_round = -1
         # Squared lane gap of each (receiver, sender) pair: vehicles never change lane.
         lane_gap = world.lane_y[:, None] - world.lane_y[None, :]
         self.lane_gap_sq = lane_gap * lane_gap
+        # The beacon round's buffers: the range and loss masks, and one that holds the x gaps, then the
+        # loss draws, and last, as int32 in its first half, the round stamps.
+        self._ok = np.empty((n, n), dtype=bool)
+        self._kept = np.empty((n, n), dtype=bool)
+        self._gap = np.empty((n, n))
+        self._stamp = self._gap.reshape(-1).view(np.int32)[: n * n].reshape(n, n)
         # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
         self.oldest_pending = np.full(n, np.inf)
         self.next_tx = np.zeros(n)
@@ -330,6 +356,11 @@ class _Runner:
         }
 
     # -- plumbing ---------------------------------------------------------
+
+    @property
+    def last_heard(self) -> np.ndarray:
+        """The time of each pair's last beacon round, ``index * beacon_interval[0]``; -inf for never (a copy)."""
+        return np.where(self.heard_round >= 0, self.heard_round * self.cfg.beacon_interval[0], -np.inf)
 
     def push(self, t: float, kind: int, payload: object = None) -> None:
         heapq.heappush(self.heap, (t, self._seq, kind, payload))
@@ -392,15 +423,25 @@ class _Runner:
     def handle_round(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
         positions = world.positions_at(t)
+        x = positions[:, 0]
+        self.round_x[index % self.ring] = x
+        self.last_round = index
 
         due = self.next_tx <= t + 1e-9
         n_due = int(due.sum())
         if n_due:
-            # ok[r, s]: receiver r heard sender s's beacon this round.
-            x = positions[:, 0]
-            ok = world.channel.hears_gaps(x[:, None] - x[None, :], self.lane_gap_sq) & due[None, :]
+            # ok[r, s]: receiver r heard sender s's beacon this round; one loss draw per pair, as in hears.
+            channel, gap, ok = world.channel, self._gap, self._ok
+            np.subtract(x[:, None], x[None, :], out=gap)
+            channel.in_range_sq(gap, self.lane_gap_sq, out=ok)
+            ok &= channel.kept(out=self._kept, draws=gap)
+            if n_due < world.n:
+                ok &= due
             np.fill_diagonal(ok, False)
-            self.last_heard = np.where(ok, t, self.last_heard)
+            # index where heard, -1 elsewhere; indices only grow, so a max records the round without a branch.
+            stamp = np.multiply(ok.view(np.uint8), np.int32(index + 1), out=self._stamp)
+            stamp -= 1
+            np.maximum(self.heard_round, stamp, out=self.heard_round)
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
@@ -510,7 +551,7 @@ class _Runner:
         # Records keep the distance their log line prints, so a replayed log buckets it alike.
         distances = [float(f"{d:.3f}") for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
-        facts = self.heard(receivers, sender, warning.event_position, now) if self.irs else [None] * len(distances)
+        facts = self.heard(receivers, warning, now) if self.irs else [None] * len(distances)
 
         for r, distance, heard in zip(receivers.tolist(), distances, facts):
             if r in world.known_true and truth and warning.event_id not in world.known_true[r]:
@@ -562,30 +603,59 @@ class _Runner:
             DISPOSITION_NAMES[r.decision], "1" if r.ground_truth else "0", f"{r.distance_m:.3f}",
         )
 
-    def heard(self, receivers: np.ndarray, sender: int, event: tuple[float, float], now: float) -> list[Optional[Heard]]:
-        """Each receiver's beacon facts for a warning from ``sender`` about ``event``, in one pass.
+    def first_fresh_round(self, now: float) -> int:
+        """The first round whose beacons are fresh at ``now``: its time is at least ``now - neighbor_ttl``."""
+        interval, oldest = self.cfg.beacon_interval[0], now - self.cfg.neighbor_ttl
+        k = max(0, math.ceil(oldest / interval))
+        # The quotient may round either way; settle k with the products the rounds were pushed at.
+        while k > 0 and (k - 1) * interval >= oldest:
+            k -= 1
+        while k * interval < oldest:
+            k += 1
+        return k
 
-        None where no beacon of ``sender`` arrived within the neighbor TTL. A tie for the nearest or
-        farthest fresh neighbor goes to the lowest id. np.hypot can differ from math.hypot in the
-        last bit, so it only picks the two; the decision measures them again.
+    def heard(self, receivers: np.ndarray, warning: Warning, now: float) -> list[Optional[Heard]]:
+        """Each receiver's beacon facts for ``warning``, in one pass over the receivers that read them.
+
+        None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
+        already holds the event: a repeat reads no facts. Past positions come from ``round_x``. A tie for
+        the nearest or farthest fresh neighbor goes to the lowest id. np.hypot can differ from math.hypot
+        in the last bit, so it only picks the two; the decision measures them again.
         """
-        world = self.world
-        rows = self.last_heard[receivers]
-        fresh = rows >= now - self.cfg.neighbor_ttl
-        # Stale entries take x at ``now`` only to keep -inf out of x_at; the mask drops them.
-        xs = world.x_at(np.where(fresh, rows, now))
-        spread = np.hypot(xs - event[0], world.lane_y - event[1])
+        world, sender, event_id = self.world, warning.sender, warning.event_id
+        kmin = self.first_fresh_round(now)
+        facts: list[Optional[Heard]] = [None] * len(receivers)
+        fresh_sender = (self.heard_round[receivers, sender] >= kmin).tolist()
+        nodes = world.nodes
+        wanted = [
+            i for i, (r, ok) in enumerate(zip(receivers.tolist(), fresh_sender))
+            if ok and event_id not in nodes[r].pending
+        ]
+        if not wanted:
+            return facts
+        assert self.last_round - kmin < self.ring, "a fresh round left the ring"
+        # Row k - kmin: every vehicle's x at fresh round k, and its distance to the event there.
+        xs = self.round_x[[k % self.ring for k in range(kmin, self.last_round + 1)]]
+        ex, ey = warning.event_position
+        table = np.hypot(xs - ex, world.lane_y - ey)
+        readers = receivers[wanted]
+        rounds = self.heard_round[readers]
+        fresh = rounds >= kmin
+        # Each pair's row; a stale pair reads row 0, and the mask drops it.
+        rows = np.maximum(rounds - kmin, 0)
+        vehicles = np.arange(world.n)
+        spread = np.take(table, rows * world.n + vehicles)
         nearest = np.where(fresh, spread, np.inf).argmin(axis=1)
         farthest = np.where(fresh, spread, -np.inf).argmax(axis=1)
-        k = np.arange(len(receivers))
-        own = zip(world.x_at(now, receivers).tolist(), world.lane_y[receivers].tolist())
-        near = zip(xs[k, nearest].tolist(), world.lane_y[nearest].tolist())
-        far = zip(xs[k, farthest].tolist(), world.lane_y[farthest].tolist())
+        k = np.arange(len(readers))
+        own = zip(world.x_at(now)[readers].tolist(), world.lane_y[readers].tolist())
+        near = zip(xs[rows[k, nearest], nearest].tolist(), world.lane_y[nearest].tolist())
+        far = zip(xs[rows[k, farthest], farthest].tolist(), world.lane_y[farthest].tolist())
+        sender_x = xs[rows[:, sender], sender].tolist()
         sender_y = float(world.lane_y[sender])
-        return [
-            Heard(r, (x, sender_y), n, f) if ok else None
-            for r, x, n, f, ok in zip(own, xs[:, sender].tolist(), near, far, fresh[:, sender].tolist())
-        ]
+        for i, r, x, n, f in zip(wanted, own, sender_x, near, far):
+            facts[i] = Heard(r, (x, sender_y), n, f)
+        return facts
 
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
         world = self.world

@@ -84,7 +84,14 @@ def beacon_runner():
 
 def heard_one(runner, receiver, sender, now, event=(100.0, 500.0)):
     """The beacon facts ``receiver`` holds at ``now`` for a warning from ``sender``."""
-    return runner.heard(np.array([receiver]), sender, event, now)[0]
+    warning = Warning(sender, 1, EventKind.CRASH, event, now)
+    return runner.heard(np.array([receiver]), warning, now)[0]
+
+
+def run_rounds(runner, count):
+    """Beacon rounds 0 .. count - 1, each at its time, index * 0.1 s."""
+    for index in range(count):
+        runner.handle_round(index * 0.1, index)
 
 
 class TestBeacons:
@@ -92,7 +99,9 @@ class TestBeacons:
 
     def test_new_sender_adds_entry(self):
         runner = beacon_runner()
-        runner.last_heard[0, 5] = 0.0  # vehicle 0 heard a beacon from 5 at t = 0
+        run_rounds(runner, 1)
+        runner.heard_round[0] = -1
+        runner.heard_round[0, 5] = 0  # vehicle 0 heard a beacon from 5 in round 0, at t = 0
         heard = heard_one(runner, 0, 5, 0.0)
         assert heard is not None
         assert heard.sender == tuple(runner.world.positions_at(0.0)[5])
@@ -108,8 +117,10 @@ class TestBeacons:
 
     def test_stale_entry_evicted_after_gap(self):
         runner = beacon_runner()
-        runner.last_heard[0, 5] = 0.0
-        runner.last_heard[0, 6] = 2.0  # 2 s > 1.5 s TTL after 5 was last heard
+        run_rounds(runner, 21)
+        runner.heard_round[0] = -1
+        runner.heard_round[0, 5] = 0
+        runner.heard_round[0, 6] = 20  # round 20 is at 2 s > 1.5 s TTL after 5 was last heard
         assert heard_one(runner, 0, 5, 2.0) is None
         heard = heard_one(runner, 0, 6, 2.0)
         # 6 is the only fresh neighbor, so it is both the nearest and the farthest.

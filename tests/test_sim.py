@@ -303,10 +303,11 @@ class TestPendingAgeOut:
         cfg = small_config(vehicle_count=3, attacker_count=0, transmission_range=1000.0, rsu_positions=())
         world = build_scenario(cfg)
         runner = sim._Runner(world)
-        runner.last_heard[:] = 0.0
+        runner.handle_round(0.0, 0)
+        runner.heard_round[:] = 0  # every vehicle heard every other in round 0
         positions = world.positions_at(0.0)
         warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
-        heard = runner.heard(np.array([0]), 1, warning.event_position, 0.0)[0]
+        heard = runner.heard(np.array([0]), warning, 0.0)[0]
         runner.deliver_irs(0, warning, 0.0, 10.0, True, positions, heard)
         assert [r.decision for r in runner.decisions.records] == [Disposition.ACCEPT]
         runner.handle_round(2.0, 20)  # 2.0 s is not past the TTL
@@ -348,6 +349,11 @@ class TestMobility:
         assert world.positions_at(t)[0, 0] == pytest.approx(expected)
 
 
+def warning_from(sender, event, now):
+    """A warning from ``sender`` about a fresh event at ``event``, sent at ``now``."""
+    return sim.Warning(sender, 1, EventKind.ICE, event, now)
+
+
 class TestBeaconEquivalence:
     def test_fast_path_matches_per_beacon_handling(self):
         # The engine updates neighbor state with vectorized beacon rounds;
@@ -378,14 +384,14 @@ class TestBeaconEquivalence:
                     if d <= cfg.transmission_range:
                         reference[r][s] = ((float(positions[s][0]), float(positions[s][1])), t)
 
-        now = 2.0
-        for r in range(world.n):
+        now, n = 2.0, world.n
+        for r in range(n):
             expected = {
                 vid: (position, last_seen)
                 for vid, (position, last_seen) in reference[r].items()
                 if now - last_seen <= cfg.neighbor_ttl
             }
-            facts = {s: runner.heard(np.array([r]), s, (500.0, 500.0), now)[0] for s in range(world.n)}
+            facts = {s: runner.heard(np.array([r]), warning_from(s, (500.0, 500.0), now), now)[0] for s in range(n)}
             assert {s for s, heard in facts.items() if heard is not None} == set(expected)
             for vid in expected:
                 assert runner.last_heard[r, vid] == expected[vid][1]
@@ -395,57 +401,120 @@ class TestBeaconEquivalence:
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
     @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_heard_matches_per_receiver_reference(self, lanes, interval, loss):
-        # Every (receiver, sender) pair's beacon facts equal a reference built from last_heard alone.
-        cfg = ScenarioConfig(
-            grid=(500.0, 1000.0),  # short enough that vehicles wrap between a beacon and a warning
-            vehicle_count=16,
-            duration=4.0,
-            seed=5,
-            attacker_count=0,
-            lanes_per_direction=lanes,
-            beacon_interval=interval,
-            delivery_loss_probability=loss,
-            event_rate_per_min=0.0,
-            rsu_positions=(),
-        )
-        world = build_scenario(cfg)
-        runner = sim._Runner(world)
-        for index in range(31):
-            runner.handle_round(index * 0.1, index)
-        ttl, width, n = cfg.neighbor_ttl, cfg.grid[0], world.n
-        last_heard = runner.last_heard.tolist()
+        # Every (receiver, sender) pair's beacon facts equal a reference built from last_heard alone,
+        # at the stock neighbor TTL and at TTLs that are not a multiple of the round interval, shorter
+        # than one round, and longer than the run (the round ring then holds every round).
+        seen_at = {}
+        for ttl in (1.5, 0.37, 0.05, 10.0):
+            cfg = ScenarioConfig(
+                grid=(500.0, 1000.0),  # short enough that vehicles wrap between a beacon and a warning
+                vehicle_count=16,
+                duration=4.0,
+                seed=5,
+                attacker_count=0,
+                lanes_per_direction=lanes,
+                beacon_interval=interval,
+                delivery_loss_probability=loss,
+                event_rate_per_min=0.0,
+                rsu_positions=(),
+                neighbor_ttl=ttl,
+            )
+            seen_at[ttl] = self.check_heard(cfg)
+        assert all(seen[k] for seen in seen_at.values() for k in ("boundary", "stale", "unheard")), seen_at
+        # Only a TTL of many rounds leaves time for a vehicle to wrap between its beacon and the warning.
+        assert seen_at[1.5]["wrapped"] and seen_at[10.0]["wrapped"], seen_at
 
-        def where(v, t):
-            x = (float(world.x0[v]) + float(world.direction[v]) * float(world.speed[v]) * t) % width
-            return (x, float(world.lane_y[v]))
+    @staticmethod
+    def check_heard(cfg):
+        """Compare ``_Runner.heard`` with the reference for every pair; count the kinds of pair seen."""
+        ttl, width, n = cfg.neighbor_ttl, cfg.grid[0], cfg.vehicle_count
 
-        def reference(r, s, event, now):
-            fresh = [v for v in range(n) if v != r and last_heard[r][v] >= now - ttl]
-            if s not in fresh:
-                return None
-            at = {v: where(v, last_heard[r][v]) for v in fresh}
-            nearest = min(fresh, key=lambda v: _distance(at[v], event))
-            farthest = max(fresh, key=lambda v: _distance(at[v], event))
-            return Heard(where(r, now), at[s], at[nearest], at[farthest])
+        def runner_at(now):
+            # The first 31 rounds, up to ``now``: those a run has made when a warning comes at ``now``.
+            runner = sim._Runner(build_scenario(cfg))
+            assert runner.ring == min(int(ttl / 0.1) + 3, int(cfg.duration / 0.1) + 2)
+            for index in range(31):
+                if index * 0.1 <= now:
+                    runner.handle_round(index * 0.1, index)
+            return runner
 
         # The last round, and times that put some beacon exactly on the TTL boundary.
+        last_heard = runner_at(math.inf).last_heard.tolist()
         beacon_times = sorted({t for row in last_heard for t in row if t > -math.inf and (t + ttl) - ttl == t})
         nows = [3.0] + [t + ttl for t in beacon_times[-2:]]
         seen = Counter()
         for now in nows:
+            runner = runner_at(now)
+            world, last_heard = runner.world, runner.last_heard.tolist()
+
+            def where(v, t):
+                x = (float(world.x0[v]) + float(world.direction[v]) * float(world.speed[v]) * t) % width
+                return (x, float(world.lane_y[v]))
+
+            def reference(r, event):
+                # Receiver r's fresh neighbors, where each last beaconed, and the nearest and farthest.
+                fresh = [v for v in range(n) if v != r and last_heard[r][v] >= now - ttl]
+                at = {v: where(v, last_heard[r][v]) for v in fresh}
+                nearest = min(fresh, key=lambda v: _distance(at[v], event), default=None)
+                farthest = max(fresh, key=lambda v: _distance(at[v], event), default=None)
+                return at, at.get(nearest), at.get(farthest)
+
             events = [(0.0, 500.0), (width, 497.0), (width / 2, 506.0)] + [where(v, now) for v in (0, 5, 10, 15)]
             for event in events:
+                references = [reference(r, event) for r in range(n)]
                 for s in range(n):
                     receivers = np.array([r for r in range(n) if r != s])
-                    facts = runner.heard(receivers, s, event, now)
+                    facts = runner.heard(receivers, warning_from(s, event, now), now)
                     for r, heard in zip(receivers.tolist(), facts):
-                        assert heard == reference(r, s, event, now), (r, s, event, now)
+                        at, near, far = references[r]
+                        expected = Heard(where(r, now), at[s], near, far) if s in at else None
+                        assert heard == expected, (r, s, event, now)
                         if heard is None:
                             seen["stale" if last_heard[r][s] > -math.inf else "unheard"] += 1
                             continue
                         seen["boundary"] += last_heard[r][s] == now - ttl
                         seen["wrapped"] += bool(world.direction[s] * (where(s, now)[0] - heard.sender[0]) < 0)
-        assert all(seen[k] for k in ("boundary", "wrapped", "stale", "unheard")), seen
+        return seen
+
+    @pytest.mark.parametrize("interval", [0.1, 0.07])
+    def test_first_fresh_round_matches_a_scan(self, interval):
+        # The first round whose time, index * interval, is at least now - ttl: the quotient the search
+        # starts from rounds both ways near a round time, so nows a few ulps off each one are checked.
+        cfg = small_config(vehicle_count=2, attacker_count=0, beacon_interval=(interval, interval))
+        runner = sim._Runner(build_scenario(cfg))
+        for index in range(300):
+            now = index * interval + cfg.neighbor_ttl
+            for _ in range(4):
+                for t in (now, math.nextafter(now, -math.inf), math.nextafter(now, math.inf)):
+                    expected = next(k for k in range(index + 3) if k * interval >= t - cfg.neighbor_ttl)
+                    assert runner.first_fresh_round(t) == expected, (t, expected)
+                now = math.nextafter(now, math.inf)
+        assert runner.first_fresh_round(0.0) == 0
+
+    @pytest.mark.parametrize("kind", [EventKind.ICE, EventKind.CRASH], ids=["consistent", "conflicting"])
+    def test_receiver_holding_the_event_gets_no_facts(self, kind):
+        # A copy of an event the receiver already holds takes the repeat path, which reads no beacon
+        # facts: heard gives None, and the decision and its DELIVER line are those the facts would give.
+        cfg = small_config(vehicle_count=6, attacker_count=0, transmission_range=1000.0, rsu_positions=())
+        outputs = []
+        for pass_facts in (False, True):
+            world = build_scenario(cfg)
+            runner = sim._Runner(world)
+            runner.handle_round(0.0, 0)
+            runner.heard_round[:] = 0  # every vehicle heard every other in round 0
+            positions = world.positions_at(0.0)
+            first = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
+            second = sim.Warning(2, 1, kind, first.event_position, 0.1)
+            facts = runner.heard(np.array([0]), second, 0.1)[0]
+            assert facts is not None
+            runner.deliver_irs(0, first, 0.0, 10.0, True, positions, runner.heard(np.array([0]), first, 0.0)[0])
+            assert 1 in world.nodes[0].pending
+            held, other = runner.heard(np.array([0, 3]), second, 0.1)
+            assert held is None and other is not None  # vehicle 3 does not hold the event
+            runner.deliver_irs(0, second, 0.1, 12.0, True, positions, facts if pass_facts else None)
+            outputs.append((runner.log, runner.decisions.records))
+        assert len(outputs[0][0]) == 2 and outputs[0][0] == outputs[1][0]
+        assert [r.decision for r in outputs[0][1]] == [r.decision for r in outputs[1][1]]
 
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
