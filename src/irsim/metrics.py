@@ -329,14 +329,15 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
 
     Only decision-bearing lines are consumed, each through
     :meth:`DecisionLog.record`; blank lines are skipped, and a line may end
-    in ``\\n``, ``\\r\\n`` or nothing. Latency is instrumentation and is not
-    recoverable from a log.
+    in ``\\n``, ``\\r\\n`` or nothing. A line without eight fields, or a
+    decision line with an unknown decision name, raises ``MetricsError``.
+    Latency is instrumentation and is not recoverable from a log.
     """
     log = DecisionLog()
     record = log.record
     for line in lines:
         parts = line.split("\t")
-        if len(parts) == 1:
+        if len(parts) != 8:
             if line.strip():
                 raise MetricsError(f"malformed event-log line: {line!r}")
             continue
@@ -344,6 +345,9 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
             continue
         # The last field keeps the line ending; float() ignores it.
         time_s, _kind, sender, receiver, event_id, decision, truth, distance = parts
+        disposition = _DISPOSITION_FROM_NAME.get(decision)
+        if disposition is None:
+            raise MetricsError(f"malformed event-log line: {line!r}")
         record(
             DecisionRecord(
                 float(time_s),
@@ -351,7 +355,7 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
                 int(sender),
                 int(event_id),
                 truth == "1",
-                _DISPOSITION_FROM_NAME[decision],
+                disposition,
                 float(distance),
             )
         )

@@ -231,7 +231,7 @@ class VehicleNode:
 
         entry = self.pending.get(warning.event_id)
         if entry is not None:
-            return self._handle_repeat(entry, warning, now)
+            return self._handle_repeat(entry, warning)
 
         report = self._implausibly_far(warning, now, heard)
         if report is not None:
@@ -239,7 +239,7 @@ class VehicleNode:
 
         return self._handle_lone(warning, now, heard)
 
-    def _handle_repeat(self, entry: PendingWarning, warning: Warning, now: float) -> WarningOutcome:
+    def _handle_repeat(self, entry: PendingWarning, warning: Warning) -> WarningOutcome:
         sender = warning.sender
         if sender in entry.corroborators:
             # Re-broadcast by a vehicle already counted for this event.
@@ -250,14 +250,14 @@ class VehicleNode:
                 # Second opinion arrived: the event is corroborated. Credit
                 # everyone who vouched for it, including the new sender.
                 for vid in entry.corroborators:
-                    self._adjust(vid, +1, now)
+                    self._adjust(vid, +1)
                 entry.state = PendingState.RESOLVED
                 finalized.append((entry.warning.sender, warning.event_id, Disposition.ACCEPT))
-            self._adjust(sender, +1, now)
+            self._adjust(sender, +1)
             entry.corroborators.add(sender)
             return WarningOutcome(Disposition.ACCEPT, [], finalized)
         # Same event, different story: penalize the newcomer.
-        self._adjust(sender, -1, now)
+        self._adjust(sender, -1)
         return WarningOutcome(Disposition.REJECT)
 
     def _implausibly_far(self, warning: Warning, now: float, heard: Optional[Heard]) -> Optional[MisbehaviorReport]:
@@ -266,20 +266,20 @@ class VehicleNode:
         ranging = _distance(heard.receiver, heard.sender)
         est = self._estimate_distance(_distance(heard.sender, warning.event_position), ranging)
         if est > self.config.plausibility_radius_m:
-            self._adjust(warning.sender, -1, now)
+            self._adjust(warning.sender, -1)
             return MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
         return None
 
     def _handle_lone(self, warning: Warning, now: float, heard: Optional[Heard]) -> WarningOutcome:
         sender = warning.sender
-        rec = self.lrl.ensure(sender, self._default_points(), now)
+        points = self.lrl.ensure(sender, self._default_points())
 
         if heard is None:
             # Never heard a beacon from this sender: assume the worst.
             level = TrustLevel.LOW
             h_band = HeuristicBand.AWAY
         else:
-            level = classify_trust(rec.points, self.lrl.trust_bands())
+            level = classify_trust(points, self.lrl.trust_bands())
             h_band = self._sender_heuristic_band(heard, warning.event_position)
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
@@ -291,7 +291,7 @@ class VehicleNode:
             self._remember(warning, now)
             return WarningOutcome(Disposition.ACCEPT)
         if decision is TrustDecision.REJECT:
-            self._adjust(sender, -1, now)
+            self._adjust(sender, -1)
             self._remember(warning, now)
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, [report])
@@ -349,7 +349,7 @@ class VehicleNode:
             entry = self.pending.pop(event_id)
             if entry.state is PendingState.AWAITING:
                 sender = entry.warning.sender
-                self._adjust(sender, -1, now)
+                self._adjust(sender, -1)
                 outcome.reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 outcome.finalized.append((sender, event_id, Disposition.REJECT))
         self.oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
@@ -366,13 +366,13 @@ class VehicleNode:
             return False
         self.cached_rrl = rrl
         if len(self.lrl) == 0:
-            self.lrl.load(rrl.local_seed(broadcast.timestamp), owner=self.id)
+            self.lrl.load(rrl.local_seed(), owner=self.id)
         return True
 
     # -- internals ---------------------------------------------------------
 
-    def _adjust(self, vehicle: VehicleId, delta: int, now: float) -> None:
-        self.lrl.adjust(vehicle, delta, now, self._default_points())
+    def _adjust(self, vehicle: VehicleId, delta: int) -> None:
+        self.lrl.adjust(vehicle, delta, self._default_points())
 
     def _default_points(self) -> int:
         """Neutral entry points for a sender we have no history with."""
@@ -435,7 +435,6 @@ class RsuNode:
         vehicles: list[VehicleId],
         points: int,
         anchors: Iterable[tuple[VehicleId, int, int]] = (),
-        now: float = 0.0,
     ) -> None:
         """Pre-populate the ledger with registered vehicles at neutral points.
 
@@ -444,9 +443,9 @@ class RsuNode:
         full reputation scale; they never appear on the road.
         """
         for vid in vehicles:
-            self.entries[vid] = ReputationRecord(vid, points, 0, now)
+            self.entries[vid] = ReputationRecord(vid, points)
         for vid, pts, misbehavior in anchors:
-            self.entries[vid] = ReputationRecord(vid, pts, misbehavior, now)
+            self.entries[vid] = ReputationRecord(vid, pts, misbehavior)
         self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:
@@ -475,14 +474,10 @@ class RsuNode:
 
     def _escalate(self, report: MisbehaviorReport, entry: SuspicionEntry, now: float) -> None:
         accused = report.accused
-        rec = self._ensure(accused, now)
-        self._put(apply_point_delta(
-            ReputationRecord(accused, rec.points, rec.misbehavior_points + 1, rec.last_update),
-            -1,
-            now=now,
-        ))
+        rec = self._ensure(accused)
+        self._put(apply_point_delta(ReputationRecord(accused, rec.points, rec.misbehavior_points + 1), -1))
         for reporter in (entry.reporter, report.reporter):
-            self._bump(reporter, +1, now)
+            self._bump(reporter, +1)
         # Both reporters are vindicated; the accusation is adjudicated.
         self.suspicion.pop(accused, None)
         first = self.suspicion.get(entry.reporter)
@@ -512,7 +507,7 @@ class RsuNode:
         ]
         return broadcast, forwards
 
-    def handle_forward(self, forward: RsuForward, now: float) -> None:
+    def handle_forward(self, forward: RsuForward) -> None:
         """Merge a neighbor unit's misbehaving digest into the local ledger.
 
         Unknown vehicles are inserted as-is; known ones keep the worse view
@@ -520,15 +515,9 @@ class RsuNode:
         """
         for vid, points, misbehavior in forward.entries:
             rec = self.entries.get(vid)
-            if rec is None:
-                self._put(ReputationRecord(vid, points, misbehavior, now))
-            else:
-                self._put(ReputationRecord(
-                    vid,
-                    min(rec.points, points),
-                    max(rec.misbehavior_points, misbehavior),
-                    now,
-                ))
+            if rec is not None:
+                points, misbehavior = min(rec.points, points), max(rec.misbehavior_points, misbehavior)
+            self._put(ReputationRecord(vid, points, misbehavior))
 
     def snapshot(self) -> RsuReputationList:
         """The ledger as published, in vehicle order.
@@ -544,16 +533,16 @@ class RsuNode:
         self.entries[record.vehicle] = record
         self._snapshot = None
 
-    def _ensure(self, vehicle: VehicleId, now: float) -> ReputationRecord:
+    def _ensure(self, vehicle: VehicleId) -> ReputationRecord:
         rec = self.entries.get(vehicle)
         if rec is None:
             default = _neutral_points(self.snapshot().trust_bands(), self.config.initial_points)
-            rec = ReputationRecord(vehicle, default, 0, now)
+            rec = ReputationRecord(vehicle, default)
             self._put(rec)
         return rec
 
-    def _bump(self, vehicle: VehicleId, delta: int, now: float) -> None:
-        self._put(apply_point_delta(self._ensure(vehicle, now), delta, now=now))
+    def _bump(self, vehicle: VehicleId, delta: int) -> None:
+        self._put(apply_point_delta(self._ensure(vehicle), delta))
 
 
 # -- wire format -----------------------------------------------------------

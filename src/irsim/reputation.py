@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 VehicleId = int
 
@@ -57,7 +57,7 @@ class TrustDecision(IntEnum):
 
 @dataclass(frozen=True, slots=True)
 class ReputationRecord:
-    """One vehicle's reputation state in a ledger.
+    """One vehicle's entry in a roadside unit's ledger.
 
     ``points`` is floored at zero; ``misbehavior_points`` only ever grows.
     """
@@ -65,7 +65,6 @@ class ReputationRecord:
     vehicle: VehicleId
     points: int
     misbehavior_points: int = 0
-    last_update: float = 0.0
 
     def __post_init__(self) -> None:
         if self.points < 0:
@@ -76,27 +75,30 @@ class ReputationRecord:
 
 @dataclass(frozen=True, slots=True)
 class LedgerSeed:
-    """Records keyed by vehicle, plus how many of them hold each point value.
+    """Points keyed by vehicle, plus how many vehicles hold each point value.
 
     ``LocalReputationList.load`` copies both tables; neither is written
     after it is built.
     """
 
-    records: dict[VehicleId, ReputationRecord]
+    points: dict[VehicleId, int]
     counts: dict[int, int]
 
     @classmethod
-    def of(cls, records: Iterable[ReputationRecord]) -> LedgerSeed:
-        """Index ``records`` by vehicle (a later record for a vehicle wins) and count their points."""
-        by_vehicle = {rec.vehicle: rec for rec in records}
-        return cls(by_vehicle, dict(Counter(rec.points for rec in by_vehicle.values())))
+    def of(cls, points: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]]) -> LedgerSeed:
+        """Copy ``points`` (a mapping, or pairs where a later pair for a vehicle wins) and count its values."""
+        by_vehicle = dict(points)
+        counts = dict(Counter(by_vehicle.values()))
+        if counts and min(counts) < 0:
+            raise ValueError("reputation points must be >= 0")
+        return cls(by_vehicle, counts)
 
 
 class LocalReputationList:
-    """A vehicle's private per-sender reputation ledger.
+    """A vehicle's private per-sender reputation ledger: points by vehicle id.
 
-    At most one record per vehicle. The derived ranking puts the highest
-    points first (the most trusted senders at the top).
+    The derived ranking puts the highest points first (the most trusted
+    senders at the top).
 
     Every write goes through ``load``, ``upsert``, ``ensure`` or ``adjust``,
     which keep a count of entries per point value and the lowest and highest
@@ -104,13 +106,13 @@ class LocalReputationList:
     up again among the distinct point values only when its last holder moves.
     """
 
-    def __init__(self, records: Iterable[ReputationRecord] = ()) -> None:
-        self.entries: dict[VehicleId, ReputationRecord] = {}
+    def __init__(self, points: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]] = ()) -> None:
+        self.entries: dict[VehicleId, int] = {}
         self._counts: dict[int, int] = {}
         self._lo = self._hi = 0
         self._bands: Optional[TrustBands] = None
-        if records:
-            self.load(LedgerSeed.of(records))
+        if points:
+            self.load(LedgerSeed.of(points))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,42 +120,43 @@ class LocalReputationList:
     def __contains__(self, vehicle: VehicleId) -> bool:
         return vehicle in self.entries
 
-    def get(self, vehicle: VehicleId) -> Optional[ReputationRecord]:
+    def get(self, vehicle: VehicleId) -> Optional[int]:
         return self.entries.get(vehicle)
 
     def load(self, seed: LedgerSeed, owner: Optional[VehicleId] = None) -> None:
-        """Fill an empty list with a copy of ``seed``, leaving out ``owner``'s own record.
+        """Fill an empty list with a copy of ``seed``, leaving out ``owner``'s own entry.
 
-        The records themselves are shared, not copied: they are frozen, and
-        every later write replaces a record. So one seed can fill the list of
-        every vehicle that receives the same ledger publication.
+        One seed can fill the list of every vehicle that receives the same
+        ledger publication: its tables are copied, never written.
         """
         if self.entries:
             raise ValueError("load needs an empty ledger")
-        self.entries = seed.records.copy()
+        self.entries = seed.points.copy()
         self._counts = seed.counts.copy()
         if self._counts:
             self._lo, self._hi = min(self._counts), max(self._counts)
         self._bands = None
         own = self.entries.pop(owner, None)
         if own is not None:
-            self._count_out(own.points)
+            self._count_out(own)
 
-    def upsert(self, record: ReputationRecord) -> None:
-        old = self.entries.get(record.vehicle)
-        self.entries[record.vehicle] = record
+    def upsert(self, vehicle: VehicleId, points: int) -> None:
+        if points < 0:
+            raise ValueError("reputation points must be >= 0")
+        old = self.entries.get(vehicle)
+        self.entries[vehicle] = points
         if old is None:
-            self._count_in(record.points)
-        elif old.points != record.points:
-            self._count_in(record.points)
-            self._count_out(old.points)
+            self._count_in(points)
+        elif old != points:
+            self._count_in(points)
+            self._count_out(old)
 
     def points(self) -> list[int]:
-        return [rec.points for rec in self.entries.values()]
+        return list(self.entries.values())
 
-    def ranked(self) -> list[ReputationRecord]:
-        """Records ordered by points descending (ties broken by vehicle id)."""
-        return sorted(self.entries.values(), key=lambda r: (-r.points, r.vehicle))
+    def ranked(self) -> list[tuple[VehicleId, int]]:
+        """(vehicle, points) pairs ordered by points descending (ties broken by vehicle id)."""
+        return sorted(self.entries.items(), key=lambda e: (-e[1], e[0]))
 
     def trust_bands(self) -> Optional[TrustBands]:
         """Bands over the points held now; None while the ledger is empty."""
@@ -161,19 +164,19 @@ class LocalReputationList:
             self._bands = TrustBands(self._lo, self._hi)
         return self._bands
 
-    def ensure(self, vehicle: VehicleId, default_points: int, now: float) -> ReputationRecord:
-        """Return the record for ``vehicle``, creating one at ``default_points``."""
-        rec = self.entries.get(vehicle)
-        if rec is None:
-            rec = ReputationRecord(vehicle, default_points, 0, now)
-            self.upsert(rec)
-        return rec
+    def ensure(self, vehicle: VehicleId, default_points: int) -> int:
+        """Return the points of ``vehicle``, entering it at ``default_points`` first if absent."""
+        points = self.entries.get(vehicle)
+        if points is None:
+            points = default_points
+            self.upsert(vehicle, points)
+        return points
 
-    def adjust(self, vehicle: VehicleId, delta: int, now: float, default_points: int) -> ReputationRecord:
-        """Apply a point delta to ``vehicle``, creating a neutral entry first if needed."""
-        rec = apply_point_delta(self.ensure(vehicle, default_points, now), delta, now=now)
-        self.upsert(rec)
-        return rec
+    def adjust(self, vehicle: VehicleId, delta: int, default_points: int) -> int:
+        """Shift the points of ``vehicle`` by ``delta``, floored at zero, entering it at ``default_points`` first."""
+        points = _shifted(self.ensure(vehicle, default_points), delta)
+        self.upsert(vehicle, points)
+        return points
 
     def _count_in(self, points: int) -> None:
         held = self._counts.get(points, 0)
@@ -221,7 +224,7 @@ class RsuReputationList:
 
     def __post_init__(self) -> None:
         self._bands: Optional[TrustBands] = None
-        self._seed: Optional[tuple[float, LedgerSeed]] = None
+        self._seed: Optional[LedgerSeed] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -237,18 +240,15 @@ class RsuReputationList:
             self._bands = compute_trust_bands([r.points for r in self.entries.values()])
         return self._bands
 
-    def local_seed(self, timestamp: float) -> LedgerSeed:
-        """What an empty local list takes from this ledger when it arrives at ``timestamp``.
+    def local_seed(self) -> LedgerSeed:
+        """What an empty local list takes from this ledger: each entry's points.
 
-        Each entry keeps its points, with no misbehavior points and
-        ``last_update`` set to ``timestamp``. The seed of the latest
-        timestamp is cached, so all receivers of one publication share it.
+        Cached per snapshot, like the bands, so all receivers of one
+        publication share one seed.
         """
-        if self._seed is None or self._seed[0] != timestamp:
-            self._seed = (timestamp, LedgerSeed.of(
-                ReputationRecord(vid, rec.points, 0, timestamp) for vid, rec in self.entries.items()
-            ))
-        return self._seed[1]
+        if self._seed is None:
+            self._seed = LedgerSeed.of((vid, rec.points) for vid, rec in self.entries.items())
+        return self._seed
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,17 +380,17 @@ def rrl_is_stale(rrl: RsuReputationList, neighbors: Iterable[VehicleId]) -> bool
     return 2 * len(rrl.entries.keys() & ids) < len(ids)
 
 
-def apply_point_delta(record: ReputationRecord, delta: int, now: Optional[float] = None) -> ReputationRecord:
+def _shifted(points: int, delta: int) -> int:
+    """``points`` shifted by ``delta``, floored at zero: the one place the floor rule lives."""
+    return max(0, points + delta)
+
+
+def apply_point_delta(record: ReputationRecord, delta: int) -> ReputationRecord:
     """Return a copy of ``record`` with points shifted by ``delta``, floored at zero.
 
-    Misbehavior points are untouched. ``now`` refreshes last_update when given.
+    Misbehavior points are untouched.
     """
-    return ReputationRecord(
-        record.vehicle,
-        max(0, record.points + delta),
-        record.misbehavior_points,
-        record.last_update if now is None else now,
-    )
+    return ReputationRecord(record.vehicle, _shifted(record.points, delta), record.misbehavior_points)
 
 
 _STANDING_FROM_LEVEL = {

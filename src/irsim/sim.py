@@ -357,11 +357,6 @@ class _Runner:
 
     # -- plumbing ---------------------------------------------------------
 
-    @property
-    def last_heard(self) -> np.ndarray:
-        """The time of each pair's last beacon round, ``index * beacon_interval[0]``; -inf for never (a copy)."""
-        return np.where(self.heard_round >= 0, self.heard_round * self.cfg.beacon_interval[0], -np.inf)
-
     def push(self, t: float, kind: int, payload: object = None) -> None:
         heapq.heappush(self.heap, (t, self._seq, kind, payload))
         self._seq += 1
@@ -497,7 +492,7 @@ class _Runner:
             for idx in np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]:
                 self.deliver_ledger(t, rsu, int(idx), broadcast)
             for fwd in forwards:
-                world.rsus_by_id[fwd.destination].handle_forward(fwd, t)
+                world.rsus_by_id[fwd.destination].handle_forward(fwd)
                 self.emit_line(t, "FWD", fwd.origin, fwd.destination, "-")
         nxt = (index + 1) * cfg.broadcast_period
         if nxt <= cfg.duration:

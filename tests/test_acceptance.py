@@ -252,7 +252,7 @@ class TestCriterion8:
         node = VehicleNode(0, ProtocolConfig())
         ledger = {1: 13, 2: 11, 3: 7, 4: 4, 5: 1}
         for vid, pts in ledger.items():
-            node.lrl.upsert(ReputationRecord(vid, pts))
+            node.lrl.upsert(vid, pts)
         records = {v: ReputationRecord(v, p) for v, p in sorted(ledger.items())}
         node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(records, 1, 9000), 0.0))
         neighbors = {5: (100.0, 0.0), 2: (140.0, 0.0)}

@@ -367,3 +367,22 @@ class TestReplayEdgeInput:
     def test_line_without_columns_rejected(self):
         with pytest.raises(MetricsError, match="malformed event-log line"):
             replay_event_log(["1.000000 DELIVER 9 1 4 accept 0 5.000\n"], info())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1.000000\tDELIVER\t9\t1\n",
+            "1.000000\tDELIVER\t9\t1\t4\taccept\t0\t5.000\textra\n",
+            "1.100000\tREQ\t1\t-\n",
+            "1.000000\tDELIVER\t9\t1\t4\tmaybe\t0\t5.000\n",
+            "2.000000\tRESOLVE\t9\t1\t4\t-\t0\t5.000\n",
+        ],
+        ids=["four-fields", "nine-fields", "short-non-decision", "unknown-decision", "no-decision"],
+    )
+    def test_malformed_line_rejected(self, line):
+        with pytest.raises(MetricsError, match="malformed event-log line"):
+            self._replay("\n".join(_CLEAN_LOG) + "\n" + line)
+
+    def test_negative_distance_still_value_error(self):
+        with pytest.raises(ValueError, match="distance"):
+            self._replay("1.000000\tDELIVER\t9\t1\t4\taccept\t0\t-5.000\n")

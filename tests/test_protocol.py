@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from neighbors import heard_from
+from neighbors import heard_from, last_heard
 
 from irsim import sim
 from irsim.protocol import (
@@ -28,7 +28,14 @@ from irsim.protocol import (
     encode_rrl_broadcast,
     encode_warning,
 )
-from irsim.reputation import ReputationRecord, RrlStanding, RsuReputationList, compute_trust_bands, standing_of
+from irsim.reputation import (
+    LocalReputationList,
+    ReputationRecord,
+    RrlStanding,
+    RsuReputationList,
+    compute_trust_bands,
+    standing_of,
+)
 from irsim.scenario import ScenarioConfig
 
 
@@ -54,9 +61,9 @@ def make_node(vid=0, config=CFG):
     return HandPlacedNode(vid, config)
 
 
-def seed_lrl(node, points_by_vehicle, now=0.0):
+def seed_lrl(node, points_by_vehicle):
     for vid, pts in points_by_vehicle.items():
-        node.lrl.upsert(ReputationRecord(vid, pts, 0, now))
+        node.lrl.upsert(vid, pts)
 
 
 def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0, valid=True):
@@ -111,7 +118,7 @@ class TestBeacons:
         runner.handle_round(0.0, 0)
         runner.handle_round(0.1, 1)
         heard = heard_one(runner, 0, 5, 0.1)
-        assert runner.last_heard[0, 5] == 0.1
+        assert last_heard(runner)[0, 5] == 0.1
         assert heard.sender == tuple(runner.world.positions_at(0.1)[5])
         assert heard.sender != tuple(runner.world.positions_at(0.0)[5])
 
@@ -163,14 +170,14 @@ class TestWarningPipeline:
         out1 = node.handle_warning(w1, 1.0)
         assert out1.disposition is Disposition.PENDING
 
-        before_5 = node.lrl.get(5).points
-        before_3 = node.lrl.get(3).points
+        before_5 = node.lrl.get(5)
+        before_3 = node.lrl.get(3)
         w2 = Warning(3, 77, EventKind.ICE, (116.0, 0.0), 1.5)
         out2 = node.handle_warning(w2, 1.5)
         assert out2.disposition is Disposition.ACCEPT
         assert out2.reports == []  # corroborated warnings never generate reports
-        assert node.lrl.get(5).points == before_5 + 1
-        assert node.lrl.get(3).points == before_3 + 1
+        assert node.lrl.get(5) == before_5 + 1
+        assert node.lrl.get(3) == before_3 + 1
         assert out2.finalized == [(5, 77, Disposition.ACCEPT)]
 
     def test_third_copy_credits_newcomer_only(self):
@@ -179,13 +186,13 @@ class TestWarningPipeline:
         hear(node, {5: 120.0})
         node.handle_warning(Warning(5, 77, EventKind.ICE, (115.0, 0.0), 1.0), 1.0)
         node.handle_warning(Warning(3, 77, EventKind.ICE, (116.0, 0.0), 1.5), 1.5)
-        before_5 = node.lrl.get(5).points
-        before_2 = node.lrl.get(2).points
+        before_5 = node.lrl.get(5)
+        before_2 = node.lrl.get(2)
         out3 = node.handle_warning(Warning(2, 77, EventKind.ICE, (117.0, 0.0), 1.6), 1.6)
         assert out3.disposition is Disposition.ACCEPT
         assert out3.finalized == []
-        assert node.lrl.get(2).points == before_2 + 1
-        assert node.lrl.get(5).points == before_5  # no double credit
+        assert node.lrl.get(2) == before_2 + 1
+        assert node.lrl.get(5) == before_5  # no double credit
 
     def test_duplicate_from_same_sender_ignored(self):
         node = self._node_with_neighbors()
@@ -198,10 +205,10 @@ class TestWarningPipeline:
     def test_conflicting_kind_penalized(self):
         node = self._node_with_neighbors()
         node.handle_warning(Warning(1, 42, EventKind.CRASH, (110.0, 0.0), 1.0), 1.0)
-        before = node.lrl.get(2).points
+        before = node.lrl.get(2)
         out = node.handle_warning(Warning(2, 42, EventKind.ICE, (110.0, 0.0), 1.1), 1.1)
         assert out.disposition is Disposition.REJECT
-        assert node.lrl.get(2).points == before - 1
+        assert node.lrl.get(2) == before - 1
         assert out.reports == []
 
     def test_conflicting_position_penalized(self):
@@ -218,14 +225,14 @@ class TestWarningPipeline:
 
     def test_far_sender_rejected_and_reported(self):
         node = self._node_with_neighbors()
-        before = node.lrl.get(4).points
+        before = node.lrl.get(4)
         # Sender 4 last seen at x=400; claims an event 500 m away from there.
         out = node.handle_warning(Warning(4, 50, EventKind.CRASH, (900.0, 0.0), 1.0), 1.0)
         assert out.disposition is Disposition.REJECT
         assert len(out.reports) == 1
         assert out.reports[0].accused == 4
         assert out.reports[0].reporter == node.id
-        assert node.lrl.get(4).points == before - 1
+        assert node.lrl.get(4) == before - 1
 
     def test_low_flagged_goes_pending(self):
         node = self._node_with_neighbors()
@@ -244,11 +251,11 @@ class TestWarningPipeline:
         rrl_points[7] = 7  # Watch standing in the network ledger
         node.handle_rrl_broadcast(make_rrl_broadcast(rrl_points))
         hear(node, {7: 130.0})
-        before = node.lrl.get(7).points
+        before = node.lrl.get(7)
         out = node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
         assert out.disposition is Disposition.REJECT
         assert len(out.reports) == 1
-        assert node.lrl.get(7).points == before - 1
+        assert node.lrl.get(7) == before - 1
 
     def test_unknown_sender_treated_most_pessimistic(self):
         node = self._node_with_neighbors()
@@ -282,7 +289,7 @@ class TestWarningPipeline:
         hear(node, {1: 280.0, 2: 20.0, 3: 400.0})
         # Flagged network standing: only the heuristic shortcut can accept.
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 1, 2: 13, 3: 7}))
-        node.lrl.upsert(ReputationRecord(1, 13))
+        node.lrl.upsert(1, 13)
         out = node.handle_warning(Warning(1, 65, EventKind.ICE, (0.0, 0.0), 1.0), 1.0)
         assert out.disposition is expected
 
@@ -328,12 +335,12 @@ class TestPendingExpiry:
 
     def test_lone_pending_expires_to_reject(self):
         node = self._pending_node()
-        before = node.lrl.get(7).points
+        before = node.lrl.get(7)
         out = node.expire_pending(3.5)  # 2.5 s > 2.0 s TTL
         assert out.finalized == [(7, 60, Disposition.REJECT)]
         assert len(out.reports) == 1
         assert out.reports[0].accused == 7
-        assert node.lrl.get(7).points == before - 1
+        assert node.lrl.get(7) == before - 1
         assert 60 not in node.pending
 
     def test_pending_within_ttl_untouched(self):
@@ -345,11 +352,11 @@ class TestPendingExpiry:
     def test_corroborated_pending_expires_without_penalty(self):
         node = self._pending_node()
         node.handle_warning(Warning(2, 60, EventKind.ICE, (121.0, 0.0), 1.5), 1.5)
-        points_before = {v: r.points for v, r in node.lrl.entries.items()}
+        points_before = dict(node.lrl.entries)
         out = node.expire_pending(10.0)
         assert out.finalized == [] and out.reports == []
         assert 60 not in node.pending
-        assert {v: r.points for v, r in node.lrl.entries.items()} == points_before
+        assert node.lrl.entries == points_before
 
     def test_single_resolution(self):
         # A pending warning resolves exactly once: corroboration then expiry
@@ -425,24 +432,24 @@ class TestRrlBroadcastHandling:
     def test_bootstrap_seeds_empty_lrl(self):
         node = make_node(vid=3)
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5, 2: 9, 3: 4}))
-        assert node.lrl.get(1).points == 5
-        assert node.lrl.get(2).points == 9
+        assert node.lrl.get(1) == 5
+        assert node.lrl.get(2) == 9
         assert node.lrl.get(3) is None  # own entry is not imported
 
     def test_bootstrap_idempotent(self):
         node = make_node()
         b = make_rrl_broadcast({1: 5, 2: 9})
         node.handle_rrl_broadcast(b)
-        snapshot = {v: r.points for v, r in node.lrl.entries.items()}
+        snapshot = dict(node.lrl.entries)
         node.handle_rrl_broadcast(b)
-        assert {v: r.points for v, r in node.lrl.entries.items()} == snapshot
+        assert node.lrl.entries == snapshot
 
     def test_nonempty_lrl_untouched(self):
         node = make_node()
         seed_lrl(node, {9: 2})
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}))
         assert node.lrl.get(1) is None
-        assert node.lrl.get(9).points == 2
+        assert node.lrl.get(9) == 2
 
     def test_version_never_decreases(self):
         node = make_node()
@@ -610,7 +617,7 @@ class TestRsuTick:
         rsu = make_rsu()
         rsu.seed([1, 2], 5)
         fwd = RsuForward(9001, 9000, ((1, 2, 3), (7, 1, 4)), 5.0)
-        rsu.handle_forward(fwd, 5.0)
+        rsu.handle_forward(fwd)
         assert rsu.entries[1].points == 2
         assert rsu.entries[1].misbehavior_points == 3
         assert rsu.entries[7].points == 1
@@ -643,17 +650,25 @@ class TestLedgerSnapshot:
         assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
         assert a.cached_rrl is b.cached_rrl is broadcast.rrl
 
-    def test_receivers_share_seed_records(self):
+    def test_receivers_share_seed_records(self, monkeypatch):
         rsu = make_rsu()
         rsu.seed(list(range(6)), 5, anchors=[(50, 13, 0), (51, 1, 1)])
         broadcast, _ = rsu.tick(1.0)
+        seeds = []
+        load = LocalReputationList.load
+
+        def spy(lrl, seed, owner=None):
+            seeds.append(seed)
+            load(lrl, seed, owner)
+
+        monkeypatch.setattr(LocalReputationList, "load", spy)
         a, b = make_node(vid=0), make_node(vid=1)
         assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
+        # Both loads copy the one seed of this publication.
+        assert len(seeds) == 2 and seeds[0] is seeds[1] is broadcast.rrl.local_seed()
         assert sorted(a.lrl.entries) == [1, 2, 3, 4, 5, 50, 51]
         assert sorted(b.lrl.entries) == [0, 2, 3, 4, 5, 50, 51]
-        for vid in (2, 3, 4, 5, 50, 51):
-            assert a.lrl.get(vid) is b.lrl.get(vid)
-        assert a.lrl.get(51) == ReputationRecord(51, 1, 0, 1.0)  # misbehavior points are not imported
+        assert a.lrl.get(51) == b.lrl.get(51) == 1  # misbehavior points are not imported
 
     def test_adjust_touches_one_receiver_only(self):
         rsu = make_rsu()
@@ -663,18 +678,18 @@ class TestLedgerSnapshot:
         a.handle_rrl_broadcast(broadcast)
         b.handle_rrl_broadcast(broadcast)
         published = dict(broadcast.rrl.entries)
-        seeded = dict(broadcast.rrl.local_seed(broadcast.timestamp).records)
+        seeded = dict(broadcast.rrl.local_seed().points)
         b_before = dict(b.lrl.entries)
         for _ in range(6):
-            a.lrl.adjust(51, -1, 2.0, 5)
-            a.lrl.adjust(50, +1, 2.0, 5)
-        a.lrl.adjust(9, +2, 2.0, 5)
-        assert (a.lrl.get(51).points, a.lrl.get(50).points) == (0, 19)
+            a.lrl.adjust(51, -1, 5)
+            a.lrl.adjust(50, +1, 5)
+        a.lrl.adjust(9, +2, 5)
+        assert (a.lrl.get(51), a.lrl.get(50)) == (0, 19)
         assert a.lrl.trust_bands() == compute_trust_bands([0, 19])
         assert b.lrl.entries == b_before
         assert b.lrl.trust_bands() == compute_trust_bands([1, 13])
         assert broadcast.rrl.entries == published
-        assert broadcast.rrl.local_seed(broadcast.timestamp).records == seeded
+        assert broadcast.rrl.local_seed().points == seeded
 
     def test_owner_only_ledger_gives_empty_lrl(self):
         node = make_node(vid=3)
@@ -683,12 +698,12 @@ class TestLedgerSnapshot:
         assert node.lrl.trust_bands() is None
         # Still empty, so the next newer ledger seeds it.
         assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 6, 3: 4}, version=2))
-        assert node.lrl.entries == {1: ReputationRecord(1, 6)}
+        assert node.lrl.entries == {1: 6}
 
     def test_ledger_without_owner_is_taken_whole(self):
         node = make_node(vid=7)
         assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 5, 2: 9, 4: 2}, t=3.0))
-        assert node.lrl.entries == {v: ReputationRecord(v, p, 0, 3.0) for v, p in ((1, 5), (2, 9), (4, 2))}
+        assert node.lrl.entries == {1: 5, 2: 9, 4: 2}
         assert node.lrl.trust_bands() == compute_trust_bands([5, 9, 2])
 
 

@@ -237,11 +237,6 @@ class TestPointDelta:
         rec = ReputationRecord(1, 5, misbehavior_points=3)
         assert apply_point_delta(rec, -1).misbehavior_points == 3
 
-    def test_now_refreshes_last_update(self):
-        rec = ReputationRecord(1, 5, last_update=1.0)
-        assert apply_point_delta(rec, 1, now=9.0).last_update == 9.0
-        assert apply_point_delta(rec, 1).last_update == 1.0
-
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=-5, max_value=5))
     def test_never_negative(self, points, delta):
         rec = ReputationRecord(0, points)
@@ -269,10 +264,8 @@ class TestStandingNormalization:
 
 class TestLedgers:
     def test_lrl_ranked_descending(self):
-        lrl = LocalReputationList(
-            [ReputationRecord(1, 3), ReputationRecord(2, 13), ReputationRecord(3, 7)]
-        )
-        assert [r.vehicle for r in lrl.ranked()] == [2, 3, 1]
+        lrl = LocalReputationList({1: 3, 2: 13, 3: 7, 4: 7})
+        assert lrl.ranked() == [(2, 13), (3, 7), (4, 7), (1, 3)]
 
     def test_rrl_ranked_ascending(self):
         rrl = RsuReputationList(
@@ -284,16 +277,27 @@ class TestLedgers:
 
     def test_one_record_per_vehicle(self):
         lrl = LocalReputationList()
-        lrl.upsert(ReputationRecord(1, 3))
-        lrl.upsert(ReputationRecord(1, 9))
+        lrl.upsert(1, 3)
+        lrl.upsert(1, 9)
         assert len(lrl) == 1
-        assert lrl.get(1).points == 9
+        assert lrl.get(1) == 9
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
             ReputationRecord(1, -1)
         with pytest.raises(ValueError):
             ReputationRecord(1, 0, misbehavior_points=-2)
+
+    def test_negative_points_rejected(self):
+        lrl = LocalReputationList({1: 3})
+        with pytest.raises(ValueError):
+            lrl.upsert(2, -1)
+        assert lrl.entries == {1: 3}
+        assert lrl.trust_bands() == compute_trust_bands([3])
+        with pytest.raises(ValueError):
+            LocalReputationList({1: 3, 2: -1})
+        with pytest.raises(ValueError):
+            LocalReputationList([(1, -2)])
 
 
 def fraction_classify(points, lo, hi):
@@ -335,7 +339,7 @@ class TestLrlBounds:
 
     @staticmethod
     def check(lrl):
-        pts = [r.points for r in lrl.entries.values()]
+        pts = list(lrl.entries.values())
         if not pts:
             assert lrl.trust_bands() is None
         else:
@@ -344,67 +348,64 @@ class TestLrlBounds:
 
     @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _ledger_ops)
     def test_bounds_match_brute_force(self, initial, ops):
-        lrl = LocalReputationList(ReputationRecord(v, p) for v, p in initial)
+        lrl = LocalReputationList(initial)
         self.check(lrl)
-        for t, (op, vid, *args) in enumerate(ops):
+        for op, vid, *args in ops:
+            before = lrl.get(vid)
             if op == "upsert":
-                lrl.upsert(ReputationRecord(vid, args[0]))
+                lrl.upsert(vid, args[0])
             elif op == "ensure":
-                lrl.ensure(vid, args[0], float(t))
+                assert lrl.ensure(vid, args[0]) == (args[0] if before is None else before)
             else:
-                before = lrl.get(vid)
-                rec = lrl.adjust(vid, args[0], float(t), args[1])
-                start = args[1] if before is None else before.points
-                assert rec.points == max(0, start + args[0])
+                points = lrl.adjust(vid, args[0], args[1])
+                start = args[1] if before is None else before
+                assert points == lrl.get(vid) == max(0, start + args[0])
             self.check(lrl)
 
     def test_load_keeps_last_record_per_vehicle(self):
-        lrl = LocalReputationList([ReputationRecord(1, 2), ReputationRecord(2, 9), ReputationRecord(1, 5)])
-        assert lrl.get(1).points == 5
+        lrl = LocalReputationList([(1, 2), (2, 9), (1, 5)])
+        assert lrl.get(1) == 5
         assert lrl.trust_bands() == compute_trust_bands([5, 9])
 
     def test_load_needs_empty_ledger(self):
-        lrl = LocalReputationList([ReputationRecord(1, 2)])
+        lrl = LocalReputationList({1: 2})
         with pytest.raises(ValueError):
-            lrl.load([ReputationRecord(2, 3)])
+            lrl.load(LedgerSeed.of({2: 3}))
 
     @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _vehicles, _ledger_ops)
     def test_load_leaves_out_owner(self, initial, owner, ops):
-        seed = LedgerSeed.of(ReputationRecord(v, p) for v, p in initial)
+        seed = LedgerSeed.of(initial)
         lrl = LocalReputationList()
         lrl.load(seed, owner=owner)
-        assert lrl.entries == {v: r for v, r in seed.records.items() if v != owner}
+        assert lrl.entries == {v: p for v, p in seed.points.items() if v != owner}
         self.check(lrl)
-        # Writes after the load reach neither the seed's records nor its counts.
+        # Writes after the load reach neither the seed's points nor its counts.
         counts = dict(seed.counts)
-        for t, (op, vid, *args) in enumerate(ops):
+        for op, vid, *args in ops:
             if op == "adjust":
-                lrl.adjust(vid, args[0], float(t), args[1])
+                lrl.adjust(vid, args[0], args[1])
             else:
-                lrl.upsert(ReputationRecord(vid, args[0]))
+                lrl.upsert(vid, args[0])
             self.check(lrl)
-        assert seed.records == {v: ReputationRecord(v, p) for v, p in initial}
+        assert seed.points == dict(initial)
         assert seed.counts == counts
 
     def test_owner_only_ledger_loads_empty(self):
         lrl = LocalReputationList()
-        lrl.load(LedgerSeed.of([ReputationRecord(4, 7)]), owner=4)
+        lrl.load(LedgerSeed.of({4: 7}), owner=4)
         assert len(lrl) == 0
         assert lrl.trust_bands() is None
-        lrl.upsert(ReputationRecord(2, 3))
+        lrl.upsert(2, 3)
         assert lrl.trust_bands() == compute_trust_bands([3])
 
 
 class TestLocalSeed:
-    def test_one_seed_per_timestamp(self):
-        rrl = RsuReputationList({1: ReputationRecord(1, 4, 2, 0.5), 2: ReputationRecord(2, 9)}, 3, 100)
-        seed = rrl.local_seed(1.0)
-        assert rrl.local_seed(1.0) is seed
-        assert seed.records == {1: ReputationRecord(1, 4, 0, 1.0), 2: ReputationRecord(2, 9, 0, 1.0)}
+    def test_one_seed_per_snapshot(self):
+        rrl = RsuReputationList({1: ReputationRecord(1, 4, 2), 2: ReputationRecord(2, 9)}, 3, 100)
+        seed = rrl.local_seed()
+        assert rrl.local_seed() is seed
+        assert seed.points == {1: 4, 2: 9}  # misbehavior points are not imported
         assert seed.counts == {4: 1, 9: 1}
-        later = rrl.local_seed(2.0)
-        assert later is not seed
-        assert [r.last_update for r in later.records.values()] == [2.0, 2.0]
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from neighbors import last_heard
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
@@ -279,14 +280,10 @@ class TestLedgerBootstrap:
             deliver_ledger(t, rsu, idx, broadcast)
             if not was_empty or len(lrl) == 0:
                 return
-            # The list the per-record bootstrap loop built, in the same order.
-            expected = [
-                (vid, ReputationRecord(vid, rec.points, 0, broadcast.timestamp))
-                for vid, rec in broadcast.rrl.entries.items()
-                if vid != idx
-            ]
+            # The points a per-entry bootstrap loop copies, in the same order.
+            expected = [(vid, rec.points) for vid, rec in broadcast.rrl.entries.items() if vid != idx]
             assert list(lrl.entries.items()) == expected
-            points = [rec.points for _, rec in expected]
+            points = [pts for _, pts in expected]
             bands = lrl.trust_bands()
             assert (bands.min_points, bands.max_points) == (min(points), max(points))
             seeded.add(idx)
@@ -394,7 +391,7 @@ class TestBeaconEquivalence:
             facts = {s: runner.heard(np.array([r]), warning_from(s, (500.0, 500.0), now), now)[0] for s in range(n)}
             assert {s for s, heard in facts.items() if heard is not None} == set(expected)
             for vid in expected:
-                assert runner.last_heard[r, vid] == expected[vid][1]
+                assert last_heard(runner)[r, vid] == expected[vid][1]
                 assert facts[vid].sender == pytest.approx(expected[vid][0], abs=1e-9)
 
     @pytest.mark.parametrize("lanes", [1, 3])
@@ -439,13 +436,13 @@ class TestBeaconEquivalence:
             return runner
 
         # The last round, and times that put some beacon exactly on the TTL boundary.
-        last_heard = runner_at(math.inf).last_heard.tolist()
-        beacon_times = sorted({t for row in last_heard for t in row if t > -math.inf and (t + ttl) - ttl == t})
+        times = last_heard(runner_at(math.inf)).tolist()
+        beacon_times = sorted({t for row in times for t in row if t > -math.inf and (t + ttl) - ttl == t})
         nows = [3.0] + [t + ttl for t in beacon_times[-2:]]
         seen = Counter()
         for now in nows:
             runner = runner_at(now)
-            world, last_heard = runner.world, runner.last_heard.tolist()
+            world, times = runner.world, last_heard(runner).tolist()
 
             def where(v, t):
                 x = (float(world.x0[v]) + float(world.direction[v]) * float(world.speed[v]) * t) % width
@@ -453,8 +450,8 @@ class TestBeaconEquivalence:
 
             def reference(r, event):
                 # Receiver r's fresh neighbors, where each last beaconed, and the nearest and farthest.
-                fresh = [v for v in range(n) if v != r and last_heard[r][v] >= now - ttl]
-                at = {v: where(v, last_heard[r][v]) for v in fresh}
+                fresh = [v for v in range(n) if v != r and times[r][v] >= now - ttl]
+                at = {v: where(v, times[r][v]) for v in fresh}
                 nearest = min(fresh, key=lambda v: _distance(at[v], event), default=None)
                 farthest = max(fresh, key=lambda v: _distance(at[v], event), default=None)
                 return at, at.get(nearest), at.get(farthest)
@@ -470,9 +467,9 @@ class TestBeaconEquivalence:
                         expected = Heard(where(r, now), at[s], near, far) if s in at else None
                         assert heard == expected, (r, s, event, now)
                         if heard is None:
-                            seen["stale" if last_heard[r][s] > -math.inf else "unheard"] += 1
+                            seen["stale" if times[r][s] > -math.inf else "unheard"] += 1
                             continue
-                        seen["boundary"] += last_heard[r][s] == now - ttl
+                        seen["boundary"] += times[r][s] == now - ttl
                         seen["wrapped"] += bool(world.direction[s] * (where(s, now)[0] - heard.sender[0]) < 0)
         return seen
 
@@ -552,7 +549,7 @@ class TestBeaconEquivalence:
                     dx, dy = positions[r][0] - positions[s][0], positions[r][1] - positions[s][1]
                     if r != s and channel.in_range(dx, dy):
                         reference[r, s] = t
-            assert np.array_equal(runner.last_heard, reference)
+            assert np.array_equal(last_heard(runner), reference)
             rounds += 1
 
         runner.handle_round = checked_round
