@@ -330,7 +330,9 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
     Only decision-bearing lines are consumed, each through
     :meth:`DecisionLog.record`; blank lines are skipped, and a line may end
     in ``\\n``, ``\\r\\n`` or nothing. A line without eight fields, or a
-    decision line with an unknown decision name, raises ``MetricsError``.
+    decision line with an unknown decision name, a truth other than ``0`` or
+    ``1``, or a time, vehicle, event or distance that does not parse, raises
+    ``MetricsError``; a negative distance raises ``ValueError``.
     Latency is instrumentation and is not recoverable from a log.
     """
     log = DecisionLog()
@@ -346,17 +348,16 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
         # The last field keeps the line ending; float() ignores it.
         time_s, _kind, sender, receiver, event_id, decision, truth, distance = parts
         disposition = _DISPOSITION_FROM_NAME.get(decision)
-        if disposition is None:
+        ground_truth = truth == "1"
+        if disposition is None or not (ground_truth or truth == "0"):
             raise MetricsError(f"malformed event-log line: {line!r}")
-        record(
-            DecisionRecord(
-                float(time_s),
-                int(receiver),
-                int(sender),
-                int(event_id),
-                truth == "1",
-                disposition,
-                float(distance),
-            )
-        )
+        try:
+            at = float(time_s)
+            rx = int(receiver)
+            tx = int(sender)
+            event = int(event_id)
+            distance_m = float(distance)
+        except ValueError:
+            raise MetricsError(f"malformed event-log line: {line!r}") from None
+        record(DecisionRecord(at, rx, tx, event, ground_truth, disposition, distance_m))
     return log

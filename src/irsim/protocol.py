@@ -34,12 +34,12 @@ from .reputation import (
     TrustLevel,
     VehicleId,
     apply_point_delta,
-    classify_heuristic,
     classify_trust,
-    compute_heuristic_bands,
-    compute_trust_bands,  # noqa: F401  (perfbench/tracing.py patches this binding)
+    compute_heuristic_bands,  # noqa: F401  (perfbench/tracing.py patches these bindings)
+    compute_trust_bands,  # noqa: F401
     decide_trust,
-    heuristic_from_distance,
+    heuristic_band,
+    heuristic_from_distance,  # noqa: F401
     standing_of,
 )
 
@@ -232,12 +232,25 @@ class VehicleNode:
         entry = self.pending.get(warning.event_id)
         if entry is not None:
             return self._handle_repeat(entry, warning)
+        if heard is None:
+            return self._handle_lone(warning, now, None)
 
-        report = self._implausibly_far(warning, now, heard)
-        if report is not None:
-            return WarningOutcome(Disposition.REJECT, [report])
+        # Each distance is measured once; the plausibility check and the band draw their own noise.
+        event = warning.event_position
+        sender_at = heard.sender
+        ranging = math.hypot(heard.receiver[0] - sender_at[0], heard.receiver[1] - sender_at[1])
+        to_event = math.hypot(sender_at[0] - event[0], sender_at[1] - event[1])
+        if self._estimate_distance(to_event, ranging) > self.config.plausibility_radius_m:
+            self._adjust(warning.sender, -1)
+            return WarningOutcome(Disposition.REJECT, [MisbehaviorReport(self.id, warning.sender, warning.event_id, now)])
 
-        return self._handle_lone(warning, now, heard)
+        nearest, farthest = heard.nearest, heard.farthest
+        h_band = heuristic_band(
+            self._estimate_distance(to_event, ranging),
+            math.hypot(nearest[0] - event[0], nearest[1] - event[1]),
+            math.hypot(farthest[0] - event[0], farthest[1] - event[1]),
+        )
+        return self._handle_lone(warning, now, h_band)
 
     def _handle_repeat(self, entry: PendingWarning, warning: Warning) -> WarningOutcome:
         sender = warning.sender
@@ -260,27 +273,19 @@ class VehicleNode:
         self._adjust(sender, -1)
         return WarningOutcome(Disposition.REJECT)
 
-    def _implausibly_far(self, warning: Warning, now: float, heard: Optional[Heard]) -> Optional[MisbehaviorReport]:
-        if heard is None:
-            return None
-        ranging = _distance(heard.receiver, heard.sender)
-        est = self._estimate_distance(_distance(heard.sender, warning.event_position), ranging)
-        if est > self.config.plausibility_radius_m:
-            self._adjust(warning.sender, -1)
-            return MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
-        return None
-
-    def _handle_lone(self, warning: Warning, now: float, heard: Optional[Heard]) -> WarningOutcome:
+    def _handle_lone(self, warning: Warning, now: float, h_band: Optional[HeuristicBand]) -> WarningOutcome:
+        """Decide a first copy of an event; ``h_band`` is None when no beacon of the sender was heard."""
         sender = warning.sender
-        points = self.lrl.ensure(sender, self._default_points())
+        points = self.lrl.get(sender)
+        if points is None:  # neutral entry points matter only for a sender not held yet
+            points = self.lrl.ensure(sender, self._default_points())
 
-        if heard is None:
+        if h_band is None:
             # Never heard a beacon from this sender: assume the worst.
             level = TrustLevel.LOW
             h_band = HeuristicBand.AWAY
         else:
             level = classify_trust(points, self.lrl.trust_bands())
-            h_band = self._sender_heuristic_band(heard, warning.event_position)
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
             self._remember(warning, now)
@@ -298,13 +303,6 @@ class VehicleNode:
         # Unsure: hold the message and wait for somebody else to confirm it.
         self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
         return WarningOutcome(Disposition.PENDING)
-
-    def _sender_heuristic_band(self, heard: Heard, event_pos: Position) -> HeuristicBand:
-        # The band width depends only on the nearest and farthest neighbor.
-        extremes = (heard.nearest, heard.farthest)
-        h_bands = compute_heuristic_bands([heuristic_from_distance(_distance(p, event_pos)) for p in extremes])
-        est = self._estimate_distance(_distance(heard.sender, event_pos), _distance(heard.receiver, heard.sender))
-        return classify_heuristic(heuristic_from_distance(est), h_bands)
 
     def _heuristic_acceptable(self, band: HeuristicBand) -> bool:
         if self.config.strict_top_heuristic:

@@ -215,7 +215,8 @@ class RsuReputationList:
 
     ``version`` strictly increases with each publication. The derived
     ranking puts the lowest points first (suspects surface at the top).
-    Treat instances as immutable; band computation is cached per snapshot.
+    Treat instances as immutable: bands, the local seed and each vehicle's
+    standing (see ``standing_of``) are cached per snapshot.
     """
 
     entries: dict[VehicleId, ReputationRecord]
@@ -225,6 +226,7 @@ class RsuReputationList:
     def __post_init__(self) -> None:
         self._bands: Optional[TrustBands] = None
         self._seed: Optional[LedgerSeed] = None
+        self._standings: dict[VehicleId, RrlStanding] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -326,6 +328,17 @@ def heuristic_from_distance(distance_m: float) -> float:
     return distance_m / 10.0
 
 
+def heuristic_band(distance_m: float, nearest_m: float, farthest_m: float) -> HeuristicBand:
+    """Band of a sender ``distance_m`` from the event, given two neighbors' distances to it.
+
+    ``classify_heuristic`` of the distance's heuristic in ``compute_heuristic_bands`` of the
+    neighbors' heuristics, with the same checks, without building the list or the bands.
+    """
+    if not (0.0 <= distance_m < math.inf and 0.0 <= nearest_m < math.inf and 0.0 <= farthest_m < math.inf):
+        raise ValueError("distance must be finite and >= 0")
+    return _heuristic_band(distance_m / 10.0, abs(nearest_m / 10.0 - farthest_m / 10.0) / 3.0)
+
+
 def compute_heuristic_bands(heuristics: Iterable[float]) -> HeuristicBands:
     """Derive heuristic bands from the neighbors' heuristics (non-empty)."""
     hs = list(heuristics)
@@ -344,34 +357,35 @@ def classify_heuristic(h: float, bands: HeuristicBands) -> HeuristicBand:
     Thresholds are absolute in h: NEAR below 2w, MIDDLE from 2w up to 3w,
     AWAY from 3w on. Zero width classifies everything MIDDLE.
     """
-    if bands.w == 0:
+    return _heuristic_band(h, bands.w)
+
+
+def _heuristic_band(h: float, w: float) -> HeuristicBand:
+    """The band thresholds of ``classify_heuristic`` for band width ``w`` (h_eval is 2w)."""
+    if w == 0:
         return HeuristicBand.MIDDLE
-    if h < bands.h_eval:
+    if h < 2 * w:
         return HeuristicBand.NEAR
-    if h < 3 * bands.w:
+    if h < 3 * w:
         return HeuristicBand.MIDDLE
     return HeuristicBand.AWAY
 
 
 # Local experience outweighs the network opinion: a TOP sender survives a
 # WATCH standing, and a FLAGGED sender with LOW local trust lands on UNSURE
-# rather than an outright reject.
-_DECISION_MATRIX: dict[tuple[TrustLevel, RrlStanding], TrustDecision] = {
-    (TrustLevel.TOP, RrlStanding.CLEAR): TrustDecision.ACCEPT,
-    (TrustLevel.TOP, RrlStanding.WATCH): TrustDecision.ACCEPT,
-    (TrustLevel.TOP, RrlStanding.FLAGGED): TrustDecision.REJECT,
-    (TrustLevel.MEDIUM, RrlStanding.CLEAR): TrustDecision.ACCEPT,
-    (TrustLevel.MEDIUM, RrlStanding.WATCH): TrustDecision.UNSURE,
-    (TrustLevel.MEDIUM, RrlStanding.FLAGGED): TrustDecision.REJECT,
-    (TrustLevel.LOW, RrlStanding.CLEAR): TrustDecision.REJECT,
-    (TrustLevel.LOW, RrlStanding.WATCH): TrustDecision.REJECT,
-    (TrustLevel.LOW, RrlStanding.FLAGGED): TrustDecision.UNSURE,
-}
+# rather than an outright reject. Rows by TrustLevel, columns by RrlStanding,
+# both indexed by their values.
+_DECISION_MATRIX: tuple[tuple[TrustDecision, TrustDecision, TrustDecision], ...] = (
+    # FLAGGED               WATCH                  CLEAR
+    (TrustDecision.UNSURE, TrustDecision.REJECT, TrustDecision.REJECT),  # LOW
+    (TrustDecision.REJECT, TrustDecision.UNSURE, TrustDecision.ACCEPT),  # MEDIUM
+    (TrustDecision.REJECT, TrustDecision.ACCEPT, TrustDecision.ACCEPT),  # TOP
+)
 
 
 def decide_trust(local: TrustLevel, standing: RrlStanding) -> TrustDecision:
     """Combine the local trust level with the network standing (exact 9-entry lookup)."""
-    return _DECISION_MATRIX[(local, standing)]
+    return _DECISION_MATRIX[local][standing]
 
 
 def rrl_is_stale(rrl: RsuReputationList, neighbors: Iterable[VehicleId]) -> bool:
@@ -393,11 +407,7 @@ def apply_point_delta(record: ReputationRecord, delta: int) -> ReputationRecord:
     return ReputationRecord(record.vehicle, _shifted(record.points, delta), record.misbehavior_points)
 
 
-_STANDING_FROM_LEVEL = {
-    TrustLevel.TOP: RrlStanding.CLEAR,
-    TrustLevel.MEDIUM: RrlStanding.WATCH,
-    TrustLevel.LOW: RrlStanding.FLAGGED,
-}
+_STANDING_FROM_LEVEL = (RrlStanding.FLAGGED, RrlStanding.WATCH, RrlStanding.CLEAR)  # by TrustLevel
 
 
 def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStanding:
@@ -405,16 +415,22 @@ def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStan
 
     High points map to CLEAR, the middle band to WATCH, low points to
     FLAGGED. No ledger, an empty ledger, or an absent vehicle all mean
-    "never reported" and read as CLEAR.
+    "never reported" and read as CLEAR. Each vehicle's standing is worked
+    out once per snapshot: every receiver of a publication shares it.
     """
-    if rrl is None or not rrl.entries:
+    if rrl is None:
         return RrlStanding.CLEAR
-    rec = rrl.entries.get(vehicle)
-    if rec is None:
-        return RrlStanding.CLEAR
-    bands = rrl.trust_bands()
-    assert bands is not None
-    return _STANDING_FROM_LEVEL[classify_trust(rec.points, bands)]
+    standing = rrl._standings.get(vehicle)
+    if standing is None:
+        rec = rrl.entries.get(vehicle)
+        if rec is None:
+            standing = RrlStanding.CLEAR
+        else:
+            bands = rrl.trust_bands()
+            assert bands is not None
+            standing = _STANDING_FROM_LEVEL[classify_trust(rec.points, bands)]
+        rrl._standings[vehicle] = standing
+    return standing
 
 
 def load_conformance_cases() -> dict:

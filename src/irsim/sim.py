@@ -148,10 +148,22 @@ class Channel:
         return self.rng.permutation(ids)
 
     def ranging_noise(self, sigma: float, per_m: float) -> Optional[Callable[[float], float]]:
-        """Signal-strength ranging error for ``VehicleNode``, or None when both terms are 0."""
+        """Signal-strength ranging error for ``VehicleNode``, or None when both terms are 0.
+
+        A draw equals ``rng.normal(0.0, sigma + per_m * ranging)`` and leaves the stream where it
+        does: numpy's ``normal`` is loc + scale * standard normal, here without its broadcasting.
+        """
         if not (sigma > 0 or per_m > 0):
             return None
-        return lambda ranging: float(self.rng.normal(0.0, sigma + per_m * ranging))
+        standard_normal = self.rng.standard_normal
+
+        def draw(ranging: float) -> float:
+            scale = sigma + per_m * ranging
+            if scale < 0:
+                raise ValueError("scale < 0")
+            return 0.0 + scale * standard_normal()
+
+        return draw
 
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
         """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed."""

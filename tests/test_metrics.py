@@ -376,8 +376,19 @@ class TestReplayEdgeInput:
             "1.100000\tREQ\t1\t-\n",
             "1.000000\tDELIVER\t9\t1\t4\tmaybe\t0\t5.000\n",
             "2.000000\tRESOLVE\t9\t1\t4\t-\t0\t5.000\n",
+            "1.000000\tDELIVER\tnine\t1\t44\taccept\t0\t5.000\n",
+            "1.000000\tDELIVER\t9\tone\t44\taccept\t0\t5.000\n",
+            "1.000000\tDELIVER\t9\t1\t4.5\taccept\t0\t5.000\n",
+            "soon\tDELIVER\t9\t1\t44\taccept\t0\t5.000\n",
+            "1.000000\tDELIVER\t9\t1\t44\taccept\t0\tfar\n",
+            "1.000000\tDELIVER\t9\t1\t44\taccept\tyes\t5.000\n",
+            "1.000000\tDELIVER\t9\t1\t44\taccept\t\t5.000\n",
         ],
-        ids=["four-fields", "nine-fields", "short-non-decision", "unknown-decision", "no-decision"],
+        ids=[
+            "four-fields", "nine-fields", "short-non-decision", "unknown-decision", "no-decision",
+            "non-numeric-sender", "non-numeric-receiver", "non-integer-event", "non-numeric-time",
+            "non-numeric-distance", "truth-yes", "truth-empty",
+        ],
     )
     def test_malformed_line_rejected(self, line):
         with pytest.raises(MetricsError, match="malformed event-log line"):

@@ -642,6 +642,24 @@ class TestLedgerSnapshot:
         assert broadcast.rrl.version == escalated.version + 1
         assert rsu.snapshot() is broadcast.rrl
 
+    def test_standing_read_from_the_snapshot_held(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(20)), 5, anchors=[(50, 13, 0), (51, 1, 1)])
+        broadcast, _ = rsu.tick(1.0)
+        holder = make_node(vid=0)
+        assert holder.handle_rrl_broadcast(broadcast)
+        assert standing_of(holder.cached_rrl, 14) is RrlStanding.WATCH
+        rsu.handle_report(report(2, 14), 2.0)
+        rsu.handle_report(report(5, 14), 2.5)  # escalation: 14 drops to 4 points, below min + th
+        assert standing_of(rsu.snapshot(), 14) is RrlStanding.FLAGGED
+        later, _ = rsu.tick(3.0)
+        assert standing_of(later.rrl, 14) is RrlStanding.FLAGGED
+        # The old publication keeps the standing it was published with.
+        assert holder.cached_rrl is broadcast.rrl
+        assert standing_of(holder.cached_rrl, 14) is RrlStanding.WATCH
+        assert holder.handle_rrl_broadcast(later)
+        assert standing_of(holder.cached_rrl, 14) is RrlStanding.FLAGGED
+
     def test_receivers_share_one_ledger(self):
         rsu = make_rsu()
         rsu.seed(list(range(4)), 5)

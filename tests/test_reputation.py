@@ -1,5 +1,6 @@
 """Unit and property tests for the pure reputation core."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from irsim.reputation import (
     compute_heuristic_bands,
     compute_trust_bands,
     decide_trust,
+    heuristic_band,
     heuristic_from_distance,
     rrl_is_stale,
     standing_of,
@@ -165,6 +167,55 @@ class TestHeuristics:
             probes = sorted([probe, probe + bands.w, probe + 2 * bands.w])
             bands_seq = [classify_heuristic(p, bands) for p in probes]
             assert bands_seq == sorted(bands_seq)
+
+
+class TestTwoNeighborBand:
+    """``heuristic_band`` classifies as the list-and-bands path does, distance for distance."""
+
+    @staticmethod
+    def reference(distance_m, nearest_m, farthest_m):
+        bands = compute_heuristic_bands([heuristic_from_distance(nearest_m), heuristic_from_distance(farthest_m)])
+        return classify_heuristic(heuristic_from_distance(distance_m), bands)
+
+    @given(
+        st.floats(min_value=0, max_value=5000, allow_nan=False),
+        st.floats(min_value=0, max_value=5000, allow_nan=False),
+        st.floats(min_value=0, max_value=5000, allow_nan=False),
+    )
+    def test_matches_reference(self, distance_m, nearest_m, farthest_m):
+        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+
+    @given(st.integers(0, 500), st.integers(0, 100), st.integers(0, 4), st.integers(-1, 1), st.booleans())
+    def test_matches_reference_on_band_edges(self, base, k, multiple, nudge, swap):
+        # Extremes 3k heuristic units apart give w == k exactly, so h lands on 0, w, 2w, 3w or 4w, or
+        # one unit off it; k == 0 is a tie.
+        nearest_m, farthest_m = 10.0 * base, 10.0 * (base + 3 * k)
+        if swap:
+            nearest_m, farthest_m = farthest_m, nearest_m
+        distance_m = 10.0 * max(0, multiple * k + nudge)
+        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+
+    @given(
+        st.floats(min_value=0, max_value=5000, allow_nan=False),
+        st.floats(min_value=0, max_value=5000, allow_nan=False),
+        st.sampled_from([2, 3]),
+        st.integers(-2, 2),
+    )
+    def test_matches_reference_within_ulps_of_an_edge(self, nearest_m, farthest_m, multiple, ulps):
+        w = compute_heuristic_bands([heuristic_from_distance(nearest_m), heuristic_from_distance(farthest_m)]).w
+        distance_m = 10.0 * multiple * w
+        for _ in range(abs(ulps)):
+            distance_m = math.nextafter(distance_m, math.copysign(math.inf, ulps))
+        distance_m = max(0.0, distance_m)
+        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_non_finite_or_negative_distance(self, bad, position):
+        distances = [10.0, 20.0, 30.0]
+        distances[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            heuristic_band(*distances)
 
 
 class TestDecisionMatrix:

@@ -150,6 +150,32 @@ class TestRadio:
         assert all(node.cached_rrl is None for node in world.nodes)
 
 
+class TestRangingNoise:
+    """``Channel.ranging_noise`` draws what ``rng.normal(0.0, sigma + per_m * ranging)`` draws."""
+
+    @pytest.mark.parametrize("sigma,per_m", [(5.0, 0.0), (0.0, 0.25), (5.0, 0.25)], ids=["sigma", "per-m", "both"])
+    def test_same_values_as_rng_normal(self, sigma, per_m):
+        channel = make_channel(seed=7)
+        twin = np.random.Generator(np.random.PCG64(7))
+        noise = channel.ranging_noise(sigma, per_m)
+        for ranging in np.random.default_rng(1).uniform(0.0, 450.0, 2000).tolist() + [0.0, 1e6]:
+            assert noise(ranging) == float(twin.normal(0.0, sigma + per_m * ranging))
+        # Both leave the stream at the same position.
+        assert channel.rng.random() == twin.random()
+
+    def test_both_terms_zero_means_no_noise(self):
+        assert make_channel().ranging_noise(0.0, 0.0) is None
+
+    def test_negative_scale_raises_like_rng_normal(self):
+        channel = make_channel(seed=7)
+        twin = np.random.Generator(np.random.PCG64(7))
+        with pytest.raises(ValueError):
+            twin.normal(0.0, 5.0 - 0.25 * 100.0)
+        with pytest.raises(ValueError):
+            channel.ranging_noise(5.0, 0.25)(-100.0)
+        assert channel.rng.random() == twin.random()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"rsu_positions": ((300.0, 500.0), (700.0, 500.0)), "beacon_interval": (0.1, 0.35)}],
