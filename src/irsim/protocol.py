@@ -238,17 +238,16 @@ class VehicleNode:
         # Each distance is measured once; the plausibility check and the band draw their own noise.
         event = warning.event_position
         sender_at = heard.sender
-        ranging = math.hypot(heard.receiver[0] - sender_at[0], heard.receiver[1] - sender_at[1])
-        to_event = math.hypot(sender_at[0] - event[0], sender_at[1] - event[1])
+        ranging = _distance(heard.receiver, sender_at)
+        to_event = _distance(sender_at, event)
         if self._estimate_distance(to_event, ranging) > self.config.plausibility_radius_m:
             self._adjust(warning.sender, -1)
             return WarningOutcome(Disposition.REJECT, [MisbehaviorReport(self.id, warning.sender, warning.event_id, now)])
 
-        nearest, farthest = heard.nearest, heard.farthest
         h_band = heuristic_band(
             self._estimate_distance(to_event, ranging),
-            math.hypot(nearest[0] - event[0], nearest[1] - event[1]),
-            math.hypot(farthest[0] - event[0], farthest[1] - event[1]),
+            _distance(heard.nearest, event),
+            _distance(heard.farthest, event),
         )
         return self._handle_lone(warning, now, h_band)
 

@@ -215,8 +215,8 @@ class RsuReputationList:
 
     ``version`` strictly increases with each publication. The derived
     ranking puts the lowest points first (suspects surface at the top).
-    Treat instances as immutable: bands, the local seed and each vehicle's
-    standing (see ``standing_of``) are cached per snapshot.
+    Treat instances as immutable: the bands and the local seed are cached
+    per snapshot.
     """
 
     entries: dict[VehicleId, ReputationRecord]
@@ -226,7 +226,6 @@ class RsuReputationList:
     def __post_init__(self) -> None:
         self._bands: Optional[TrustBands] = None
         self._seed: Optional[LedgerSeed] = None
-        self._standings: dict[VehicleId, RrlStanding] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -384,7 +383,13 @@ _DECISION_MATRIX: tuple[tuple[TrustDecision, TrustDecision, TrustDecision], ...]
 
 
 def decide_trust(local: TrustLevel, standing: RrlStanding) -> TrustDecision:
-    """Combine the local trust level with the network standing (exact 9-entry lookup)."""
+    """Combine the local trust level with the network standing (exact 9-entry lookup).
+
+    Anything but a ``TrustLevel`` and an ``RrlStanding`` raises ``KeyError``:
+    a plain int such as -1 would otherwise index the matrix silently.
+    """
+    if local.__class__ is not TrustLevel or standing.__class__ is not RrlStanding:
+        raise KeyError((local, standing))
     return _DECISION_MATRIX[local][standing]
 
 
@@ -407,7 +412,8 @@ def apply_point_delta(record: ReputationRecord, delta: int) -> ReputationRecord:
     return ReputationRecord(record.vehicle, _shifted(record.points, delta), record.misbehavior_points)
 
 
-_STANDING_FROM_LEVEL = (RrlStanding.FLAGGED, RrlStanding.WATCH, RrlStanding.CLEAR)  # by TrustLevel
+# Indexed by the TrustLevel that classify_trust returns, never by caller input.
+_STANDING_FROM_LEVEL = (RrlStanding.FLAGGED, RrlStanding.WATCH, RrlStanding.CLEAR)
 
 
 def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStanding:
@@ -415,22 +421,16 @@ def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStan
 
     High points map to CLEAR, the middle band to WATCH, low points to
     FLAGGED. No ledger, an empty ledger, or an absent vehicle all mean
-    "never reported" and read as CLEAR. Each vehicle's standing is worked
-    out once per snapshot: every receiver of a publication shares it.
+    "never reported" and read as CLEAR.
     """
     if rrl is None:
         return RrlStanding.CLEAR
-    standing = rrl._standings.get(vehicle)
-    if standing is None:
-        rec = rrl.entries.get(vehicle)
-        if rec is None:
-            standing = RrlStanding.CLEAR
-        else:
-            bands = rrl.trust_bands()
-            assert bands is not None
-            standing = _STANDING_FROM_LEVEL[classify_trust(rec.points, bands)]
-        rrl._standings[vehicle] = standing
-    return standing
+    rec = rrl.entries.get(vehicle)
+    if rec is None:
+        return RrlStanding.CLEAR
+    bands = rrl.trust_bands()
+    assert bands is not None
+    return _STANDING_FROM_LEVEL[classify_trust(rec.points, bands)]
 
 
 def load_conformance_cases() -> dict:

@@ -236,6 +236,20 @@ class TestDecisionMatrix:
             for standing in RrlStanding:
                 assert decide_trust(level, standing) is self.FULL[(level, standing)]
 
+    @pytest.mark.parametrize(
+        "local, standing",
+        [
+            (-1, RrlStanding.CLEAR),  # a negative int would index the last row
+            (TrustLevel.TOP, -1),
+            (3, RrlStanding.CLEAR),
+            (0, 0),
+            (RrlStanding.CLEAR, TrustLevel.TOP),  # swapped arguments
+        ],
+    )
+    def test_non_member_raises(self, local, standing):
+        with pytest.raises(KeyError):
+            decide_trust(local, standing)
+
 
 class TestStaleness:
     def _rrl(self, members):
