@@ -331,8 +331,9 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
     :meth:`DecisionLog.record`; blank lines are skipped, and a line may end
     in ``\\n``, ``\\r\\n`` or nothing. A line without eight fields, or a
     decision line with an unknown decision name, a truth other than ``0`` or
-    ``1``, or a time, vehicle, event or distance that does not parse, raises
-    ``MetricsError``; a negative distance raises ``ValueError``.
+    ``1``, a time, vehicle, event or distance that does not parse, or a time
+    or distance that is not finite (``nan``, ``inf``), raises
+    ``MetricsError``; a negative finite distance raises ``ValueError``.
     Latency is instrumentation and is not recoverable from a log.
     """
     log = DecisionLog()
@@ -359,5 +360,8 @@ def replay_event_log(lines: Iterable[str], info: RunInfo) -> DecisionLog:
             distance_m = float(distance)
         except ValueError:
             raise MetricsError(f"malformed event-log line: {line!r}") from None
+        # 0 for finite values; nan when either is nan or infinite (0 * inf is nan), so one comparison.
+        if 0.0 * at * distance_m != 0.0:
+            raise MetricsError(f"non-finite time or distance in event-log line: {line!r}")
         record(DecisionRecord(at, rx, tx, event, ground_truth, disposition, distance_m))
     return log

@@ -342,14 +342,23 @@ class VehicleNode:
         if not self.pending_due(now):
             return outcome
         ttl = self.config.pending_ttl
-        for event_id in [e for e, p in self.pending.items() if now - p.first_seen > ttl]:
+        # One pass finds the due entries and the oldest of those that stay; no order of times is assumed.
+        due = []
+        oldest = math.inf
+        for event_id, entry in self.pending.items():
+            seen = entry.first_seen
+            if now - seen > ttl:
+                due.append(event_id)
+            elif seen < oldest:
+                oldest = seen
+        for event_id in due:
             entry = self.pending.pop(event_id)
             if entry.state is PendingState.AWAITING:
                 sender = entry.warning.sender
                 self._adjust(sender, -1)
                 outcome.reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 outcome.finalized.append((sender, event_id, Disposition.REJECT))
-        self.oldest_pending = min((p.first_seen for p in self.pending.values()), default=math.inf)
+        self.oldest_pending = oldest
         return outcome
 
     # -- network ledger ----------------------------------------------------
@@ -555,6 +564,11 @@ _KIND_CODES = {EventKind.CRASH: 0, EventKind.ICE: 1, EventKind.SUDDEN_BRAKE: 2}
 
 BEACON_FORMAT = "<Qdddddd"
 REPORT_FORMAT = "<QQQdB"
+WARNING_FORMAT = "<QQBddd"
+# A ledger broadcast: head (issuer, version, row count), one row per entry, tail (timestamp, signature flag).
+RRL_HEAD_FORMAT = "<QQI"
+RRL_ROW_FORMAT = "<Qqq"
+RRL_TAIL_FORMAT = "<dB"
 
 
 def encode_beacon(b: Beacon) -> bytes:
@@ -572,7 +586,7 @@ def encode_beacon(b: Beacon) -> bytes:
 
 def encode_warning(w: Warning) -> bytes:
     return struct.pack(
-        "<QQBddd",
+        WARNING_FORMAT,
         w.sender,
         w.event_id,
         _KIND_CODES[w.event_kind],
@@ -595,7 +609,7 @@ def _ledger_rows(rrl: RsuReputationList) -> tuple[tuple[VehicleId, int, int], ..
 
 def encode_rrl_broadcast(b: RrlBroadcast) -> bytes:
     rows = _ledger_rows(b.rrl)
-    head = struct.pack("<QQI", b.rrl.issuer, b.rrl.version, len(rows))
-    body = b"".join(struct.pack("<Qqq", vid, pts, mis) for vid, pts, mis in rows)
-    tail = struct.pack("<dB", b.timestamp, int(b.signature_valid))
+    head = struct.pack(RRL_HEAD_FORMAT, b.rrl.issuer, b.rrl.version, len(rows))
+    body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, mis) for vid, pts, mis in rows)
+    tail = struct.pack(RRL_TAIL_FORMAT, b.timestamp, int(b.signature_valid))
     return head + body + tail

@@ -36,19 +36,27 @@ from .protocol import (
     VehicleNode,
     Warning,
     WarningOutcome,
-    encode_rrl_broadcast,
-    encode_warning,
+    encode_rrl_broadcast,  # noqa: F401  (perfbench/tracing.py patches this name here)
+    encode_warning,  # noqa: F401  (perfbench/tracing.py patches this name here)
     BEACON_FORMAT,
     NON_SAFETY_MESSAGE_BYTES,
     REPORT_FORMAT,
+    RRL_HEAD_FORMAT,
+    RRL_ROW_FORMAT,
+    RRL_TAIL_FORMAT,
     SAFETY_MESSAGE_BYTES,
+    WARNING_FORMAT,
 )
 from .scenario import PIPELINES, ConfigError, ScenarioConfig
 
 RSU_ID_BASE = 10_000
 ANCHOR_ID_BASE = 20_000
+# Wire sizes from the encoders' struct formats; the encoders themselves are not run.
 _BEACON_WIRE_BYTES = struct.calcsize(BEACON_FORMAT)
 _REPORT_WIRE_BYTES = struct.calcsize(REPORT_FORMAT)
+_WARNING_WIRE_BYTES = struct.calcsize(WARNING_FORMAT)
+_RRL_FIXED_WIRE_BYTES = struct.calcsize(RRL_HEAD_FORMAT) + struct.calcsize(RRL_TAIL_FORMAT)
+_RRL_ROW_WIRE_BYTES = struct.calcsize(RRL_ROW_FORMAT)
 
 _KINDS = (EventKind.CRASH, EventKind.ICE, EventKind.SUDDEN_BRAKE)
 
@@ -166,12 +174,19 @@ class Channel:
         return draw
 
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
-        """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed."""
-        gaps = [(pos[0] - rsu.position[0], pos[1] - rsu.position[1]) for rsu in self.rsus]
-        if not gaps:
-            return None
-        k = min(range(len(gaps)), key=lambda k: gaps[k][0] * gaps[k][0] + gaps[k][1] * gaps[k][1])
-        return self.rsus[k] if self.in_range(*gaps[k]) else None
+        """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed.
+
+        Squared distances are ``dx * dx + dy * dy``, compared with ``r ** 2`` as ``in_range`` does.
+        """
+        x, y = float(pos[0]), float(pos[1])
+        best, best_sq = None, math.inf
+        for rsu in self.rsus:
+            dx = x - rsu.position[0]
+            dy = y - rsu.position[1]
+            d_sq = dx * dx + dy * dy
+            if d_sq < best_sq:
+                best, best_sq = rsu, d_sq
+        return best if best_sq <= self.range_m ** 2 else None
 
 
 class SimWorld:
@@ -259,12 +274,16 @@ class SimWorld:
         self.known_true: dict[int, list[int]] = {i: [] for i in attacker_ids}
         self.altered: set[int] = set()
 
-    def x_at(self, t: float) -> np.ndarray:
-        """Every vehicle's x at time ``t``."""
-        return np.mod(self.x0 + self.direction * self.speed * t, self.config.grid[0])
+    def x_at(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Every vehicle's x at time ``t``, written to ``out`` when given."""
+        return np.mod(self.x0 + self.direction * self.speed * t, self.config.grid[0], out=out)
 
     def positions_at(self, t: float) -> np.ndarray:
-        return np.column_stack((self.x_at(t), self.lane_y))
+        """Every vehicle's (x, y) at time ``t``, one row per vehicle."""
+        positions = np.empty((self.n, 2))
+        self.x_at(t, out=positions[:, 0])
+        positions[:, 1] = self.lane_y
+        return positions
 
 
 def build_scenario(config: ScenarioConfig, pipeline: str = "irs") -> SimWorld:
@@ -340,9 +359,11 @@ class _Runner:
         self.ring = min(int(self.cfg.neighbor_ttl / interval) + 3, int(self.cfg.duration / interval) + 2)
         self.round_x = np.zeros((self.ring, n))
         self.last_round = -1
-        # Squared lane gap of each (receiver, sender) pair: vehicles never change lane.
+        # Squared lane gap of each (receiver, sender) pair: vehicles never change lane. The diagonal is
+        # inf, so a vehicle is never in range of itself and the beacon round needs no self-pair mask.
         lane_gap = world.lane_y[:, None] - world.lane_y[None, :]
         self.lane_gap_sq = lane_gap * lane_gap
+        np.fill_diagonal(self.lane_gap_sq, np.inf)
         # The beacon round's buffers: the range and loss masks, and one that holds the x gaps, then the
         # loss draws, and last, as int32 in its first half, the round stamps.
         self._ok = np.empty((n, n), dtype=bool)
@@ -429,9 +450,7 @@ class _Runner:
 
     def handle_round(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
-        positions = world.positions_at(t)
-        x = positions[:, 0]
-        self.round_x[index % self.ring] = x
+        x = world.x_at(t, out=self.round_x[index % self.ring])
         self.last_round = index
 
         due = self.next_tx <= t + 1e-9
@@ -444,7 +463,6 @@ class _Runner:
             ok &= channel.kept(out=self._kept, draws=gap)
             if n_due < world.n:
                 ok &= due
-            np.fill_diagonal(ok, False)
             # index where heard, -1 elsewhere; indices only grow, so a max records the round without a branch.
             stamp = np.multiply(ok.view(np.uint8), np.int32(index + 1), out=self._stamp)
             stamp -= 1
@@ -452,6 +470,8 @@ class _Runner:
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
+        # Positions are built on first need: an expiry that settles something, or a request round.
+        positions = None
         # Randomize processing order: report arrival at the roadside unit
         # would otherwise always favor low vehicle ids when crediting the
         # first two reporters of an event.
@@ -461,11 +481,14 @@ class _Runner:
             node = world.nodes[idx]
             outcome = node.expire_pending(t)
             self.oldest_pending[idx] = node.oldest_pending
-            self.settle(idx, "EXPIRE", outcome, t, positions)
+            if outcome.finalized or outcome.reports:
+                if positions is None:
+                    positions = world.positions_at(t)
+                self.settle(idx, "EXPIRE", outcome, t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
-            self.handle_requests(t, positions)
+            self.handle_requests(t, world.positions_at(t) if positions is None else positions)
 
         nxt = (index + 1) * cfg.beacon_interval[0]
         if nxt <= cfg.duration:
@@ -486,13 +509,18 @@ class _Runner:
             rsu = channel.nearest_rsu(positions[idx])
             # The request and the response each cross the lossy channel.
             if rsu is not None and channel.kept() and channel.kept():
-                self.deliver_ledger(t, rsu, idx, RrlBroadcast(rsu.snapshot(), t))
+                self.deliver_ledger(t, rsu, [idx], RrlBroadcast(rsu.snapshot(), t))
 
-    def deliver_ledger(self, t: float, rsu: RsuNode, idx: int, broadcast: RrlBroadcast) -> None:
-        """Hand a ledger to vehicle ``idx``; count and log it only if the vehicle keeps it."""
-        if self.world.nodes[idx].handle_rrl_broadcast(broadcast):
-            self.counters["rrl_deliveries"] += 1
-            self.emit_line(t, "RRL", rsu.id, idx)
+    def deliver_ledger(self, t: float, rsu: RsuNode, ids: list[int], broadcast: RrlBroadcast) -> None:
+        """Hand one ledger publication to each vehicle in ``ids``, in order; count and log each that keeps it."""
+        nodes, log = self.world.nodes, self.log
+        prefix = f"{t:.6f}\tRRL\t{rsu.id}\t"
+        kept = 0
+        for idx in ids:
+            if nodes[idx].handle_rrl_broadcast(broadcast):
+                kept += 1
+                log.append(f"{prefix}{idx}\t-\t-\t-\t-")
+        self.counters["rrl_deliveries"] += kept
 
     def handle_rsu_tick(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
@@ -500,9 +528,9 @@ class _Runner:
         for rsu in world.rsus:
             broadcast, forwards = rsu.tick(t)
             self.counters["rrl_broadcasts"] += 1
-            self.counters["encoded_bytes"] += len(encode_rrl_broadcast(broadcast))
-            for idx in np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]:
-                self.deliver_ledger(t, rsu, int(idx), broadcast)
+            self.counters["encoded_bytes"] += _RRL_FIXED_WIRE_BYTES + _RRL_ROW_WIRE_BYTES * len(broadcast.rrl)
+            hearers = np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]
+            self.deliver_ledger(t, rsu, hearers.tolist(), broadcast)
             for fwd in forwards:
                 world.rsus_by_id[fwd.destination].handle_forward(fwd)
                 self.emit_line(t, "FWD", fwd.origin, fwd.destination, "-")
@@ -547,7 +575,7 @@ class _Runner:
         world, cfg = self.world, self.cfg
         sender = warning.sender
         self.counters["warnings_emitted"] += 1
-        self.counters["encoded_bytes"] += len(encode_warning(warning))
+        self.counters["encoded_bytes"] += _WARNING_WIRE_BYTES
         self.emit_line(now, "EMIT", sender, "-", warning.event_id)
 
         positions = world.positions_at(now)
@@ -555,18 +583,18 @@ class _Runner:
         reached[sender] = False
         receivers = world.channel.arrival_order(np.nonzero(reached)[0])
         gaps = positions[receivers] - positions[sender]
-        # Records keep the distance their log line prints, so a replayed log buckets it alike.
-        distances = [float(f"{d:.3f}") for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
+        # Each range as its log line prints it; records keep float(text), so a replayed log buckets alike.
+        texts = [f"{d:.3f}" for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
-        facts = self.heard(receivers, warning, now) if self.irs else [None] * len(distances)
+        facts = self.heard(receivers, warning, now, positions) if self.irs else [None] * len(texts)
 
-        for r, distance, heard in zip(receivers.tolist(), distances, facts):
-            if r in world.known_true and truth and warning.event_id not in world.known_true[r]:
+        for r, text, heard in zip(receivers.tolist(), texts, facts):
+            if truth and r in world.known_true and warning.event_id not in world.known_true[r]:
                 world.known_true[r].append(warning.event_id)
             if self.irs:
-                self.deliver_irs(r, warning, now, distance, truth, positions, heard)
+                self.deliver_irs(r, warning, now, text, truth, positions, heard)
             else:
-                self.deliver_accept_all(r, warning, now, distance, truth)
+                self.deliver_accept_all(r, warning, now, float(text), truth)
 
     def deliver_accept_all(self, idx: int, warning: Warning, now: float, distance: float, truth: bool) -> None:
         started = time.perf_counter_ns()
@@ -582,25 +610,32 @@ class _Runner:
         idx: int,
         warning: Warning,
         now: float,
-        distance: float,
+        distance: str,
         truth: bool,
         positions: np.ndarray,
         heard: Optional[Heard],
     ) -> None:
+        """Decide one delivery, then record it and write its DELIVER line; ``distance`` is the line's text."""
         node = self.world.nodes[idx]
         started = time.perf_counter_ns()
         outcome = node.handle_warning(warning, now, heard)
         latency = time.perf_counter_ns() - started
         self.oldest_pending[idx] = node.oldest_pending
 
-        if outcome.disposition is None:
+        disposition = outcome.disposition
+        if disposition is None:
             return
         self.counters["warning_deliveries"] += 1
-        self.record_decision(
-            "DELIVER",
-            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, outcome.disposition, distance, latency),
+        sender, event_id = warning.sender, warning.event_id
+        self.decisions.record(
+            DecisionRecord(now, idx, sender, event_id, truth, disposition, float(distance), latency)
         )
-        self.settle(idx, "RESOLVE", outcome, now, positions)
+        self.log.append(
+            f"{now:.6f}\tDELIVER\t{sender}\t{idx}\t{event_id}\t{DISPOSITION_NAMES[disposition]}"
+            f"\t{'1' if truth else '0'}\t{distance}"
+        )
+        if outcome.finalized or outcome.reports:
+            self.settle(idx, "RESOLVE", outcome, now, positions)
 
     def record_decision(self, kind: str, r: DecisionRecord) -> None:
         """Record one decision and write its DELIVER, RESOLVE or EXPIRE line."""
@@ -621,11 +656,14 @@ class _Runner:
             k += 1
         return k
 
-    def heard(self, receivers: np.ndarray, warning: Warning, now: float) -> list[Optional[Heard]]:
+    def heard(
+        self, receivers: np.ndarray, warning: Warning, now: float, positions: np.ndarray
+    ) -> list[Optional[Heard]]:
         """Each receiver's beacon facts for ``warning``, in one pass over the receivers that read them.
 
         None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
-        already holds the event: a repeat reads no facts. Past positions come from ``round_x``. A tie for
+        already holds the event: a repeat reads no facts. ``positions`` are every vehicle's at ``now``
+        (``SimWorld.positions_at``); past positions come from ``round_x``. A tie for
         the nearest or farthest fresh neighbor goes to the lowest id. np.hypot can differ from math.hypot
         in the last bit, so it only picks the two; the decision measures them again.
         """
@@ -655,7 +693,7 @@ class _Runner:
         nearest = np.where(fresh, spread, np.inf).argmin(axis=1)
         farthest = np.where(fresh, spread, -np.inf).argmax(axis=1)
         k = np.arange(len(readers))
-        own = zip(world.x_at(now)[readers].tolist(), world.lane_y[readers].tolist())
+        own = map(tuple, positions[readers].tolist())
         near = zip(xs[rows[k, nearest], nearest].tolist(), world.lane_y[nearest].tolist())
         far = zip(xs[rows[k, farthest], farthest].tolist(), world.lane_y[farthest].tolist())
         sender_x = xs[rows[:, sender], sender].tolist()

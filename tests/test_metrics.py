@@ -397,3 +397,18 @@ class TestReplayEdgeInput:
     def test_negative_distance_still_value_error(self):
         with pytest.raises(ValueError, match="distance"):
             self._replay("1.000000\tDELIVER\t9\t1\t4\taccept\t0\t-5.000\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["time", "distance"])
+    def test_non_finite_time_or_distance_rejected(self, field, value):
+        # float() parses these, and finalize could not bucket them; they never reach a record.
+        time_s, distance = (value, "5.000") if field == "time" else ("1.000000", value)
+        line = f"{time_s}\tDELIVER\t9\t1\t44\taccept\t0\t{distance}\n"
+        with pytest.raises(MetricsError, match="non-finite time or distance"):
+            self._replay("\n".join(_CLEAN_LOG) + "\n" + line)
+
+    def test_finite_extremes_still_replay(self):
+        # The finiteness test multiplies by zero first, so large finite values do not overflow it.
+        line = "1e308\tDELIVER\t9\t1\t44\taccept\t0\t1e308\n"
+        (record,) = self._replay(line).records
+        assert (record.time, record.distance_m) == (1e308, 1e308)

@@ -1,5 +1,6 @@
 """Vehicle and roadside-unit state machine tests."""
 
+import math
 import struct
 
 import numpy as np
@@ -92,7 +93,7 @@ def beacon_runner():
 def heard_one(runner, receiver, sender, now, event=(100.0, 500.0)):
     """The beacon facts ``receiver`` holds at ``now`` for a warning from ``sender``."""
     warning = Warning(sender, 1, EventKind.CRASH, event, now)
-    return runner.heard(np.array([receiver]), warning, now)[0]
+    return runner.heard(np.array([receiver]), warning, now, runner.world.positions_at(now))[0]
 
 
 def run_rounds(runner, count):
@@ -399,6 +400,7 @@ class TestPendingOrder:
                 out = node.handle_warning(Warning(7 + event_id % 2, event_id, EventKind.ICE, (120.0, 0.0), t), t)
                 assert out.disposition is Disposition.PENDING
                 held[event_id] = t
+                assert node.oldest_pending == min(held.values())
                 continue
             expired = {e for e, seen in held.items() if t - seen > CFG.pending_ttl}
             assert node.pending_due(t) == bool(expired)
@@ -407,6 +409,8 @@ class TestPendingOrder:
             assert {r.event_id for r in out.reports} == expired
             held = {e: seen for e, seen in held.items() if e not in expired}
             assert set(node.pending) == set(held)
+            # The one-pass expiry keeps the oldest remaining entry, whatever order the times came in.
+            assert node.oldest_pending == min(held.values(), default=math.inf)
 
 
 class TestRrlBroadcastHandling:
@@ -739,6 +743,18 @@ class TestWireFormat:
         assert len(blob) == 41
         sender, event, kind, x, y, ts = struct.unpack("<QQBddd", blob)
         assert (sender, event, kind, x, y, ts) == (7, 99, 1, 10.0, 20.0, 1.5)
+
+    def test_warning_wire_size_matches_encoder(self):
+        # The simulator counts a warning's bytes from its struct format; the encoder is the reference.
+        w = Warning(7, 99, EventKind.SUDDEN_BRAKE, (10.0, 20.0), 1.5)
+        assert len(encode_warning(w)) == 41 == sim._WARNING_WIRE_BYTES
+
+    @pytest.mark.parametrize("rows", [0, 1, 104])
+    def test_ledger_wire_size_matches_encoder(self, rows):
+        # The simulator counts a ledger's bytes from its row count: 29 fixed bytes plus 24 per row.
+        ledger = RsuReputationList({v: ReputationRecord(v, v % 11, v % 3) for v in range(rows)}, 3, 9000)
+        size = sim._RRL_FIXED_WIRE_BYTES + sim._RRL_ROW_WIRE_BYTES * len(ledger)
+        assert len(encode_rrl_broadcast(RrlBroadcast(ledger, 6.0, True))) == size == 29 + 24 * rows
 
     def test_report_encoding(self):
         r = MisbehaviorReport(3, 9, 44, 2.0, True)

@@ -226,6 +226,21 @@ class TestNearestRsu:
         assert make_channel(rsus=rsus).nearest_rsu((200.0, 0.0)) is rsus[0]
         assert make_channel(rsus=rsus[::-1]).nearest_rsu((200.0, 0.0)) is rsus[1]
 
+    @pytest.mark.parametrize("gap", [(300.0, 0.0), (180.0, 240.0)], ids=["on-axis", "diagonal"])
+    def test_unit_exactly_at_range_counts(self, gap):
+        # dx² + dy² == r² (90000 == 300² exactly) is in range, as in Channel.in_range.
+        rsu = RsuNode(10_000, (gap[0], gap[1]), 440.0, ProtocolConfig())
+        assert make_channel(rsus=[rsu]).nearest_rsu((0.0, 0.0)) is rsu
+        assert make_channel(range_m=299.999, rsus=[rsu]).nearest_rsu((0.0, 0.0)) is None
+
+    @pytest.mark.parametrize("reach", [100.0, 300.0], ids=["inside", "at-range"])
+    def test_three_way_tie_goes_to_first_listed(self, reach):
+        places = [(200.0 - reach, 0.0), (200.0 + reach, 0.0), (200.0, reach)]
+        rsus = [RsuNode(10_000 + k, p, 440.0, ProtocolConfig()) for k, p in enumerate(places)]
+        for shift in range(3):
+            order = rsus[shift:] + rsus[:shift]
+            assert make_channel(rsus=order).nearest_rsu((200.0, 0.0)) is order[0]
+
 
 class TestLedgerRequests:
     def test_rejected_response_is_neither_counted_nor_logged(self):
@@ -300,19 +315,20 @@ class TestLedgerBootstrap:
         deliver_ledger = runner.deliver_ledger
         seeded = set()
 
-        def checked(t, rsu, idx, broadcast):
-            lrl = world.nodes[idx].lrl
-            was_empty = len(lrl) == 0
-            deliver_ledger(t, rsu, idx, broadcast)
-            if not was_empty or len(lrl) == 0:
-                return
-            # The points a per-entry bootstrap loop copies, in the same order.
-            expected = [(vid, rec.points) for vid, rec in broadcast.rrl.entries.items() if vid != idx]
-            assert list(lrl.entries.items()) == expected
-            points = [pts for _, pts in expected]
-            bands = lrl.trust_bands()
-            assert (bands.min_points, bands.max_points) == (min(points), max(points))
-            seeded.add(idx)
+        def checked(t, rsu, ids, broadcast):
+            empty = [idx for idx in ids if len(world.nodes[idx].lrl) == 0]
+            deliver_ledger(t, rsu, ids, broadcast)
+            for idx in empty:
+                lrl = world.nodes[idx].lrl
+                if len(lrl) == 0:
+                    continue
+                # The points a per-entry bootstrap loop copies, in the same order.
+                expected = [(vid, rec.points) for vid, rec in broadcast.rrl.entries.items() if vid != idx]
+                assert list(lrl.entries.items()) == expected
+                points = [pts for _, pts in expected]
+                bands = lrl.trust_bands()
+                assert (bands.min_points, bands.max_points) == (min(points), max(points))
+                seeded.add(idx)
 
         runner.deliver_ledger = checked
         runner.run()
@@ -330,8 +346,8 @@ class TestPendingAgeOut:
         runner.heard_round[:] = 0  # every vehicle heard every other in round 0
         positions = world.positions_at(0.0)
         warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
-        heard = runner.heard(np.array([0]), warning, 0.0)[0]
-        runner.deliver_irs(0, warning, 0.0, 10.0, True, positions, heard)
+        heard = runner.heard(np.array([0]), warning, 0.0, positions)[0]
+        runner.deliver_irs(0, warning, 0.0, "10.000", True, positions, heard)
         assert [r.decision for r in runner.decisions.records] == [Disposition.ACCEPT]
         runner.handle_round(2.0, 20)  # 2.0 s is not past the TTL
         assert 1 in world.nodes[0].pending
@@ -414,7 +430,11 @@ class TestBeaconEquivalence:
                 for vid, (position, last_seen) in reference[r].items()
                 if now - last_seen <= cfg.neighbor_ttl
             }
-            facts = {s: runner.heard(np.array([r]), warning_from(s, (500.0, 500.0), now), now)[0] for s in range(n)}
+            positions = world.positions_at(now)
+            facts = {
+                s: runner.heard(np.array([r]), warning_from(s, (500.0, 500.0), now), now, positions)[0]
+                for s in range(n)
+            }
             assert {s for s, heard in facts.items() if heard is not None} == set(expected)
             for vid in expected:
                 assert last_heard(runner)[r, vid] == expected[vid][1]
@@ -487,7 +507,7 @@ class TestBeaconEquivalence:
                 references = [reference(r, event) for r in range(n)]
                 for s in range(n):
                     receivers = np.array([r for r in range(n) if r != s])
-                    facts = runner.heard(receivers, warning_from(s, event, now), now)
+                    facts = runner.heard(receivers, warning_from(s, event, now), now, world.positions_at(now))
                     for r, heard in zip(receivers.tolist(), facts):
                         at, near, far = references[r]
                         expected = Heard(where(r, now), at[s], near, far) if s in at else None
@@ -528,13 +548,15 @@ class TestBeaconEquivalence:
             positions = world.positions_at(0.0)
             first = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
             second = sim.Warning(2, 1, kind, first.event_position, 0.1)
-            facts = runner.heard(np.array([0]), second, 0.1)[0]
+            later = world.positions_at(0.1)
+            facts = runner.heard(np.array([0]), second, 0.1, later)[0]
             assert facts is not None
-            runner.deliver_irs(0, first, 0.0, 10.0, True, positions, runner.heard(np.array([0]), first, 0.0)[0])
+            first_facts = runner.heard(np.array([0]), first, 0.0, positions)[0]
+            runner.deliver_irs(0, first, 0.0, "10.000", True, positions, first_facts)
             assert 1 in world.nodes[0].pending
-            held, other = runner.heard(np.array([0, 3]), second, 0.1)
+            held, other = runner.heard(np.array([0, 3]), second, 0.1, later)
             assert held is None and other is not None  # vehicle 3 does not hold the event
-            runner.deliver_irs(0, second, 0.1, 12.0, True, positions, facts if pass_facts else None)
+            runner.deliver_irs(0, second, 0.1, "12.000", True, positions, facts if pass_facts else None)
             outputs.append((runner.log, runner.decisions.records))
         assert len(outputs[0][0]) == 2 and outputs[0][0] == outputs[1][0]
         assert [r.decision for r in outputs[0][1]] == [r.decision for r in outputs[1][1]]
@@ -584,6 +606,38 @@ class TestBeaconEquivalence:
         assert len(set(world.lane_y.tolist())) == 2 * lanes
         heard = np.isfinite(reference)
         assert heard.any() and not heard.all()
+
+
+class TestNoSelfPairs:
+    @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["all-due", "jittered"])
+    def test_no_vehicle_hears_itself(self, interval):
+        # Self-pairs are kept out by the inf diagonal of lane_gap_sq, not by a mask per round.
+        cfg = small_config(
+            grid=(200.0, 1000.0),
+            vehicle_count=12,
+            duration=3.0,
+            attacker_count=0,
+            beacon_interval=interval,
+            delivery_loss_probability=0.0,
+            event_rate_per_min=0.0,
+            rsu_positions=(),
+        )
+        runner = sim._Runner(build_scenario(cfg))
+        handle_round = runner.handle_round
+        seen = Counter()
+
+        def checked_round(t, index):
+            seen["partial"] += bool((runner.next_tx > t + 1e-9).any())
+            handle_round(t, index)
+            assert (np.diagonal(runner.heard_round) == -1).all()
+            seen["rounds"] += 1
+
+        runner.handle_round = checked_round
+        runner.run()
+        assert seen["rounds"] == 31
+        assert (seen["partial"] > 0) == (interval[1] > interval[0])
+        # Every other pair is in range and lossless, so each was heard.
+        assert (runner.heard_round[~np.eye(cfg.vehicle_count, dtype=bool)] >= 0).all()
 
 
 class TestAttackers:
