@@ -450,7 +450,9 @@ class _Runner:
 
     def handle_round(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
-        x = world.x_at(t, out=self.round_x[index % self.ring])
+        positions = world.positions_at(t)
+        x = positions[:, 0]
+        self.round_x[index % self.ring] = x
         self.last_round = index
 
         due = self.next_tx <= t + 1e-9
@@ -470,8 +472,6 @@ class _Runner:
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
-        # Positions are built on first need: an expiry that settles something, or a request round.
-        positions = None
         # Randomize processing order: report arrival at the roadside unit
         # would otherwise always favor low vehicle ids when crediting the
         # first two reporters of an event.
@@ -481,14 +481,11 @@ class _Runner:
             node = world.nodes[idx]
             outcome = node.expire_pending(t)
             self.oldest_pending[idx] = node.oldest_pending
-            if outcome.finalized or outcome.reports:
-                if positions is None:
-                    positions = world.positions_at(t)
-                self.settle(idx, "EXPIRE", outcome, t, positions)
+            self.settle(idx, "EXPIRE", outcome, t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
-            self.handle_requests(t, world.positions_at(t) if positions is None else positions)
+            self.handle_requests(t, positions)
 
         nxt = (index + 1) * cfg.beacon_interval[0]
         if nxt <= cfg.duration:
@@ -513,14 +510,11 @@ class _Runner:
 
     def deliver_ledger(self, t: float, rsu: RsuNode, ids: list[int], broadcast: RrlBroadcast) -> None:
         """Hand one ledger publication to each vehicle in ``ids``, in order; count and log each that keeps it."""
-        nodes, log = self.world.nodes, self.log
-        prefix = f"{t:.6f}\tRRL\t{rsu.id}\t"
-        kept = 0
+        nodes = self.world.nodes
         for idx in ids:
             if nodes[idx].handle_rrl_broadcast(broadcast):
-                kept += 1
-                log.append(f"{prefix}{idx}\t-\t-\t-\t-")
-        self.counters["rrl_deliveries"] += kept
+                self.counters["rrl_deliveries"] += 1
+                self.emit_line(t, "RRL", rsu.id, idx)
 
     def handle_rsu_tick(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
@@ -594,15 +588,18 @@ class _Runner:
             if self.irs:
                 self.deliver_irs(r, warning, now, text, truth, positions, heard)
             else:
-                self.deliver_accept_all(r, warning, now, float(text), truth)
+                self.deliver_accept_all(r, warning, now, text, truth)
 
-    def deliver_accept_all(self, idx: int, warning: Warning, now: float, distance: float, truth: bool) -> None:
+    def deliver_accept_all(self, idx: int, warning: Warning, now: float, distance: str, truth: bool) -> None:
+        """Accept one delivery and write its DELIVER line; ``distance`` is the line's text."""
         started = time.perf_counter_ns()
         disposition = Disposition.ACCEPT
         latency = time.perf_counter_ns() - started
         self.counters["warning_deliveries"] += 1
         self.record_decision(
-            "DELIVER", DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, distance, latency)
+            "DELIVER",
+            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, float(distance), latency),
+            distance,
         )
 
     def deliver_irs(
@@ -626,23 +623,20 @@ class _Runner:
         if disposition is None:
             return
         self.counters["warning_deliveries"] += 1
-        sender, event_id = warning.sender, warning.event_id
-        self.decisions.record(
-            DecisionRecord(now, idx, sender, event_id, truth, disposition, float(distance), latency)
-        )
-        self.log.append(
-            f"{now:.6f}\tDELIVER\t{sender}\t{idx}\t{event_id}\t{DISPOSITION_NAMES[disposition]}"
-            f"\t{'1' if truth else '0'}\t{distance}"
+        self.record_decision(
+            "DELIVER",
+            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, float(distance), latency),
+            distance,
         )
         if outcome.finalized or outcome.reports:
             self.settle(idx, "RESOLVE", outcome, now, positions)
 
-    def record_decision(self, kind: str, r: DecisionRecord) -> None:
-        """Record one decision and write its DELIVER, RESOLVE or EXPIRE line."""
+    def record_decision(self, kind: str, r: DecisionRecord, distance: str) -> None:
+        """Record one decision and write its DELIVER, RESOLVE or EXPIRE line; ``distance`` is the line's text."""
         self.decisions.record(r)
-        self.emit_line(
-            r.time, kind, r.sender, r.receiver, r.event_id,
-            DISPOSITION_NAMES[r.decision], "1" if r.ground_truth else "0", f"{r.distance_m:.3f}",
+        self.log.append(
+            f"{r.time:.6f}\t{kind}\t{r.sender}\t{r.receiver}\t{r.event_id}\t{DISPOSITION_NAMES[r.decision]}"
+            f"\t{'1' if r.ground_truth else '0'}\t{distance}"
         )
 
     def first_fresh_round(self, now: float) -> int:
@@ -727,7 +721,9 @@ class _Runner:
         for sender, event_id, disposition in outcome.finalized:
             held = self.decisions.provisional(idx, event_id, sender)
             self.record_decision(
-                kind, DecisionRecord(now, idx, sender, event_id, held.ground_truth, disposition, held.distance_m)
+                kind,
+                DecisionRecord(now, idx, sender, event_id, held.ground_truth, disposition, held.distance_m),
+                f"{held.distance_m:.3f}",
             )
         for report in outcome.reports:
             self.route_report(idx, report, now, positions)

@@ -9,7 +9,19 @@ from neighbors import last_heard
 
 from irsim import sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
-from irsim.protocol import Disposition, EventKind, Heard, ProtocolConfig, RsuNode, _distance
+from irsim.protocol import (
+    Beacon,
+    Disposition,
+    EventKind,
+    Heard,
+    ProtocolConfig,
+    RsuNode,
+    _distance,
+    encode_beacon,
+    encode_report,
+    encode_rrl_broadcast,
+    encode_warning,
+)
 from irsim.reputation import ReputationRecord, RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
@@ -206,6 +218,44 @@ class TestCounters:
                 settled[receiver, event, sender] += 1
         assert held and set(held.values()) == {1}
         assert settled == held
+
+    def test_encoded_bytes_match_the_encoders(self, overrides, monkeypatch):
+        # The simulator counts wire sizes from struct formats; each message it sends must encode to that size.
+        sent = Counter()
+        emit, tick, route = sim._Runner.emit_warning, RsuNode.tick, sim._Runner.route_report
+
+        def counted(runner, kind, call, expected):
+            before = runner.counters["encoded_bytes"]
+            out = call()
+            assert runner.counters["encoded_bytes"] - before == expected, kind
+            sent[kind] += expected
+            return out
+
+        def emit_warning(self, warning, now):
+            # Reports routed during the warning's deliveries add to the counter too, so only the total is checked.
+            sent["warning"] += len(encode_warning(warning))
+            return emit(self, warning, now)
+
+        def route_report(self, reporter, report, now, positions):
+            # Attackers do not take part in reporting, so their reports cost nothing on the wire.
+            size = 0 if self.world.is_attacker[reporter] else len(encode_report(report))
+            return counted(self, "report", lambda: route(self, reporter, report, now, positions), size)
+
+        def rsu_tick(self, t):
+            broadcast, forwards = tick(self, t)
+            ledgers.append(len(encode_rrl_broadcast(broadcast)))
+            return broadcast, forwards
+
+        ledgers = []
+        monkeypatch.setattr(sim._Runner, "emit_warning", emit_warning)
+        monkeypatch.setattr(sim._Runner, "route_report", route_report)
+        monkeypatch.setattr(RsuNode, "tick", rsu_tick)
+        extras = run(build_scenario(small_config(**overrides), "irs")).report.extras
+        assert sent["warning"] and sent["report"] and ledgers
+        beacon = len(encode_beacon(Beacon(7, (1.5, 2.5), 30.0, (1.0, 0.0), 4.25)))
+        assert extras["channel_encoded_bytes"] == (
+            sent["warning"] + sent["report"] + sum(ledgers) + beacon * extras["beacons_emitted"]
+        )
 
 
 class TestNearestRsu:
