@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -81,17 +81,40 @@ class Warning:
     timestamp: float
 
 
-@dataclass(frozen=True, slots=True)
-class MisbehaviorReport:
+class _ReportFields(NamedTuple):
     reporter: VehicleId
     accused: VehicleId
     event_id: EventId
     timestamp: float
     signature_valid: bool = True
 
-    def __post_init__(self) -> None:
-        if self.reporter == self.accused:
+
+class MisbehaviorReport(_ReportFields):
+    """One vehicle's accusation of another over one event: an immutable tuple.
+
+    A tuple rather than a frozen dataclass because a decision that rejects
+    builds one, and a frozen dataclass pays one ``object.__setattr__`` per
+    field, as ``metrics.DecisionRecord`` explains.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        reporter: VehicleId,
+        accused: VehicleId,
+        event_id: EventId,
+        timestamp: float,
+        signature_valid: bool = True,
+    ) -> MisbehaviorReport:
+        if reporter == accused:
             raise ValueError("reporter and accused must differ")
+        return tuple.__new__(cls, (reporter, accused, event_id, timestamp, signature_valid))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> MisbehaviorReport:
+        # NamedTuple's _make (and so _replace) would skip the check in __new__.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +141,7 @@ class PendingState(Enum):
     RESOLVED = "resolved"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingWarning:
     """Per-event memory of received warnings, held in ``VehicleNode.pending``.
 
@@ -164,18 +187,25 @@ class ProtocolConfig:
     initial_points: int = 5
 
 
-@dataclass
-class WarningOutcome:
-    """Result of one warning delivery or one pass over the pending buffer.
+class WarningOutcome(NamedTuple):
+    """Result of one warning delivery or one pass over the pending buffer: an immutable tuple.
 
     ``disposition`` is None when the message was a duplicate and ignored,
     and for a pass over the buffer. ``finalized`` lists earlier pending
     messages this call resolved, as (sender, event_id, disposition) tuples.
+    The outcomes that carry no report and finalize nothing are the shared
+    constants below, so most calls allocate no result.
     """
 
     disposition: Optional[Disposition]
-    reports: list[MisbehaviorReport] = field(default_factory=list)
-    finalized: list[tuple[VehicleId, EventId, Disposition]] = field(default_factory=list)
+    reports: tuple[MisbehaviorReport, ...] = ()
+    finalized: tuple[tuple[VehicleId, EventId, Disposition], ...] = ()
+
+
+IGNORED = WarningOutcome(None)
+REJECTED = WarningOutcome(Disposition.REJECT)
+ACCEPTED = WarningOutcome(Disposition.ACCEPT)
+PENDING = WarningOutcome(Disposition.PENDING)
 
 
 def _distance(a: Position, b: Position) -> float:
@@ -225,9 +255,9 @@ class VehicleNode:
         already holds the event: that copy takes the repeat path, which reads no beacon facts.
         """
         if warning.sender == self.id:
-            return WarningOutcome(None)
+            return IGNORED
         if not self._position_ok(warning.event_position):
-            return WarningOutcome(Disposition.REJECT)
+            return REJECTED
 
         entry = self.pending.get(warning.event_id)
         if entry is not None:
@@ -242,7 +272,8 @@ class VehicleNode:
         to_event = _distance(sender_at, event)
         if self._estimate_distance(to_event, ranging) > self.config.plausibility_radius_m:
             self._adjust(warning.sender, -1)
-            return WarningOutcome(Disposition.REJECT, [MisbehaviorReport(self.id, warning.sender, warning.event_id, now)])
+            report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
+            return WarningOutcome(Disposition.REJECT, (report,))
 
         h_band = heuristic_band(
             self._estimate_distance(to_event, ranging),
@@ -255,22 +286,24 @@ class VehicleNode:
         sender = warning.sender
         if sender in entry.corroborators:
             # Re-broadcast by a vehicle already counted for this event.
-            return WarningOutcome(None)
+            return IGNORED
         if self._consistent(entry.warning, warning):
-            finalized: list[tuple[VehicleId, EventId, Disposition]] = []
+            outcome = ACCEPTED
             if entry.state is PendingState.AWAITING:
                 # Second opinion arrived: the event is corroborated. Credit
                 # everyone who vouched for it, including the new sender.
                 for vid in entry.corroborators:
                     self._adjust(vid, +1)
                 entry.state = PendingState.RESOLVED
-                finalized.append((entry.warning.sender, warning.event_id, Disposition.ACCEPT))
+                outcome = WarningOutcome(
+                    Disposition.ACCEPT, (), ((entry.warning.sender, warning.event_id, Disposition.ACCEPT),)
+                )
             self._adjust(sender, +1)
             entry.corroborators.add(sender)
-            return WarningOutcome(Disposition.ACCEPT, [], finalized)
+            return outcome
         # Same event, different story: penalize the newcomer.
         self._adjust(sender, -1)
-        return WarningOutcome(Disposition.REJECT)
+        return REJECTED
 
     def _handle_lone(self, warning: Warning, now: float, h_band: Optional[HeuristicBand]) -> WarningOutcome:
         """Decide a first copy of an event; ``h_band`` is None when no beacon of the sender was heard."""
@@ -288,20 +321,20 @@ class VehicleNode:
 
         if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
             self._remember(warning, now)
-            return WarningOutcome(Disposition.ACCEPT)
+            return ACCEPTED
 
         decision = decide_trust(level, standing_of(self.cached_rrl, sender))
         if decision is TrustDecision.ACCEPT:
             self._remember(warning, now)
-            return WarningOutcome(Disposition.ACCEPT)
+            return ACCEPTED
         if decision is TrustDecision.REJECT:
             self._adjust(sender, -1)
             self._remember(warning, now)
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
-            return WarningOutcome(Disposition.REJECT, [report])
+            return WarningOutcome(Disposition.REJECT, (report,))
         # Unsure: hold the message and wait for somebody else to confirm it.
         self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
-        return WarningOutcome(Disposition.PENDING)
+        return PENDING
 
     def _heuristic_acceptable(self, band: HeuristicBand) -> bool:
         if self.config.strict_top_heuristic:
@@ -336,11 +369,10 @@ class VehicleNode:
         Lone warnings past the TTL resolve to a rejection: the sender loses a
         point, one misbehavior report is emitted, and the warning is listed in
         ``finalized``. Entries that were already resolved just drop out
-        without penalty.
+        without penalty. A pass that finalizes nothing returns ``IGNORED``.
         """
-        outcome = WarningOutcome(None)
         if not self.pending_due(now):
-            return outcome
+            return IGNORED
         ttl = self.config.pending_ttl
         # One pass finds the due entries and the oldest of those that stay; no order of times is assumed.
         due = []
@@ -351,15 +383,19 @@ class VehicleNode:
                 due.append(event_id)
             elif seen < oldest:
                 oldest = seen
+        reports = []
+        finalized = []
         for event_id in due:
             entry = self.pending.pop(event_id)
             if entry.state is PendingState.AWAITING:
                 sender = entry.warning.sender
                 self._adjust(sender, -1)
-                outcome.reports.append(MisbehaviorReport(self.id, sender, event_id, now))
-                outcome.finalized.append((sender, event_id, Disposition.REJECT))
+                reports.append(MisbehaviorReport(self.id, sender, event_id, now))
+                finalized.append((sender, event_id, Disposition.REJECT))
         self.oldest_pending = oldest
-        return outcome
+        if not finalized:
+            return IGNORED
+        return WarningOutcome(None, tuple(reports), tuple(finalized))
 
     # -- network ledger ----------------------------------------------------
 

@@ -118,6 +118,13 @@ class ScenarioConfig:
             if not (0 <= pos[0] <= self.grid[0] and 0 <= pos[1] <= self.grid[1]):
                 raise ConfigError(f"rsu_positions entry {pos!r} outside the grid")
         positive("rsu_coverage_radius", self.rsu_coverage_radius)
+        # The radio compares squared distances with the squared radius, and ``r ** 2`` on a float raises on overflow.
+        for name, radius in (
+            ("transmission_range", self.transmission_range),
+            ("rsu_coverage_radius", self.rsu_coverage_radius),
+        ):
+            if not radius * radius < math.inf:
+                raise ConfigError(f"{name} is too large to square, got {radius!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         positive("pending_ttl", self.pending_ttl)

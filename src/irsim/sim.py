@@ -456,7 +456,7 @@ class _Runner:
         self.last_round = index
 
         due = self.next_tx <= t + 1e-9
-        n_due = int(due.sum())
+        n_due = int(np.count_nonzero(due))
         if n_due:
             # ok[r, s]: receiver r heard sender s's beacon this round; one loss draw per pair, as in hears.
             channel, gap, ok = world.channel, self._gap, self._ok
@@ -465,11 +465,13 @@ class _Runner:
             ok &= channel.kept(out=self._kept, draws=gap)
             if n_due < world.n:
                 ok &= due
+                self.next_tx[due] += self.beacon_iv[due]
+            else:
+                self.next_tx += self.beacon_iv
             # index where heard, -1 elsewhere; indices only grow, so a max records the round without a branch.
             stamp = np.multiply(ok.view(np.uint8), np.int32(index + 1), out=self._stamp)
             stamp -= 1
             np.maximum(self.heard_round, stamp, out=self.heard_round)
-            self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
         # Randomize processing order: report arrival at the roadside unit
@@ -477,11 +479,13 @@ class _Runner:
         # first two reporters of an event.
         # The same test as VehicleNode.pending_due, over all vehicles at once, in id order.
         expiring = np.nonzero(t - self.oldest_pending > cfg.pending_ttl)[0]
-        for idx in world.channel.arrival_order(expiring).tolist():
-            node = world.nodes[idx]
-            outcome = node.expire_pending(t)
-            self.oldest_pending[idx] = node.oldest_pending
-            self.settle(idx, "EXPIRE", outcome, t, positions)
+        # A shuffle of no ids draws nothing from the stream, so a round with none skips it.
+        if len(expiring):
+            for idx in world.channel.arrival_order(expiring).tolist():
+                node = world.nodes[idx]
+                outcome = node.expire_pending(t)
+                self.oldest_pending[idx] = node.oldest_pending
+                self.settle(idx, "EXPIRE", outcome, t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
@@ -511,10 +515,12 @@ class _Runner:
     def deliver_ledger(self, t: float, rsu: RsuNode, ids: list[int], broadcast: RrlBroadcast) -> None:
         """Hand one ledger publication to each vehicle in ``ids``, in order; count and log each that keeps it."""
         nodes = self.world.nodes
+        kept = 0
         for idx in ids:
             if nodes[idx].handle_rrl_broadcast(broadcast):
-                self.counters["rrl_deliveries"] += 1
+                kept += 1
                 self.emit_line(t, "RRL", rsu.id, idx)
+        self.counters["rrl_deliveries"] += kept
 
     def handle_rsu_tick(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
@@ -701,7 +707,7 @@ class _Runner:
         if not world.rsus:
             return
         # Attackers do not cooperate with the misbehavior-reporting scheme.
-        if world.is_attacker[reporter]:
+        if reporter not in world.benign:
             return
         self.counters["encoded_bytes"] += _REPORT_WIRE_BYTES
         rsu = world.channel.nearest_rsu(positions[reporter])

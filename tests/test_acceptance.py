@@ -262,7 +262,7 @@ class TestCriterion8:
             failures.append("pending setup")
         w2 = Warning(2, 70, EventKind.ICE, (111.0, 0.0), 1.5)
         out2 = node.handle_warning(w2, 1.5, heard_from(neighbors, w2))
-        if out2.finalized != [(5, 70, Disposition.ACCEPT)]:
+        if out2.finalized != ((5, 70, Disposition.ACCEPT),):
             failures.append("pending resolution")
         expired = node.expire_pending(10.0)
         if expired.finalized or expired.reports:

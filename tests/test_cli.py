@@ -127,10 +127,13 @@ class TestExecute:
             ["--vehicles", "4", "--duration", "1e9"],
             ["--scenario", "beacon_interval = 1e-9 1e-9"],
             ["--scenario", "event_rate_per_min = 1e12"],
+            ["--vehicles", "4", "--attackers", "0", "--duration", "1", "--tx-range", "1e200", "--seed", "0"],
+            ["--scenario", "rsu_coverage_radius = 1e200"],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
-            "duration-huge", "beacon-tiny-file", "event-rate-huge-file",
+            "duration-huge", "beacon-tiny-file", "event-rate-huge-file", "tx-range-square-overflows",
+            "rsu-radius-square-overflows-file",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):

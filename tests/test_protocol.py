@@ -158,7 +158,7 @@ class TestWarningPipeline:
         warning = Warning(1, 42, EventKind.CRASH, (110.0, 0.0), 1.0)
         out = node.handle_warning(warning, 1.0)
         assert out.disposition is Disposition.ACCEPT
-        assert out.reports == []
+        assert out.reports == ()
 
     def test_corroboration_credits_everyone(self):
         node = self._node_with_neighbors()
@@ -176,10 +176,10 @@ class TestWarningPipeline:
         w2 = Warning(3, 77, EventKind.ICE, (116.0, 0.0), 1.5)
         out2 = node.handle_warning(w2, 1.5)
         assert out2.disposition is Disposition.ACCEPT
-        assert out2.reports == []  # corroborated warnings never generate reports
+        assert out2.reports == ()  # corroborated warnings never generate reports
         assert node.lrl.get(5) == before_5 + 1
         assert node.lrl.get(3) == before_3 + 1
-        assert out2.finalized == [(5, 77, Disposition.ACCEPT)]
+        assert out2.finalized == ((5, 77, Disposition.ACCEPT),)
 
     def test_third_copy_credits_newcomer_only(self):
         node = self._node_with_neighbors()
@@ -191,7 +191,7 @@ class TestWarningPipeline:
         before_2 = node.lrl.get(2)
         out3 = node.handle_warning(Warning(2, 77, EventKind.ICE, (117.0, 0.0), 1.6), 1.6)
         assert out3.disposition is Disposition.ACCEPT
-        assert out3.finalized == []
+        assert out3.finalized == ()
         assert node.lrl.get(2) == before_2 + 1
         assert node.lrl.get(5) == before_5  # no double credit
 
@@ -210,7 +210,7 @@ class TestWarningPipeline:
         out = node.handle_warning(Warning(2, 42, EventKind.ICE, (110.0, 0.0), 1.1), 1.1)
         assert out.disposition is Disposition.REJECT
         assert node.lrl.get(2) == before - 1
-        assert out.reports == []
+        assert out.reports == ()
 
     def test_conflicting_position_penalized(self):
         node = self._node_with_neighbors()
@@ -338,7 +338,7 @@ class TestPendingExpiry:
         node = self._pending_node()
         before = node.lrl.get(7)
         out = node.expire_pending(3.5)  # 2.5 s > 2.0 s TTL
-        assert out.finalized == [(7, 60, Disposition.REJECT)]
+        assert out.finalized == ((7, 60, Disposition.REJECT),)
         assert len(out.reports) == 1
         assert out.reports[0].accused == 7
         assert node.lrl.get(7) == before - 1
@@ -347,7 +347,7 @@ class TestPendingExpiry:
     def test_pending_within_ttl_untouched(self):
         node = self._pending_node()
         out = node.expire_pending(2.0)
-        assert out.finalized == [] and out.reports == []
+        assert out.finalized == () and out.reports == ()
         assert 60 in node.pending
 
     def test_corroborated_pending_expires_without_penalty(self):
@@ -355,7 +355,7 @@ class TestPendingExpiry:
         node.handle_warning(Warning(2, 60, EventKind.ICE, (121.0, 0.0), 1.5), 1.5)
         points_before = dict(node.lrl.entries)
         out = node.expire_pending(10.0)
-        assert out.finalized == [] and out.reports == []
+        assert out.finalized == () and out.reports == ()
         assert 60 not in node.pending
         assert node.lrl.entries == points_before
 
@@ -364,9 +364,9 @@ class TestPendingExpiry:
         # must not double-credit or penalize.
         node = self._pending_node()
         out = node.handle_warning(Warning(2, 60, EventKind.ICE, (121.0, 0.0), 1.5), 1.5)
-        assert out.finalized == [(7, 60, Disposition.ACCEPT)]
+        assert out.finalized == ((7, 60, Disposition.ACCEPT),)
         out = node.expire_pending(10.0)
-        assert out.finalized == [] and out.reports == []
+        assert out.finalized == () and out.reports == ()
 
 
 class TestPendingOrder:
@@ -567,6 +567,12 @@ class TestRsuReports:
     def test_reporter_equals_accused_rejected(self):
         with pytest.raises(ValueError):
             report(2, 2)
+        # The tuple's other constructors run the same check.
+        with pytest.raises(ValueError):
+            MisbehaviorReport._make((2, 2, 1, 1.0, True))
+        with pytest.raises(ValueError):
+            report(2, 14)._replace(accused=2)
+        assert report(2, 14)._replace(accused=9) == report(2, 9)
 
     def test_misbehavior_never_decreases(self):
         rsu = make_rsu()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from neighbors import last_heard
 
-from irsim import sim
+from irsim import protocol, sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
 from irsim.protocol import (
     Beacon,
@@ -152,6 +152,15 @@ class TestRadio:
             parts = line.split("\t")
             if parts[1] == "DELIVER":
                 assert float(parts[7]) <= 300.0
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_shuffle_of_at_most_one_id_draws_nothing(self, count):
+        # A beacon round with no vehicle past the pending TTL skips the shuffle; the bytes hold only
+        # because a shuffle that short leaves the stream where it was.
+        channel = make_channel(seed=5)
+        twin = np.random.Generator(np.random.PCG64(5))
+        assert channel.arrival_order(np.arange(count)).tolist() == list(range(count))
+        assert channel.rng.random() == twin.random()
 
     def test_total_loss_leaves_initial_state(self):
         cfg = small_config(delivery_loss_probability=1.0)
@@ -418,6 +427,34 @@ class TestPendingAgeOut:
 
         runner.handle_round = checked_round
         runner.run()
+
+
+class TestSharedOutcomes:
+    def test_shared_outcomes_stay_empty_and_every_result_holds_tuples(self, monkeypatch):
+        results = []
+        handle_warning, expire_pending = protocol.VehicleNode.handle_warning, protocol.VehicleNode.expire_pending
+
+        def recorded(method):
+            def wrapper(*args, **kwargs):
+                outcome = method(*args, **kwargs)
+                results.append(outcome)
+                return outcome
+
+            return wrapper
+
+        monkeypatch.setattr(protocol.VehicleNode, "handle_warning", recorded(handle_warning))
+        monkeypatch.setattr(protocol.VehicleNode, "expire_pending", recorded(expire_pending))
+        cfg = small_config(rsu_positions=((300.0, 500.0), (700.0, 500.0)), beacon_interval=(0.1, 0.35))
+        run(build_scenario(cfg, "irs"))
+        shared = (protocol.IGNORED, protocol.REJECTED, protocol.ACCEPTED, protocol.PENDING)
+        assert [(o.reports, o.finalized) for o in shared] == [((), ())] * 4
+        assert [o.disposition for o in shared] == [None, Disposition.REJECT, Disposition.ACCEPT, Disposition.PENDING]
+        assert {o.disposition for o in results} == {None, Disposition.REJECT, Disposition.ACCEPT, Disposition.PENDING}
+        assert any(o.reports for o in results) and any(o.finalized for o in results)
+        for outcome in results:
+            assert type(outcome) is protocol.WarningOutcome
+            assert type(outcome.reports) is tuple and type(outcome.finalized) is tuple
+            assert all(type(r) is protocol.MisbehaviorReport for r in outcome.reports)
 
 
 class TestMobility:
