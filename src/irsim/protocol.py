@@ -81,40 +81,17 @@ class Warning:
     timestamp: float
 
 
-class _ReportFields(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class MisbehaviorReport:
     reporter: VehicleId
     accused: VehicleId
     event_id: EventId
     timestamp: float
     signature_valid: bool = True
 
-
-class MisbehaviorReport(_ReportFields):
-    """One vehicle's accusation of another over one event: an immutable tuple.
-
-    A tuple rather than a frozen dataclass because a decision that rejects
-    builds one, and a frozen dataclass pays one ``object.__setattr__`` per
-    field, as ``metrics.DecisionRecord`` explains.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        reporter: VehicleId,
-        accused: VehicleId,
-        event_id: EventId,
-        timestamp: float,
-        signature_valid: bool = True,
-    ) -> MisbehaviorReport:
-        if reporter == accused:
+    def __post_init__(self) -> None:
+        if self.reporter == self.accused:
             raise ValueError("reporter and accused must differ")
-        return tuple.__new__(cls, (reporter, accused, event_id, timestamp, signature_valid))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> MisbehaviorReport:
-        # NamedTuple's _make (and so _replace) would skip the check in __new__.
-        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)

@@ -465,13 +465,11 @@ class _Runner:
             ok &= channel.kept(out=self._kept, draws=gap)
             if n_due < world.n:
                 ok &= due
-                self.next_tx[due] += self.beacon_iv[due]
-            else:
-                self.next_tx += self.beacon_iv
             # index where heard, -1 elsewhere; indices only grow, so a max records the round without a branch.
             stamp = np.multiply(ok.view(np.uint8), np.int32(index + 1), out=self._stamp)
             stamp -= 1
             np.maximum(self.heard_round, stamp, out=self.heard_round)
+            self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
         # Randomize processing order: report arrival at the roadside unit
