@@ -518,7 +518,7 @@ class RsuNode:
         self.version += 1
         snapshot = self.snapshot()
         broadcast = RrlBroadcast(snapshot, now)
-        misbehaving = tuple(e for e in _ledger_rows(snapshot) if e[2] > 0)
+        misbehaving = tuple(e for e in _ledger_rows(snapshot) if e[2] > 0) if self.adjacent else ()
         forwards = [
             RsuForward(self.id, neighbor, misbehaving, now)
             for neighbor in self.adjacent
@@ -542,7 +542,8 @@ class RsuNode:
         """The ledger as published, in vehicle order.
 
         One object per ledger state: it is rebuilt only after an entry or
-        the version changes, so every receiver of a publication shares it.
+        the version changes, so every receiver of a publication shares it,
+        and its trust bands are built with it.
         """
         if self._snapshot is None or self._snapshot.version != self.version:
             self._snapshot = RsuReputationList(dict(sorted(self.entries.items())), self.version, self.id)

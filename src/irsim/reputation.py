@@ -215,8 +215,9 @@ class RsuReputationList:
 
     ``version`` strictly increases with each publication. The derived
     ranking puts the lowest points first (suspects surface at the top).
-    Treat instances as immutable: the bands and the local seed are cached
-    per snapshot.
+    Treat instances as immutable: the bands are built with the list, so no
+    reader of a published list walks it, and the local seed is cached on
+    first use.
     """
 
     entries: dict[VehicleId, ReputationRecord]
@@ -224,7 +225,9 @@ class RsuReputationList:
     issuer: int
 
     def __post_init__(self) -> None:
-        self._bands: Optional[TrustBands] = None
+        self._bands: Optional[TrustBands] = (
+            compute_trust_bands([r.points for r in self.entries.values()]) if self.entries else None
+        )
         self._seed: Optional[LedgerSeed] = None
 
     def __len__(self) -> int:
@@ -237,15 +240,15 @@ class RsuReputationList:
         return sorted(self.entries.values(), key=lambda r: (r.points, r.vehicle))
 
     def trust_bands(self) -> Optional[TrustBands]:
-        if self._bands is None and self.entries:
-            self._bands = compute_trust_bands([r.points for r in self.entries.values()])
+        """Bands over the published points, built with the list; None when it is empty."""
         return self._bands
 
     def local_seed(self) -> LedgerSeed:
         """What an empty local list takes from this ledger: each entry's points.
 
-        Cached per snapshot, like the bands, so all receivers of one
-        publication share one seed.
+        Built on first use and cached per snapshot, so all receivers of one
+        publication share one seed. Only vehicles whose list is still empty
+        read it, so most snapshots never build one.
         """
         if self._seed is None:
             self._seed = LedgerSeed.of((vid, rec.points) for vid, rec in self.entries.items())

@@ -39,6 +39,16 @@ PIPELINES = ("irs", "accept-all")
 # because a finite but huge setting would start a run that never ends in practice.
 MAX_SCHEDULED_EVENTS = 1_000_000
 
+# The most vehicles a run may hold. The beacon radio keeps 22 B of state per
+# vehicle pair (heard_round, lane_gap_sq and three round buffers), so this
+# ceiling holds that state under 0.8 GB; past it a run would fail for memory.
+MAX_VEHICLES = 6_000
+
+# The highest initial or anchor point total. Ledger rows carry points as
+# signed 64-bit integers, and a run adds at most one point per confirmed
+# report, so every reachable total stays far below 2**63 from here.
+MAX_POINTS = 2**62
+
 
 @dataclass
 class ScenarioConfig:
@@ -94,6 +104,8 @@ class ScenarioConfig:
         positive("grid height", self.grid[1])
         non_negative("duration", self.duration)
         non_negative("vehicle_count", self.vehicle_count)
+        if self.vehicle_count > MAX_VEHICLES:
+            raise ConfigError(f"vehicle_count must be <= {MAX_VEHICLES}, got {self.vehicle_count!r}")
         non_negative("attacker_count", self.attacker_count)
         if self.attacker_count > self.vehicle_count:
             raise ConfigError(
@@ -139,11 +151,13 @@ class ScenarioConfig:
         non_negative("ranging_noise_sigma", self.ranging_noise_sigma)
         non_negative("ranging_noise_per_meter", self.ranging_noise_per_meter)
         non_negative("corroboration_tolerance_m", self.corroboration_tolerance_m)
-        non_negative("initial_points", self.initial_points)
         non_negative("trusted_anchors", self.trusted_anchors)
         non_negative("flagged_anchors", self.flagged_anchors)
-        non_negative("anchor_top_points", self.anchor_top_points)
-        non_negative("anchor_low_points", self.anchor_low_points)
+        for name in ("initial_points", "anchor_top_points", "anchor_low_points"):
+            points = getattr(self, name)
+            non_negative(name, points)
+            if points > MAX_POINTS:
+                raise ConfigError(f"{name} must be <= {MAX_POINTS} (2**62), got {points!r}")
         per_s = (
             1.0 / self.beacon_interval[0]
             + 1.0 / self.broadcast_period

@@ -129,11 +129,16 @@ class TestExecute:
             ["--scenario", "event_rate_per_min = 1e12"],
             ["--vehicles", "4", "--attackers", "0", "--duration", "1", "--tx-range", "1e200", "--seed", "0"],
             ["--scenario", "rsu_coverage_radius = 1e200"],
+            ["--scenario", "initial_points = 100000000000000000000"],
+            ["--scenario", "anchor_top_points = 100000000000000000000"],
+            ["--scenario", "anchor_low_points = 100000000000000000000"],
+            ["--vehicles", "100000", "--duration", "1"],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
             "duration-huge", "beacon-tiny-file", "event-rate-huge-file", "tx-range-square-overflows",
-            "rsu-radius-square-overflows-file",
+            "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
+            "anchor-low-points-huge-file", "vehicles-huge",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):

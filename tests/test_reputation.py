@@ -327,6 +327,15 @@ class TestStandingNormalization:
         assert standing_of(rrl, 4) is RrlStanding.FLAGGED  # 4 points
 
 
+class TestPublishedBands:
+    @given(st.dictionaries(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**62)))
+    def test_bands_are_built_with_the_list(self, points):
+        rrl = RsuReputationList({v: ReputationRecord(v, p) for v, p in points.items()}, 1, 0)
+        bands = rrl.trust_bands()
+        assert bands == (compute_trust_bands(points.values()) if points else None)
+        assert rrl.trust_bands() is bands
+
+
 class TestLedgers:
     def test_lrl_ranked_descending(self):
         lrl = LocalReputationList({1: 3, 2: 13, 3: 7, 4: 7})

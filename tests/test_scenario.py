@@ -5,13 +5,17 @@ import math
 
 import pytest
 
+from irsim.protocol import RrlBroadcast, encode_rrl_broadcast
 from irsim.scenario import (
+    MAX_POINTS,
     MAX_SCHEDULED_EVENTS,
+    MAX_VEHICLES,
     ConfigError,
     ScenarioConfig,
     make_config,
     parse_scenario_text,
 )
+from irsim.sim import build_scenario, run
 
 
 class TestParser:
@@ -176,6 +180,29 @@ class TestScheduleCeiling:
     def test_each_term_counts(self, overrides):
         with pytest.raises(ConfigError, match="events, over the ceiling"):
             make_config(overrides)
+
+
+class TestSizeCeilings:
+    def test_vehicle_ceiling_is_inclusive(self):
+        # Validation only: no world is built, so nothing n x n is allocated.
+        assert MAX_VEHICLES >= 5000
+        make_config({"vehicle_count": MAX_VEHICLES})
+        with pytest.raises(ConfigError, match="vehicle_count must be <= "):
+            make_config({"vehicle_count": MAX_VEHICLES + 1})
+
+    @pytest.mark.parametrize("name", ["initial_points", "anchor_top_points", "anchor_low_points"])
+    def test_point_ceiling_is_inclusive(self, name):
+        make_config({name: MAX_POINTS})
+        with pytest.raises(ConfigError, match=f"{name} must be <= {MAX_POINTS}"):
+            make_config({name: MAX_POINTS + 1})
+
+    def test_ledger_at_the_point_ceiling_encodes(self):
+        # A row's points are a signed 64-bit field; a run adds at most one point per confirmed report.
+        overrides = {"initial_points": MAX_POINTS, "anchor_top_points": MAX_POINTS, "anchor_low_points": MAX_POINTS}
+        world = build_scenario(make_config({**overrides, "vehicle_count": 4, "attacker_count": 0, "duration": 1.0}))
+        run(world)
+        (rsu,) = world.rsus
+        assert len(encode_rrl_broadcast(RrlBroadcast(rsu.snapshot(), 1.0))) == 29 + 24 * len(rsu.entries)
 
 
 class TestHash:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from neighbors import last_heard
 
-from irsim import protocol, sim
+from irsim import protocol, reputation, sim
 from irsim.metrics import RunInfo, finalize, replay_event_log
 from irsim.protocol import (
     Beacon,
@@ -393,6 +393,43 @@ class TestLedgerBootstrap:
         runner.run()
         assert seeded == set(range(cfg.vehicle_count))
         assert {line.split("\t")[2] for line in runner.log if "\tRRL\t" in line} == {"10000", "10001"}
+
+
+class TestBandsBuiltAtPublication:
+    def test_no_decision_computes_trust_bands(self, monkeypatch):
+        # A published ledger carries its bands, so the trust decision only reads them.
+        cfg = small_config(
+            vehicle_count=30,
+            duration=6.0,
+            attacker_count=4,
+            attacker_rate=2.0,
+            rsu_positions=((300.0, 500.0), (700.0, 500.0)),
+            beacon_interval=(0.1, 0.35),
+        )
+        deciding = [False]
+        counts = Counter()
+        compute = reputation.compute_trust_bands
+        handle_warning = protocol.VehicleNode.handle_warning
+
+        def counted_compute(points):
+            counts["bands in a decision" if deciding[0] else "bands"] += 1
+            return compute(points)
+
+        def marked_decision(self, *args):
+            counts["decisions"] += 1
+            deciding[0] = True
+            try:
+                return handle_warning(self, *args)
+            finally:
+                deciding[0] = False
+
+        monkeypatch.setattr(reputation, "compute_trust_bands", counted_compute)
+        monkeypatch.setattr(protocol, "compute_trust_bands", counted_compute)
+        monkeypatch.setattr(protocol.VehicleNode, "handle_warning", marked_decision)
+        result = run(build_scenario(cfg))
+        assert counts["bands in a decision"] == 0
+        assert counts["decisions"] > 100 and counts["bands"] > 10
+        assert any("\tFWD\t" in line for line in result.log_lines)
 
 
 class TestPendingAgeOut:
