@@ -7,9 +7,10 @@ own ledger with the roadside unit's published one. Lone suspicious
 warnings are buffered and expire to a rejection if nobody corroborates
 them. What the vehicle's beacons say about a warning's sender arrives with
 the warning as a ``Heard``: where the sender was when last heard, the
-vehicle's own position, and the nearest and farthest fresh neighbors to the
-event. The roadside unit pairs misbehavior reports from distinct reporters
-before it dings anyone, and periodically broadcasts its ledger.
+vehicle's own position, and a lookup of the nearest and farthest fresh
+neighbors to the event, which only a decision at TOP trust makes. The
+roadside unit pairs misbehavior reports from distinct reporters before it
+dings anyone, and periodically broadcasts its ledger.
 
 Nodes are single-owner state machines: all mutation happens through the
 handler methods, which the caller must invoke sequentially per node.
@@ -141,14 +142,14 @@ class PendingWarning:
 class Heard(NamedTuple):
     """What a receiver's beacon rounds say about one warning, as (x, y) positions.
 
-    ``receiver`` is where it is now; ``sender``, ``nearest`` and ``farthest`` are where the sender
-    and the fresh neighbors nearest to and farthest from the event were at their last beacons.
+    ``receiver`` is where it is now and ``sender`` where the sender was at its last beacon.
+    ``extremes()`` returns (nearest, farthest): where the fresh neighbors nearest to and farthest
+    from the event were at their last beacons. Only a decision that bands the sender calls it.
     """
 
     receiver: Position
     sender: Position
-    nearest: Position
-    farthest: Position
+    extremes: Callable[[], tuple[Position, Position]]
 
 
 @dataclass
@@ -240,24 +241,19 @@ class VehicleNode:
         if entry is not None:
             return self._handle_repeat(entry, warning)
         if heard is None:
-            return self._handle_lone(warning, now, None)
+            return self._handle_lone(warning, now, None, 0.0)
 
         # Each distance is measured once; the plausibility check and the band draw their own noise.
-        event = warning.event_position
         sender_at = heard.sender
         ranging = _distance(heard.receiver, sender_at)
-        to_event = _distance(sender_at, event)
+        to_event = _distance(sender_at, warning.event_position)
         if self._estimate_distance(to_event, ranging) > self.config.plausibility_radius_m:
             self._adjust(warning.sender, -1)
             report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, (report,))
-
-        h_band = heuristic_band(
-            self._estimate_distance(to_event, ranging),
-            _distance(heard.nearest, event),
-            _distance(heard.farthest, event),
-        )
-        return self._handle_lone(warning, now, h_band)
+        # The band's estimate is drawn whether or not the decision reads it, so the noise stream
+        # does not depend on the sender's trust level.
+        return self._handle_lone(warning, now, heard, self._estimate_distance(to_event, ranging))
 
     def _handle_repeat(self, entry: PendingWarning, warning: Warning) -> WarningOutcome:
         sender = warning.sender
@@ -282,23 +278,26 @@ class VehicleNode:
         self._adjust(sender, -1)
         return REJECTED
 
-    def _handle_lone(self, warning: Warning, now: float, h_band: Optional[HeuristicBand]) -> WarningOutcome:
-        """Decide a first copy of an event; ``h_band`` is None when no beacon of the sender was heard."""
+    def _handle_lone(self, warning: Warning, now: float, heard: Optional[Heard], distance: float) -> WarningOutcome:
+        """Decide a first copy of an event; ``heard`` is None when no beacon of the sender was heard.
+
+        ``distance`` is the estimated sender-to-event distance. Only a TOP-trust sender is banded by
+        it, so only that decision looks up the nearest and farthest fresh neighbors.
+        """
         sender = warning.sender
         points = self.lrl.get(sender)
         if points is None:  # neutral entry points matter only for a sender not held yet
             points = self.lrl.ensure(sender, self._default_points())
 
-        if h_band is None:
-            # Never heard a beacon from this sender: assume the worst.
-            level = TrustLevel.LOW
-            h_band = HeuristicBand.AWAY
-        else:
-            level = classify_trust(points, self.lrl.trust_bands())
-
-        if level is TrustLevel.TOP and self._heuristic_acceptable(h_band):
-            self._remember(warning, now)
-            return ACCEPTED
+        # Never heard a beacon from this sender: assume the worst.
+        level = TrustLevel.LOW if heard is None else classify_trust(points, self.lrl.trust_bands())
+        if level is TrustLevel.TOP:
+            nearest, farthest = heard.extremes()
+            event = warning.event_position
+            band = heuristic_band(distance, _distance(nearest, event), _distance(farthest, event))
+            if self._heuristic_acceptable(band):
+                self._remember(warning, now)
+                return ACCEPTED
 
         decision = decide_trust(level, standing_of(self.cached_rrl, sender))
         if decision is TrustDecision.ACCEPT:

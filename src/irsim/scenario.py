@@ -44,6 +44,12 @@ MAX_SCHEDULED_EVENTS = 1_000_000
 # ceiling holds that state under 0.8 GB; past it a run would fail for memory.
 MAX_VEHICLES = 6_000
 
+# The most ledger-only anchors (trusted plus flagged) a run may seed. Every
+# roadside unit holds one ledger row per anchor and every publication sorts
+# and copies them all, at about 0.7 KB per anchor; a handful pins the band
+# geometry, and this ceiling keeps anchors to at most as many rows as vehicles.
+MAX_ANCHORS = MAX_VEHICLES
+
 # The highest initial or anchor point total. Ledger rows carry points as
 # signed 64-bit integers, and a run adds at most one point per confirmed
 # report, so every reachable total stays far below 2**63 from here.
@@ -153,6 +159,11 @@ class ScenarioConfig:
         non_negative("corroboration_tolerance_m", self.corroboration_tolerance_m)
         non_negative("trusted_anchors", self.trusted_anchors)
         non_negative("flagged_anchors", self.flagged_anchors)
+        if self.trusted_anchors + self.flagged_anchors > MAX_ANCHORS:
+            raise ConfigError(
+                f"trusted_anchors + flagged_anchors must be <= {MAX_ANCHORS},"
+                f" got {self.trusted_anchors} + {self.flagged_anchors}"
+            )
         for name in ("initial_points", "anchor_top_points", "anchor_low_points"):
             points = getattr(self, name)
             non_negative(name, points)

@@ -20,6 +20,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -661,9 +662,9 @@ class _Runner:
 
         None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
         already holds the event: a repeat reads no facts. ``positions`` are every vehicle's at ``now``
-        (``SimWorld.positions_at``); past positions come from ``round_x``. A tie for
-        the nearest or farthest fresh neighbor goes to the lowest id. np.hypot can differ from math.hypot
-        in the last bit, so it only picks the two; the decision measures them again.
+        (``SimWorld.positions_at``); past positions come from ``round_x``. Each fact's ``extremes``
+        calls ``_Runner.extremes`` for its receiver, so only a decision that bands the sender pays
+        for the neighbor lookup.
         """
         world, sender, event_id = self.world, warning.sender, warning.event_id
         kmin = self.first_fresh_round(now)
@@ -677,28 +678,36 @@ class _Runner:
         if not wanted:
             return facts
         assert self.last_round - kmin < self.ring, "a fresh round left the ring"
-        # Row k - kmin: every vehicle's x at fresh round k, and its distance to the event there.
-        xs = self.round_x[[k % self.ring for k in range(kmin, self.last_round + 1)]]
-        ex, ey = warning.event_position
-        table = np.hypot(xs - ex, world.lane_y - ey)
         readers = receivers[wanted]
-        rounds = self.heard_round[readers]
-        fresh = rounds >= kmin
-        # Each pair's row; a stale pair reads row 0, and the mask drops it.
-        rows = np.maximum(rounds - kmin, 0)
-        vehicles = np.arange(world.n)
-        spread = np.take(table, rows * world.n + vehicles)
-        nearest = np.where(fresh, spread, np.inf).argmin(axis=1)
-        farthest = np.where(fresh, spread, -np.inf).argmax(axis=1)
-        k = np.arange(len(readers))
         own = map(tuple, positions[readers].tolist())
-        near = zip(xs[rows[k, nearest], nearest].tolist(), world.lane_y[nearest].tolist())
-        far = zip(xs[rows[k, farthest], farthest].tolist(), world.lane_y[farthest].tolist())
-        sender_x = xs[rows[:, sender], sender].tolist()
+        sender_x = self.round_x[self.heard_round[readers, sender] % self.ring, sender].tolist()
         sender_y = float(world.lane_y[sender])
-        for i, r, x, n, f in zip(wanted, own, sender_x, near, far):
-            facts[i] = Heard(r, (x, sender_y), n, f)
+        event, last_round = warning.event_position, self.last_round
+        for i, r, at, x in zip(wanted, readers.tolist(), own, sender_x):
+            facts[i] = Heard(at, (x, sender_y), partial(self.extremes, r, event, kmin, last_round))
         return facts
+
+    def extremes(
+        self, receiver: int, event: tuple[float, float], kmin: int, last_round: int
+    ) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Where ``receiver``'s fresh neighbors nearest to and farthest from ``event`` were at their last beacons.
+
+        Fresh neighbors are those heard in round ``kmin`` or later. The lookup reads the beacon state as
+        round ``last_round`` left it, so it fails once a later round has run. A tie goes to the lowest id.
+        np.hypot can differ from math.hypot in the last bit, so it only picks the two; the decision
+        measures them again.
+        """
+        if self.last_round != last_round:
+            raise RuntimeError(f"beacon facts of round {last_round} read after round {self.last_round}")
+        lane_y = self.world.lane_y
+        rounds = self.heard_round[receiver]
+        # Each neighbor's x at its last beacon; a stale or unheard one reads some row, and the mask drops it.
+        x = self.round_x[rounds % self.ring, np.arange(len(rounds))]
+        spread = np.hypot(x - event[0], lane_y - event[1])
+        fresh = rounds >= kmin
+        nearest = int(np.where(fresh, spread, np.inf).argmin())
+        farthest = int(np.where(fresh, spread, -np.inf).argmax())
+        return (float(x[nearest]), float(lane_y[nearest])), (float(x[farthest]), float(lane_y[farthest]))
 
     def route_report(self, reporter: int, report: MisbehaviorReport, now: float, positions: np.ndarray) -> None:
         world = self.world

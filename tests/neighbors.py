@@ -16,14 +16,19 @@ from irsim.protocol import Heard, Warning, _distance
 def heard_from(neighbors: dict, warning: Warning, receiver=(0.0, 0.0)) -> Optional[Heard]:
     """The facts ``neighbors`` give ``warning`` at ``receiver``; None when its sender is not among them.
 
-    A tie for the nearest or farthest neighbor to the event goes to the lowest id.
+    ``extremes()`` finds the nearest and farthest neighbor to the event when called, as the
+    simulator's does; a tie goes to the lowest id.
     """
     if warning.sender not in neighbors:
         return None
-    ids = sorted(neighbors)
-    nearest = min(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
-    farthest = max(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
-    return Heard(receiver, neighbors[warning.sender], neighbors[nearest], neighbors[farthest])
+
+    def extremes():
+        ids = sorted(neighbors)
+        nearest = min(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
+        farthest = max(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
+        return neighbors[nearest], neighbors[farthest]
+
+    return Heard(receiver, neighbors[warning.sender], extremes)
 
 
 def last_heard(runner) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main, parse_run_spec
-from irsim.scenario import ConfigError
+from irsim.scenario import MAX_ANCHORS, ConfigError
 
 FAST_SCENARIO = """
 # small desk-scale scenario
@@ -133,12 +133,14 @@ class TestExecute:
             ["--scenario", "anchor_top_points = 100000000000000000000"],
             ["--scenario", "anchor_low_points = 100000000000000000000"],
             ["--vehicles", "100000", "--duration", "1"],
+            ["--scenario", "trusted_anchors = 200000"],
+            ["--scenario", f"trusted_anchors = {MAX_ANCHORS // 2}\nflagged_anchors = {MAX_ANCHORS // 2 + 1}"],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
             "duration-huge", "beacon-tiny-file", "event-rate-huge-file", "tx-range-square-overflows",
             "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
-            "anchor-low-points-huge-file", "vehicles-huge",
+            "anchor-low-points-huge-file", "vehicles-huge", "trusted-anchors-huge-file", "anchor-sum-over-file",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):
@@ -159,6 +161,18 @@ class TestExecute:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_anchor_ceiling_is_inclusive(self, tmp_path, capsys):
+        # Flags size a tiny run around a scenario file that seeds exactly the most anchors allowed.
+        path = tmp_path / "anchors.cfg"
+        path.write_text(f"trusted_anchors = {MAX_ANCHORS - 1}\nflagged_anchors = 1\n", encoding="utf-8")
+        flags = ["--vehicles", "4", "--attackers", "0", "--duration", "1", "--seed", "0"]
+        assert main(["--scenario", str(path), *flags, "--out", str(tmp_path / "out")]) == EXIT_OK
+        path.write_text(f"trusted_anchors = {MAX_ANCHORS}\nflagged_anchors = 1\n", encoding="utf-8")
+        assert main(["--scenario", str(path), *flags, "--out", str(tmp_path / "over")]) == EXIT_CONFIG
+        expected = f"trusted_anchors + flagged_anchors must be <= {MAX_ANCHORS}, got {MAX_ANCHORS} + 1"
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not (tmp_path / "over").exists()
 
     def test_rerun_byte_identical(self, scenario_file, tmp_path):
         out = tmp_path / "out"

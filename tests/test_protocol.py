@@ -35,6 +35,8 @@ from irsim.reputation import (
     ReputationRecord,
     RrlStanding,
     RsuReputationList,
+    TrustLevel,
+    classify_trust,
     compute_trust_bands,
     standing_of,
 )
@@ -133,7 +135,8 @@ class TestBeacons:
         assert heard_one(runner, 0, 5, 2.0) is None
         heard = heard_one(runner, 0, 6, 2.0)
         # 6 is the only fresh neighbor, so it is both the nearest and the farthest.
-        assert heard.nearest == heard.farthest == heard.sender == tuple(runner.world.positions_at(2.0)[6])
+        assert heard.extremes() == (heard.sender, heard.sender)
+        assert heard.sender == tuple(runner.world.positions_at(2.0)[6])
 
     def test_own_beacon_ignored(self):
         runner = beacon_runner()
@@ -143,7 +146,7 @@ class TestBeacons:
         facts = [heard_one(runner, 3, s, 0.0, event=own) for s in range(runner.world.n) if s != 3]
         assert all(h is not None and h.receiver == own for h in facts)
         # An event where 3 stands: its nearest fresh neighbor is another vehicle.
-        assert facts[0].nearest != own
+        assert facts[0].extremes()[0] != own
 
 
 class TestWarningPipeline:
@@ -299,7 +302,7 @@ class TestWarningPipeline:
 class TestRangingInput:
     """Ranging noise is drawn for the receiver's range to the sender's last beacon position."""
 
-    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), nearest=(100.0, 0.0), farthest=(400.0, 0.0))
+    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), extremes=lambda: ((100.0, 0.0), (400.0, 0.0)))
 
     @staticmethod
     def recording_node(ranges):
@@ -322,6 +325,22 @@ class TestRangingInput:
             Warning(1, 51, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD
         )
         assert out.disposition is Disposition.ACCEPT
+        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)] * 2
+
+    @pytest.mark.parametrize("sender,level", [(3, TrustLevel.MEDIUM), (7, TrustLevel.LOW)], ids=["medium", "low"])
+    def test_unbanded_decision_draws_the_band_noise_too(self, sender, level):
+        # Below TOP trust the sender is not banded and no neighbor is looked up, but the band's ranging
+        # draw is still made, so the noise stream does not depend on trust.
+        def no_lookup():
+            raise AssertionError("extremes() called below TOP trust")
+
+        ranges = []
+        node = self.recording_node(ranges)
+        assert classify_trust(node.lrl.get(sender), node.lrl.trust_bands()) is level
+        out = node.handle_warning(
+            Warning(sender, 52, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD._replace(extremes=no_lookup)
+        )
+        assert out.disposition is not None
         assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)] * 2
 
 

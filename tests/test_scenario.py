@@ -7,6 +7,7 @@ import pytest
 
 from irsim.protocol import RrlBroadcast, encode_rrl_broadcast
 from irsim.scenario import (
+    MAX_ANCHORS,
     MAX_POINTS,
     MAX_SCHEDULED_EVENTS,
     MAX_VEHICLES,
@@ -189,6 +190,15 @@ class TestSizeCeilings:
         make_config({"vehicle_count": MAX_VEHICLES})
         with pytest.raises(ConfigError, match="vehicle_count must be <= "):
             make_config({"vehicle_count": MAX_VEHICLES + 1})
+
+    def test_anchor_ceiling_is_inclusive(self):
+        # The cap is on the sum; the stock scenario's 2 + 2 anchors are far below it.
+        assert MAX_ANCHORS >= 1000
+        make_config({"trusted_anchors": MAX_ANCHORS, "flagged_anchors": 0})
+        make_config({"trusted_anchors": 0, "flagged_anchors": MAX_ANCHORS})
+        for trusted, flagged in ((MAX_ANCHORS + 1, 0), (1, MAX_ANCHORS), (MAX_ANCHORS // 2 + 1, MAX_ANCHORS // 2)):
+            with pytest.raises(ConfigError, match=f"trusted_anchors \\+ flagged_anchors must be <= {MAX_ANCHORS}"):
+                make_config({"trusted_anchors": trusted, "flagged_anchors": flagged})
 
     @pytest.mark.parametrize("name", ["initial_points", "anchor_top_points", "anchor_low_points"])
     def test_point_ceiling_is_inclusive(self, name):

@@ -13,7 +13,6 @@ from irsim.protocol import (
     Beacon,
     Disposition,
     EventKind,
-    Heard,
     ProtocolConfig,
     RsuNode,
     _distance,
@@ -634,8 +633,11 @@ class TestBeaconEquivalence:
                     facts = runner.heard(receivers, warning_from(s, event, now), now, world.positions_at(now))
                     for r, heard in zip(receivers.tolist(), facts):
                         at, near, far = references[r]
-                        expected = Heard(where(r, now), at[s], near, far) if s in at else None
-                        assert heard == expected, (r, s, event, now)
+                        if s not in at:
+                            assert heard is None, (r, s, event, now)
+                        else:
+                            assert (heard.receiver, heard.sender) == (where(r, now), at[s]), (r, s, event, now)
+                            assert heard.extremes() == (near, far), (r, s, event, now)
                         if heard is None:
                             seen["stale" if times[r][s] > -math.inf else "unheard"] += 1
                             continue
@@ -730,6 +732,68 @@ class TestBeaconEquivalence:
         assert len(set(world.lane_y.tolist())) == 2 * lanes
         heard = np.isfinite(reference)
         assert heard.any() and not heard.all()
+
+
+class TestNeighborLookup:
+    def test_one_lookup_per_top_decision(self, monkeypatch):
+        # A lone decision looks up the nearest and farthest fresh neighbors once when it classifies its
+        # sender TOP, and never otherwise; no lookup runs outside a lone decision.
+        classify, extremes, handle_lone = protocol.classify_trust, sim._Runner.extremes, protocol.VehicleNode._handle_lone
+        levels, lookups, decisions = [], [0], []
+
+        def classify_spy(points, bands):
+            levels.append(classify(points, bands))
+            return levels[-1]
+
+        def extremes_spy(self, *args):
+            lookups[0] += 1
+            return extremes(self, *args)
+
+        def handle_lone_spy(self, *args):
+            levels.clear()
+            before = lookups[0]
+            outcome = handle_lone(self, *args)
+            decisions.append((tuple(levels), lookups[0] - before))
+            return outcome
+
+        monkeypatch.setattr(protocol, "classify_trust", classify_spy)
+        monkeypatch.setattr(sim._Runner, "extremes", extremes_spy)
+        monkeypatch.setattr(protocol.VehicleNode, "_handle_lone", handle_lone_spy)
+        run(build_scenario(small_config(event_rate_per_min=300.0)))
+        top = (reputation.TrustLevel.TOP,)
+        assert sum(lv == top for lv, _ in decisions) >= 50
+        assert any(lv and lv != top for lv, _ in decisions) and any(not lv for lv, _ in decisions)
+        assert all(calls == (lv == top) for lv, calls in decisions)
+        assert lookups[0] == sum(lv == top for lv, _ in decisions)
+
+    def test_lookup_after_a_later_round_fails(self):
+        # The lookup reads heard_round and the position ring as the facts' round left them.
+        cfg = small_config(vehicle_count=8, attacker_count=0, delivery_loss_probability=0.0,
+                           transmission_range=1000.0, rsu_positions=())
+        runner = sim._Runner(build_scenario(cfg))
+        runner.handle_round(0.0, 0)
+        positions = runner.world.positions_at(0.05)
+        warning = warning_from(0, tuple(positions[0].tolist()), 0.05)
+        heard = runner.heard(np.arange(1, 8), warning, 0.05, positions)
+        assert all(h is not None for h in heard)
+        heard[0].extremes()
+        runner.handle_round(0.1, 1)
+        with pytest.raises(RuntimeError, match="read after round 1"):
+            heard[1].extremes()
+
+    def test_tie_goes_to_lowest_id(self):
+        # Vehicles v and v + 6 share a lane. Put 1 and 7 the same distance from the event on either
+        # side of it, and 0 and 6 likewise, farther out: the lower id wins both ties.
+        cfg = small_config(vehicle_count=8, attacker_count=0, rsu_positions=())
+        runner = sim._Runner(build_scenario(cfg))
+        runner.handle_round(0.0, 0)
+        runner.heard_round[2] = 0
+        runner.heard_round[2, 2] = -1
+        runner.round_x[0] = [50.0, 400.0, 300.0, 700.0, 650.0, 350.0, 950.0, 600.0]
+        lane_y = runner.world.lane_y.tolist()
+        event = (500.0, lane_y[1])
+        (heard,) = runner.heard(np.array([2]), warning_from(1, event, 0.0), 0.0, runner.world.positions_at(0.0))
+        assert heard.extremes() == ((400.0, lane_y[1]), (50.0, lane_y[0]))
 
 
 class TestNoSelfPairs:
