@@ -39,10 +39,26 @@ PIPELINES = ("irs", "accept-all")
 # because a finite but huge setting would start a run that never ends in practice.
 MAX_SCHEDULED_EVENTS = 1_000_000
 
-# The most vehicles a run may hold. The beacon radio keeps 22 B of state per
-# vehicle pair (heard_round, lane_gap_sq and three round buffers), so this
-# ceiling holds that state under 0.8 GB; past it a run would fail for memory.
+# The most vehicles a run may hold. The beacon radio keeps no per-pair state
+# (9 B per vehicle and ring round); what grows with the square of the count
+# is the vehicles' copies of the ledger, one entry per vehicle in each copy,
+# about 39 B per vehicle pair. This ceiling holds them to about 1.4 GB; past
+# it a run would fail for memory (see README, "Scenario files").
 MAX_VEHICLES = 6_000
+
+# The most lanes per direction. Vehicles fill the lanes in id order, so a
+# lane past the vehicle ceiling would stay empty.
+MAX_LANES_PER_DIRECTION = MAX_VEHICLES
+
+# The latest time a run may log, in s. The final expiry runs at duration +
+# pending_ttl + 0.001 s, and below 2**32 s a double still resolves the
+# microseconds the event log prints, so that step still ages every entry out.
+MAX_TIME_S = float(2**32)
+
+# The longest transmission range, in m. The metrics keep one distance bucket
+# per 20 m of range, so this keeps a report to 500 buckets; it is far past
+# the reach of any vehicular radio.
+MAX_TRANSMISSION_RANGE = 10_000.0
 
 # The most ledger-only anchors (trusted plus flagged) a run may seed. Every
 # roadside unit holds one ledger row per anchor and every publication sorts
@@ -123,9 +139,17 @@ class ScenarioConfig:
             )
         non_negative("attacker_rate", self.attacker_rate)
         positive("lanes_per_direction", self.lanes_per_direction)
+        if self.lanes_per_direction > MAX_LANES_PER_DIRECTION:
+            raise ConfigError(
+                f"lanes_per_direction must be <= {MAX_LANES_PER_DIRECTION}, got {self.lanes_per_direction!r}"
+            )
         if not 0 < self.speed_range[0] <= self.speed_range[1] < math.inf:
             raise ConfigError(f"speed_range must satisfy 0 < min <= max < inf, got {self.speed_range!r}")
         positive("transmission_range", self.transmission_range)
+        if self.transmission_range > MAX_TRANSMISSION_RANGE:
+            raise ConfigError(
+                f"transmission_range must be <= {MAX_TRANSMISSION_RANGE:g} m, got {self.transmission_range!r}"
+            )
         if not 0.0 <= self.delivery_loss_probability <= 1.0:
             raise ConfigError(
                 f"delivery_loss_probability must be in [0, 1], got {self.delivery_loss_probability!r}"
@@ -136,13 +160,10 @@ class ScenarioConfig:
             if not (0 <= pos[0] <= self.grid[0] and 0 <= pos[1] <= self.grid[1]):
                 raise ConfigError(f"rsu_positions entry {pos!r} outside the grid")
         positive("rsu_coverage_radius", self.rsu_coverage_radius)
-        # The radio compares squared distances with the squared radius, and ``r ** 2`` on a float raises on overflow.
-        for name, radius in (
-            ("transmission_range", self.transmission_range),
-            ("rsu_coverage_radius", self.rsu_coverage_radius),
-        ):
-            if not radius * radius < math.inf:
-                raise ConfigError(f"{name} is too large to square, got {radius!r}")
+        # The radio compares squared distances with the squared radius, and ``r ** 2`` on a float raises on
+        # overflow. The transmission range is capped far below that.
+        if not self.rsu_coverage_radius * self.rsu_coverage_radius < math.inf:
+            raise ConfigError(f"rsu_coverage_radius is too large to square, got {self.rsu_coverage_radius!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         positive("pending_ttl", self.pending_ttl)
@@ -169,6 +190,11 @@ class ScenarioConfig:
             non_negative(name, points)
             if points > MAX_POINTS:
                 raise ConfigError(f"{name} must be <= {MAX_POINTS} (2**62), got {points!r}")
+        if not self.duration + self.pending_ttl <= MAX_TIME_S:
+            raise ConfigError(
+                f"duration + pending_ttl must be <= {MAX_TIME_S:.0f} s (2**32),"
+                f" got {self.duration!r} + {self.pending_ttl!r}"
+            )
         per_s = (
             1.0 / self.beacon_interval[0]
             + 1.0 / self.broadcast_period
@@ -181,6 +207,12 @@ class ScenarioConfig:
                 f"the run would schedule {scheduled:.3g} events, over the ceiling of {MAX_SCHEDULED_EVENTS}:"
                 " shorten duration or lower a rate"
             )
+        # Both are counted in beacon rounds, and may span no more rounds than a run may schedule events.
+        for name in ("neighbor_ttl", "rrl_request_period"):
+            if not getattr(self, name) / self.beacon_interval[0] <= MAX_SCHEDULED_EVENTS:
+                raise ConfigError(
+                    f"{name} must span at most {MAX_SCHEDULED_EVENTS} beacon intervals, got {getattr(self, name)!r}"
+                )
 
     def canonical_hash(self) -> str:
         """Seed-independent digest identifying the scenario."""

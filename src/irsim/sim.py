@@ -2,15 +2,17 @@
 
 Vehicles follow straight lanes at constant speed on a two-way highway and
 wrap around at the ends. The radio is a unit disk with independent
-Bernoulli loss per directed link. Beacons keep per-receiver freshness
-state; warnings, misbehavior reports, and ledger broadcasts run through
-the protocol state machines. Identical (config, seed) pairs produce
-bit-identical event logs and metrics.
+Bernoulli loss per directed link. Beacon rounds keep recent positions and
+who was due to beacon; warnings, misbehavior reports, and ledger
+broadcasts run through the protocol state machines. Identical (config,
+seed) pairs produce bit-identical event logs and metrics.
 
 Two deterministic random streams are used: one for world building and
 emission schedules (shared between pipelines so both see the same traffic
 and attacks), and one that only the ``Channel`` draws from, for link loss,
-arrival order and ranging noise.
+arrival order and ranging noise. Beacon loss draws from neither: each beacon
+link's loss is a keyed hash of (seed, round index, sender, receiver), so
+beacon reception is worked out only for the links a warning reads.
 """
 
 from __future__ import annotations
@@ -95,57 +97,82 @@ class EventRegistry:
         return math.hypot(dx, dy) <= tolerance_m
 
 
+# SplitMix64's increment and output multipliers (Steele, Lea & Flood, OOPSLA 2014), and the shifts
+# the keyed beacon draw uses, as uint64 so that no operation leaves unsigned 64-bit arithmetic.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_32 = (np.uint64(b) for b in (11, 27, 30, 31, 32))
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's step and output function on a uint64 array, in place."""
+    z += _GAMMA
+    z ^= z >> _SHIFT_30
+    z *= _MIX1
+    z ^= z >> _SHIFT_27
+    z *= _MIX2
+    z ^= z >> _SHIFT_31
+    return z
+
+
 class Channel:
     """The radio: a unit disk with independent Bernoulli loss per directed link.
 
     The only user of the channel random stream. Each draw keeps the order and
     shape in which the event loop makes it, so a run stays reproducible:
-    loss draws, arrival orders and ranging noise all come from here.
+    loss draws, arrival orders and ranging noise all come from here. Beacon
+    loss is the exception: ``beacon_uniform`` is a counter-based draw keyed by
+    (``beacon_key``, round, sender, receiver), so a link's fate does not depend
+    on which other links were evaluated, or when (Salmon et al., SC'11).
     """
 
-    def __init__(self, range_m: float, loss: float, rng: np.random.Generator, rsus: Sequence[RsuNode] = ()) -> None:
+    def __init__(
+        self, range_m: float, loss: float, rng: np.random.Generator, rsus: Sequence[RsuNode] = (), beacon_key: int = 0
+    ) -> None:
         if range_m <= 0:
             raise ValueError("range must be > 0")
         self.range_m = range_m
         self.loss = loss
         self.rng = rng
         self.rsus = rsus
+        self.beacon_key = np.uint64(beacon_key)
 
     def in_range(self, dx, dy, radius: Optional[float] = None):
         """The range predicate: squared distance against the squared radius (default: the range)."""
         return self.in_range_sq(dx, dy * dy, radius)
 
-    def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None, out: Optional[np.ndarray] = None):
-        """``in_range`` with the y gap given squared, for a caller that keeps it (lanes never change).
+    def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None):
+        """``in_range`` with the y gap given squared."""
+        return dx * dx + dy_sq <= (self.range_m if radius is None else radius) ** 2
 
-        With ``out`` (a bool array) the result goes there, and ``dx``, then a float array of the result's
-        shape, is overwritten with the squared distances. Each element takes the same operations either way.
+    def kept(self, shape=None):
+        """Loss draws: True where a link's transmission survives; one draw per element of ``shape``."""
+        return self.rng.random(shape) >= self.loss
+
+    def beacon_uniform(self, rounds, senders, receivers) -> np.ndarray:
+        """The keyed uniform in [0, 1) of each beacon link (round, sender, receiver); the three broadcast together.
+
+        Two SplitMix64 mixes: one of the key and the round, then one of that and the link, sender in the
+        high 32 bits. The top 53 bits make the double, as ``Generator.random`` makes its doubles. The
+        result is at least 1-d: numpy scalars would warn on the wrapping arithmetic.
         """
-        limit = (self.range_m if radius is None else radius) ** 2
-        if out is None:
-            return dx * dx + dy_sq <= limit
-        np.multiply(dx, dx, out=dx)
-        dx += dy_sq
-        return np.less_equal(dx, limit, out=out)
+        z = np.array(rounds, dtype=np.uint64, ndmin=1)
+        z ^= self.beacon_key
+        link = (np.asarray(senders, dtype=np.uint64) << _SHIFT_32) | np.asarray(receivers, dtype=np.uint64)
+        return (_mix64(_mix64(z) ^ link) >> _SHIFT_11) * 2.0**-53
 
-    def kept(self, shape=None, out: Optional[np.ndarray] = None, draws: Optional[np.ndarray] = None):
-        """Loss draws: True where a link's transmission survives; one draw per element of ``shape``.
-
-        With ``out`` (a bool array) the result goes there, and the uniforms are drawn into ``draws``, a
-        float array of the same shape, in the order a draw of that shape makes them.
-        """
-        if out is None:
-            return self.rng.random(shape) >= self.loss
-        return np.greater_equal(self.rng.random(out=draws), self.loss, out=out)
+    def beacon_kept(self, rounds, senders, receivers) -> np.ndarray:
+        """True where a beacon link's transmission survives: its keyed uniform is at least the loss."""
+        return self.beacon_uniform(rounds, senders, receivers) >= self.loss
 
     def hears(self, receivers: np.ndarray, origin, radius: Optional[float] = None) -> np.ndarray:
         """Which receivers hear a transmission from ``origin``: in range and not lost.
 
         ``receivers`` and ``origin`` hold x, y in their last axis and broadcast
-        together; each element of the result gets its own loss draw. Warnings
-        and ledger broadcasts use it; the beacon round, whose y gaps never
-        change, calls ``in_range_sq`` and ``kept`` itself, with squared gaps it
-        computed once and buffers it keeps for the run.
+        together; each element of the result gets its own loss draw from the
+        stream. Warnings and ledger broadcasts use it; beacons use
+        ``beacon_kept`` (see ``_Runner.last_heard_round``).
         """
         origin = np.asarray(origin)
         dy = receivers[..., 1] - origin[..., 1]
@@ -201,7 +228,8 @@ class SimWorld:
         self.pipeline = pipeline
 
         seq = np.random.SeedSequence(config.seed)
-        sched_seed, chan_seed = seq.spawn(2)
+        # The first two children are those ``spawn(2)`` gives, so adding the third moved neither stream.
+        sched_seed, chan_seed, beacon_seed = seq.spawn(3)
         self.rng_sched = np.random.Generator(np.random.PCG64(sched_seed))
 
         n = config.vehicle_count
@@ -266,7 +294,10 @@ class SimWorld:
         self.rsus_by_id = {rsu.id: rsu for rsu in self.rsus}
 
         chan_rng = np.random.Generator(np.random.PCG64(chan_seed))
-        self.channel = Channel(config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus)
+        beacon_key = int(beacon_seed.generate_state(1, np.uint64)[0])
+        self.channel = Channel(
+            config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus, beacon_key
+        )
         noise = self.channel.ranging_noise(config.ranging_noise_sigma, config.ranging_noise_per_meter)
         self.nodes: list[VehicleNode] = [VehicleNode(i, self.protocol_config, noise) for i in range(n)]
 
@@ -352,25 +383,14 @@ class _Runner:
         self._seq = 0
         n = world.n
         interval = self.cfg.beacon_interval[0]
-        # heard_round[r, s]: the last round index in which r heard s's beacon, -1 for never.
-        # Round ``index`` runs at ``index * interval``, so indices order beacons as their times do.
-        self.heard_round = np.full((n, n), -1, dtype=np.int32)
-        # Every vehicle's x in the last ``ring`` rounds, round k in row k % ring. The rounds fresh at
-        # any time span at most neighbor_ttl / interval + 2, so no fresh round's row is overwritten.
+        # Every vehicle's x and whether it was due to beacon, in the last ``ring`` rounds: round k in row
+        # k % ring. Round ``index`` runs at ``index * interval``. The rounds fresh at any time span at most
+        # neighbor_ttl / interval + 2, so no fresh round's row is overwritten. Who heard whom is worked out
+        # from these only when a warning asks (``last_heard_round``): 9 bytes per vehicle and round.
         self.ring = min(int(self.cfg.neighbor_ttl / interval) + 3, int(self.cfg.duration / interval) + 2)
         self.round_x = np.zeros((self.ring, n))
+        self.round_due = np.zeros((self.ring, n), dtype=bool)
         self.last_round = -1
-        # Squared lane gap of each (receiver, sender) pair: vehicles never change lane. The diagonal is
-        # inf, so a vehicle is never in range of itself and the beacon round needs no self-pair mask.
-        lane_gap = world.lane_y[:, None] - world.lane_y[None, :]
-        self.lane_gap_sq = lane_gap * lane_gap
-        np.fill_diagonal(self.lane_gap_sq, np.inf)
-        # The beacon round's buffers: the range and loss masks, and one that holds the x gaps, then the
-        # loss draws, and last, as int32 in its first half, the round stamps.
-        self._ok = np.empty((n, n), dtype=bool)
-        self._kept = np.empty((n, n), dtype=bool)
-        self._gap = np.empty((n, n))
-        self._stamp = self._gap.reshape(-1).view(np.int32)[: n * n].reshape(n, n)
         # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
         self.oldest_pending = np.full(n, np.inf)
         self.next_tx = np.zeros(n)
@@ -452,24 +472,12 @@ class _Runner:
     def handle_round(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
         positions = world.positions_at(t)
-        x = positions[:, 0]
-        self.round_x[index % self.ring] = x
+        row = index % self.ring
+        self.round_x[row] = positions[:, 0]
+        due = np.less_equal(self.next_tx, t + 1e-9, out=self.round_due[row])
         self.last_round = index
-
-        due = self.next_tx <= t + 1e-9
         n_due = int(np.count_nonzero(due))
         if n_due:
-            # ok[r, s]: receiver r heard sender s's beacon this round; one loss draw per pair, as in hears.
-            channel, gap, ok = world.channel, self._gap, self._ok
-            np.subtract(x[:, None], x[None, :], out=gap)
-            channel.in_range_sq(gap, self.lane_gap_sq, out=ok)
-            ok &= channel.kept(out=self._kept, draws=gap)
-            if n_due < world.n:
-                ok &= due
-            # index where heard, -1 elsewhere; indices only grow, so a max records the round without a branch.
-            stamp = np.multiply(ok.view(np.uint8), np.int32(index + 1), out=self._stamp)
-            stamp -= 1
-            np.maximum(self.heard_round, stamp, out=self.heard_round)
             self.next_tx[due] += self.beacon_iv[due]
             self.counters["beacons_emitted"] += n_due
 
@@ -655,36 +663,59 @@ class _Runner:
             k += 1
         return k
 
+    def last_heard_round(self, receivers: np.ndarray, senders: np.ndarray, kmin: int) -> np.ndarray:
+        """The last round in ``kmin .. last_round`` in which each receiver heard its sender's beacon; -1 for none.
+
+        ``receivers`` and ``senders`` are equal-length arrays of vehicle ids, one link per element.
+        Receiver r hears sender s in round k when s was due to beacon, r is not s, the two were in range
+        at round k's positions (``Channel.in_range_sq``), and the link's keyed loss draw kept it
+        (``Channel.beacon_kept``). Only the links asked for are worked out, for the rounds asked for.
+        """
+        last = self.last_round
+        assert last - kmin < self.ring, "a fresh round left the ring"
+        if kmin > last:
+            return np.full(len(receivers), -1)
+        rounds = np.arange(kmin, last + 1)
+        rows = rounds % self.ring
+        channel, lane_y = self.world.channel, self.world.lane_y
+        x = self.round_x.take(rows, axis=0)
+        dy = lane_y[receivers] - lane_y[senders]
+        # heard[k, link]: round kmin + k in the first axis.
+        heard = channel.in_range_sq(x[:, receivers] - x[:, senders], dy * dy)
+        heard &= self.round_due.take(rows, axis=0)[:, senders]
+        heard &= receivers != senders
+        k, link = np.nonzero(heard)
+        heard[k, link] = channel.beacon_kept(rounds[k], senders[link], receivers[link])
+        return np.where(heard, rounds[:, None], -1).max(axis=0)
+
     def heard(
         self, receivers: np.ndarray, warning: Warning, now: float, positions: np.ndarray
     ) -> list[Optional[Heard]]:
         """Each receiver's beacon facts for ``warning``, in one pass over the receivers that read them.
 
         None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
-        already holds the event: a repeat reads no facts. ``positions`` are every vehicle's at ``now``
-        (``SimWorld.positions_at``); past positions come from ``round_x``. Each fact's ``extremes``
-        calls ``_Runner.extremes`` for its receiver, so only a decision that bands the sender pays
-        for the neighbor lookup.
+        already holds the event: a repeat reads no facts, so its beacons are not worked out.
+        ``positions`` are every vehicle's at ``now`` (``SimWorld.positions_at``); past positions come
+        from ``round_x``. Each fact's ``extremes`` calls ``_Runner.extremes`` for its receiver, so only
+        a decision that bands the sender pays for the neighbor lookup.
         """
         world, sender, event_id = self.world, warning.sender, warning.event_id
-        kmin = self.first_fresh_round(now)
         facts: list[Optional[Heard]] = [None] * len(receivers)
-        fresh_sender = (self.heard_round[receivers, sender] >= kmin).tolist()
         nodes = world.nodes
-        wanted = [
-            i for i, (r, ok) in enumerate(zip(receivers.tolist(), fresh_sender))
-            if ok and event_id not in nodes[r].pending
-        ]
+        wanted = [i for i, r in enumerate(receivers.tolist()) if event_id not in nodes[r].pending]
         if not wanted:
             return facts
-        assert self.last_round - kmin < self.ring, "a fresh round left the ring"
-        readers = receivers[wanted]
+        kmin = self.first_fresh_round(now)
+        askers = receivers[wanted]
+        rounds = self.last_heard_round(askers, np.full(len(askers), sender), kmin)
+        fresh = np.nonzero(rounds >= kmin)[0]
+        readers = askers[fresh]
         own = map(tuple, positions[readers].tolist())
-        sender_x = self.round_x[self.heard_round[readers, sender] % self.ring, sender].tolist()
+        sender_x = self.round_x[rounds[fresh] % self.ring, sender].tolist()
         sender_y = float(world.lane_y[sender])
         event, last_round = warning.event_position, self.last_round
-        for i, r, at, x in zip(wanted, readers.tolist(), own, sender_x):
-            facts[i] = Heard(at, (x, sender_y), partial(self.extremes, r, event, kmin, last_round))
+        for i, r, at, x in zip(fresh.tolist(), readers.tolist(), own, sender_x):
+            facts[wanted[i]] = Heard(at, (x, sender_y), partial(self.extremes, r, event, kmin, last_round))
         return facts
 
     def extremes(
@@ -692,17 +723,18 @@ class _Runner:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """Where ``receiver``'s fresh neighbors nearest to and farthest from ``event`` were at their last beacons.
 
-        Fresh neighbors are those heard in round ``kmin`` or later. The lookup reads the beacon state as
-        round ``last_round`` left it, so it fails once a later round has run. A tie goes to the lowest id.
+        Fresh neighbors are those heard in round ``kmin`` or later. The lookup reads the rounds as round
+        ``last_round`` left the ring, so it fails once a later round has run. A tie goes to the lowest id.
         np.hypot can differ from math.hypot in the last bit, so it only picks the two; the decision
         measures them again.
         """
         if self.last_round != last_round:
             raise RuntimeError(f"beacon facts of round {last_round} read after round {self.last_round}")
         lane_y = self.world.lane_y
-        rounds = self.heard_round[receiver]
-        # Each neighbor's x at its last beacon; a stale or unheard one reads some row, and the mask drops it.
-        x = self.round_x[rounds % self.ring, np.arange(len(rounds))]
+        vehicles = np.arange(len(lane_y))
+        rounds = self.last_heard_round(np.full(len(vehicles), receiver), vehicles, kmin)
+        # Each neighbor's x at its last beacon; an unheard one reads some row, and the mask drops it.
+        x = self.round_x[rounds % self.ring, vehicles]
         spread = np.hypot(x - event[0], lane_y - event[1])
         fresh = rounds >= kmin
         nearest = int(np.where(fresh, spread, np.inf).argmin())

@@ -3,7 +3,7 @@
 Protocol tests name a receiver's fresh neighbors as ``{vehicle: (x, y)}``,
 where each was when its last beacon arrived. ``heard_from`` turns that dict
 into the ``Heard`` the simulator would pass with one warning. ``last_heard``
-reads a runner's beacon rounds back as times.
+works out who heard whom in the rounds a runner holds, as times.
 """
 
 from typing import Optional
@@ -32,5 +32,13 @@ def heard_from(neighbors: dict, warning: Warning, receiver=(0.0, 0.0)) -> Option
 
 
 def last_heard(runner) -> np.ndarray:
-    """The time of each pair's last beacon round in ``runner``, ``index * beacon_interval[0]``; -inf for never."""
-    return np.where(runner.heard_round >= 0, runner.heard_round * runner.cfg.beacon_interval[0], -np.inf)
+    """The time of each pair's last beacon round that ``runner`` still holds, ``index * beacon_interval[0]``.
+
+    Row receiver, column sender; -inf where the receiver heard no beacon of the sender in the rounds
+    the runner's ring holds (every round of a run whose ring is longer than the run).
+    """
+    n = runner.world.n
+    receivers, senders = np.divmod(np.arange(n * n), n)
+    oldest = max(0, runner.last_round - runner.ring + 1)
+    rounds = runner.last_heard_round(receivers, senders, oldest).reshape(n, n)
+    return np.where(rounds >= 0, rounds * runner.cfg.beacon_interval[0], -np.inf)

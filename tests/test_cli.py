@@ -1,11 +1,17 @@
 """Run-spec parsing and end-to-end CLI execution."""
 
+import contextlib
+import io
 import json
+import tempfile
+import typing
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main, parse_run_spec
-from irsim.scenario import MAX_ANCHORS, ConfigError
+from irsim.scenario import ATTACKER_PROFILES, MAX_ANCHORS, ConfigError, ScenarioConfig
 
 FAST_SCENARIO = """
 # small desk-scale scenario
@@ -135,12 +141,20 @@ class TestExecute:
             ["--vehicles", "100000", "--duration", "1"],
             ["--scenario", "trusted_anchors = 200000"],
             ["--scenario", f"trusted_anchors = {MAX_ANCHORS // 2}\nflagged_anchors = {MAX_ANCHORS // 2 + 1}"],
+            ["--scenario", "neighbor_ttl = 1.7e308"],
+            ["--scenario", "rrl_request_period = 1.7e308"],
+            ["--scenario", f"lanes_per_direction = {2**62}"],
+            ["--scenario", "transmission_range = 1e9"],
+            ["--scenario", "transmission_range = 1e150"],
+            ["--scenario", "pending_ttl = 1.7e308"],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
             "duration-huge", "beacon-tiny-file", "event-rate-huge-file", "tx-range-square-overflows",
             "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
             "anchor-low-points-huge-file", "vehicles-huge", "trusted-anchors-huge-file", "anchor-sum-over-file",
+            "neighbor-ttl-huge-file", "request-period-huge-file", "lanes-huge-file", "tx-range-1e9-file",
+            "tx-range-1e150-file", "pending-ttl-huge-file",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):
@@ -258,3 +272,61 @@ class TestExecute:
         assert err.startswith("run failed: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# Extreme finite values for a scenario field, by the field's type: signs, the smallest and largest
+# doubles, and integers past the int64 range. A run-size flag bounds every run to 4 vehicles and 2 s.
+_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-9, 0.25, 1.0, 3.0, 1e9, 1e150, 1.7e308])
+_INTS = st.sampled_from([0, -1, 1, 3, 2**31, 2**62, 2**63, 10**20])
+_FIELD_VALUES = {
+    float: _FLOATS.map(repr),
+    int: _INTS.map(str),
+    bool: st.sampled_from(["true", "false"]),
+    str: st.sampled_from([*ATTACKER_PROFILES, "none"]),
+    tuple[float, float]: st.tuples(_FLOATS, _FLOATS).map(lambda pair: f"{pair[0]!r} {pair[1]!r}"),
+    tuple[tuple[float, float], ...]: st.lists(st.tuples(_FLOATS, _FLOATS), max_size=3).map(
+        lambda pairs: " ".join(f"{x!r} {y!r}" for x, y in pairs)
+    ),
+}
+# The flags below set these.
+_SIZED_BY_FLAGS = ("vehicle_count", "attacker_count", "duration")
+_FIELDS = {
+    name: _FIELD_VALUES[kind]
+    for name, kind in typing.get_type_hints(ScenarioConfig).items()
+    if name not in _SIZED_BY_FLAGS
+}
+
+
+@st.composite
+def _extreme_runs(draw):
+    """A scenario file that sets one or two fields to extreme values, and flags that keep the run tiny."""
+    names = draw(st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=2, unique=True))
+    text = "".join(f"{name} = {draw(_FIELDS[name])}\n" for name in names)
+    vehicles = draw(st.integers(0, 4))
+    flags = [
+        "--vehicles", str(vehicles),
+        "--attackers", str(draw(st.integers(0, vehicles))),
+        "--duration", draw(st.sampled_from(["0", "0.5", "2"])),
+        "--pipeline", draw(st.sampled_from(["irs", "accept-all", "both"])),
+    ]
+    return text, flags
+
+
+class TestEveryFiniteConfig:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_extreme_runs())
+    def test_runs_or_exits_one(self, case):
+        # Every config runs (exit 0) or is a configuration error (exit 1 with one line); none fails
+        # inside the run (exit 2) or prints a traceback.
+        text, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "extreme.cfg"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--scenario", str(path), *flags, "--out", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG), (text, flags, err.getvalue())
+        if code == EXIT_CONFIG:
+            assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == "", (text, flags)

@@ -13,7 +13,9 @@ log of the live run.
 A change that keeps behaviour leaves every digest unchanged. A change that
 alters output bytes on purpose re-pins them and says why. The digests were
 pinned on Python 3.11.7 with numpy 2.4.6; other numpy versions may draw
-different random streams.
+different random streams. The ``irs`` cases were last re-pinned when beacon
+loss became a keyed draw per link instead of a draw from the radio stream;
+``accept-all`` runs no beacon rounds and kept its digests.
 """
 
 import hashlib
@@ -33,23 +35,23 @@ MATRIX = {
     "irs-false-warning": (
         {"attacker_profile": "false-warning"},
         "irs",
-        "a1f6768445b7994f58b96317b4e186e7b620bfad8bf0eb6b9137af5b2bb10207",
-        "e62b66e9f898b2968fcaececab71f5918d47ebee59358bbb19ff9882e76c2a0d",
-        "05b849db011f934c52ed6554b58d64753686794406396c9e9884d9055df141c6",
+        "33700a9e090e3efa859d8a9f5798371d72d9041dec028d877f72c28b2f729bb4",
+        "3b79d1f7afee1a38e731d02b00d0dca33ce60263990c0a3f18ed82006fd1a87b",
+        "78a7346c3829de11f37ca8df6d3cfd574679164632783567a2e3bcf6dc21b4dc",
     ),
     "irs-conflicting-info": (
         {"attacker_profile": "conflicting-info"},
         "irs",
-        "f9f6a66eca851169e16dc64284eb9606b158b0641b309b53ad76d6088ecca0b3",
-        "4640d4ad7835493d70ee01e07adc2b65823d959ee3caa6aacbfe621b42cd2c63",
-        "0130f494870818c69d75ed8ddc5a6423620842ccbbfbfcce0d1b5f560a8c3b83",
+        "42fafd5908ebf124a32e144559a2555ce1d1f32e2f50235aba4a8a78588eddb6",
+        "7411ddbbe74ef3f34a63173e7e2a2b70bfbd2d4d397ce1236a6f649cf14eff4f",
+        "73aea8f61569d441363598c2d15f1fff837c42a1ca5892411a876d31b27c98f5",
     ),
     "irs-far-event-claim": (
         {"attacker_profile": "far-event-claim"},
         "irs",
-        "ea5823869b636afd8f6264c4528988dd795d1125bf6c5b0cf61e1298c7444597",
-        "1c34ec23f6df7b1feca16b9e382247b0e11fc0dc3d7a03eaee83d81230c153ea",
-        "e95df7c3ec090ac936c471e4a8a63748d9266796870dd5136360bba27e601f77",
+        "d2ead8664f8adb3774939a8f4ec574862c1764bce09b12d3a4a5b576d2e1a0e2",
+        "57a231a23309c9b0423bcb6970a80aae78b0794a724ce1679ed21364b3147050",
+        "6c78c7515fe97a126a287e4dfae9bb0206c4f75b578f808ffb4b78b51271c56d",
     ),
     "accept-all-false-warning": (
         {"attacker_profile": "false-warning"},
@@ -61,30 +63,30 @@ MATRIX = {
     "irs-two-rsus": (
         {"rsu_positions": ((300.0, 500.0), (700.0, 500.0))},
         "irs",
-        "5671a96e065554fad274b943a626720bc6660a60f0c6240b805e6d8a9d9c074f",
-        "b833dce80c63883821652270db66d9264e8e31a091a71f00aa7c7f20982067ed",
-        "76d6c72414d08db7da637b698c0a8f5f0c6acba9b741e07525d86bee1361878b",
+        "47250dfb0f4ce2c8fe38d85b0ddd1e2b3e234f1fbb84d8b93cedaa3bbcf4691c",
+        "026bcc6b6c0afb50b951f543be84adfb5343f242e2b29893620b45d0f50d9219",
+        "233ae21ba56065971ec8f15438668f3d655f78a6a5c943e015f2f8afabede236",
     ),
     "irs-no-ranging-noise": (
         {"ranging_noise_sigma": 0.0, "ranging_noise_per_meter": 0.0},
         "irs",
-        "8d783f71a98b83b24d28b6b6fc9d6a97faf9ded71bb863449e94d5223db2784d",
-        "324946030bca56c99a0d521bf17b9eab8e3b31b2b7e4e09f795a1167afa95993",
-        "3d4867637791705c4672b89a593a20f37abacb77d5ae0f9fac8e34f25d3dc9cb",
+        "9ad9acedd551e307fd14a95e0dbbbccb27b3aa60230bf70c2c13dfcdc487197c",
+        "0ad662ba4f48649258f73e1e65869ac2610c2f82b4466701fc4b64e7f2fce832",
+        "998cb4048026be0ba938fcf9e94ca39d2211b7ee812a91da33c1d4cd1eba9f36",
     ),
     "irs-jittered-beacons": (
         {"beacon_interval": (0.1, 0.35)},
         "irs",
-        "a7b468928c1d98ab1428f528d8446132d53a936f683ae9494eb79a5b68d46f76",
-        "8db07d23e4047725cf1593b17e290b63ee6ad26c5318b54252aff04f78de2f20",
-        "8099e4c38322fc2b12079cf986d01140486238e76782f9f9e9faad4bc453d8f4",
+        "2c005120871b1826ce8268d759b256085cec50dcdee09f628292e91f3bfa8bfd",
+        "c8a65d61fc35a0ef90792f9a09d846c5c9161833dd0d37542c76b2d8d5234242",
+        "ff62e8bc3c5b6bdab1afa7b23029928619ec258eaac1d8864b470420184f5975",
     ),
     "irs-no-rsu": (
         {"rsu_positions": ()},
         "irs",
-        "50602f7bf8ec5f3169d6401ca7d98e5ee94cd8d6b2f44b3e07ca7766b0d697db",
-        "9d995fd07a8d6ff3d67edf7331d134d78331517d3161727468e779300d97151b",
-        "69a74dd5b5cec82c3af97e5f586ea1efb1715023e2c6c59f04e1b49a3bad62e1",
+        "bc77ebd338702fb131bbeb93b7d6f60fa4f49e0d2e6e72591fdf6f5bc828844b",
+        "8b3d288e2e1cb0dfe512eabc5ee9e84856764165413f1b7f291bc7b00ce079ef",
+        "9e9ab4f90091b7542910d3dcb747d12e0008efabe1da722aa4b687eeac52e6a0",
     ),
 }
 

@@ -111,8 +111,8 @@ class TestBeacons:
     def test_new_sender_adds_entry(self):
         runner = beacon_runner()
         run_rounds(runner, 1)
-        runner.heard_round[0] = -1
-        runner.heard_round[0, 5] = 0  # vehicle 0 heard a beacon from 5 in round 0, at t = 0
+        runner.round_due[0] = False
+        runner.round_due[0, 5] = True  # only 5 beaconed in round 0, at t = 0, so vehicle 0 heard only 5
         heard = heard_one(runner, 0, 5, 0.0)
         assert heard is not None
         assert heard.sender == tuple(runner.world.positions_at(0.0)[5])
@@ -129,9 +129,10 @@ class TestBeacons:
     def test_stale_entry_evicted_after_gap(self):
         runner = beacon_runner()
         run_rounds(runner, 21)
-        runner.heard_round[0] = -1
-        runner.heard_round[0, 5] = 0
-        runner.heard_round[0, 6] = 20  # round 20 is at 2 s > 1.5 s TTL after 5 was last heard
+        assert runner.last_round - runner.ring + 1 == 3  # the ring holds rounds 3 .. 20
+        runner.round_due[:] = False
+        runner.round_due[3 % runner.ring, 5] = True
+        runner.round_due[20 % runner.ring, 6] = True  # round 20 is at 2 s > 1.5 s TTL after 5's beacon at 0.3 s
         assert heard_one(runner, 0, 5, 2.0) is None
         heard = heard_one(runner, 0, 6, 2.0)
         # 6 is the only fresh neighbor, so it is both the nearest and the farthest.

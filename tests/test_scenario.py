@@ -8,8 +8,11 @@ import pytest
 from irsim.protocol import RrlBroadcast, encode_rrl_broadcast
 from irsim.scenario import (
     MAX_ANCHORS,
+    MAX_LANES_PER_DIRECTION,
     MAX_POINTS,
     MAX_SCHEDULED_EVENTS,
+    MAX_TIME_S,
+    MAX_TRANSMISSION_RANGE,
     MAX_VEHICLES,
     ConfigError,
     ScenarioConfig,
@@ -205,6 +208,30 @@ class TestSizeCeilings:
         make_config({name: MAX_POINTS})
         with pytest.raises(ConfigError, match=f"{name} must be <= {MAX_POINTS}"):
             make_config({name: MAX_POINTS + 1})
+
+    def test_lane_and_range_ceilings_are_inclusive(self):
+        make_config({"lanes_per_direction": MAX_LANES_PER_DIRECTION})
+        with pytest.raises(ConfigError, match=f"lanes_per_direction must be <= {MAX_LANES_PER_DIRECTION}"):
+            make_config({"lanes_per_direction": MAX_LANES_PER_DIRECTION + 1})
+        make_config({"transmission_range": MAX_TRANSMISSION_RANGE})
+        with pytest.raises(ConfigError, match="transmission_range must be <= 10000 m"):
+            make_config({"transmission_range": math.nextafter(MAX_TRANSMISSION_RANGE, math.inf)})
+
+    @pytest.mark.parametrize("name", ["neighbor_ttl", "rrl_request_period"])
+    def test_round_counted_spans_are_capped(self, name):
+        # Both are counted in beacon rounds of 0.1 s: at most MAX_SCHEDULED_EVENTS of them.
+        make_config({name: MAX_SCHEDULED_EVENTS * 0.1})
+        with pytest.raises(ConfigError, match=f"{name} must span at most {MAX_SCHEDULED_EVENTS} beacon intervals"):
+            make_config({name: MAX_SCHEDULED_EVENTS * 0.1001})
+
+    def test_time_ceiling_is_inclusive_and_the_final_expiry_ages_out_at_it(self):
+        # At the ceiling the final expiry's 0.001 s still tells, so every held warning is resolved.
+        at = {"duration": 2.0, "pending_ttl": MAX_TIME_S - 2.0}
+        with pytest.raises(ConfigError, match=r"duration \+ pending_ttl must be <= 4294967296 s"):
+            make_config({**at, "pending_ttl": at["pending_ttl"] + 0.001})
+        cfg = make_config({**at, "vehicle_count": 4, "attacker_count": 4, "attacker_rate": 5.0, "seed": 0})
+        result = run(build_scenario(cfg))
+        assert result.report.pending_resolved > 0
 
     def test_ledger_at_the_point_ceiling_encodes(self):
         # A row's points are a signed 64-bit field; a run adds at most one point per confirmed report.

@@ -1,14 +1,19 @@
 """Simulator tests: determinism, radio model, mobility, attackers, replay."""
 
+import dataclasses
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from eager_beacons import EagerRunner
+from hypothesis import given, settings, strategies as st
 from neighbors import last_heard
 
 from irsim import protocol, reputation, sim
-from irsim.metrics import RunInfo, finalize, replay_event_log
+from irsim.metrics import RunInfo, export, finalize, replay_event_log
 from irsim.protocol import (
     Beacon,
     Disposition,
@@ -140,7 +145,7 @@ class TestRadio:
         assert channel.hears(np.array([[400.0, 0.0], [441.0, 0.0]]), (0.0, 0.0), 440.0).tolist() == [True, False]
 
     def test_one_draw_per_link(self):
-        # A beacon round is one n x n draw: receivers by row, senders by column.
+        # One loss draw per link of the broadcast shape: receivers by row, senders by column.
         positions = np.array([[0.0, 0.0], [100.0, 0.0], [500.0, 0.0]])
         ok = make_channel().hears(positions[:, None, :], positions[None, :, :])
         assert ok.tolist() == [[True, True, False], [True, True, False], [False, False, True]]
@@ -434,11 +439,13 @@ class TestBandsBuiltAtPublication:
 class TestPendingAgeOut:
     def test_accepted_warning_ages_out_in_the_first_round_past_the_ttl(self):
         # Vehicle 0 accepts at once, so it never holds a PENDING decision.
-        cfg = small_config(vehicle_count=3, attacker_count=0, transmission_range=1000.0, rsu_positions=())
+        cfg = small_config(vehicle_count=3, attacker_count=0, transmission_range=1000.0, rsu_positions=(),
+                           delivery_loss_probability=0.0)
         world = build_scenario(cfg)
         runner = sim._Runner(world)
         runner.handle_round(0.0, 0)
-        runner.heard_round[:] = 0  # every vehicle heard every other in round 0
+        # Every vehicle heard every other in round 0.
+        assert (last_heard(runner)[~np.eye(3, dtype=bool)] == 0.0).all()
         positions = world.positions_at(0.0)
         warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
         heard = runner.heard(np.array([0]), warning, 0.0, positions)[0]
@@ -595,23 +602,27 @@ class TestBeaconEquivalence:
         """Compare ``_Runner.heard`` with the reference for every pair; count the kinds of pair seen."""
         ttl, width, n = cfg.neighbor_ttl, cfg.grid[0], cfg.vehicle_count
 
-        def runner_at(now):
+        def runner_at(now, config=cfg):
             # The first 31 rounds, up to ``now``: those a run has made when a warning comes at ``now``.
-            runner = sim._Runner(build_scenario(cfg))
-            assert runner.ring == min(int(ttl / 0.1) + 3, int(cfg.duration / 0.1) + 2)
+            runner = sim._Runner(build_scenario(config))
+            assert runner.ring == min(int(config.neighbor_ttl / 0.1) + 3, int(config.duration / 0.1) + 2)
             for index in range(31):
                 if index * 0.1 <= now:
                     runner.handle_round(index * 0.1, index)
             return runner
 
+        # The reference's beacon times come from a runner that keeps every round: the neighbor TTL
+        # changes no beacon, only how many rounds the ring holds.
+        every_round = dataclasses.replace(cfg, neighbor_ttl=cfg.duration)
+
         # The last round, and times that put some beacon exactly on the TTL boundary.
-        times = last_heard(runner_at(math.inf)).tolist()
+        times = last_heard(runner_at(math.inf, every_round)).tolist()
         beacon_times = sorted({t for row in times for t in row if t > -math.inf and (t + ttl) - ttl == t})
         nows = [3.0] + [t + ttl for t in beacon_times[-2:]]
         seen = Counter()
         for now in nows:
             runner = runner_at(now)
-            world, times = runner.world, last_heard(runner).tolist()
+            world, times = runner.world, last_heard(runner_at(now, every_round)).tolist()
 
             def where(v, t):
                 x = (float(world.x0[v]) + float(world.direction[v]) * float(world.speed[v]) * t) % width
@@ -664,13 +675,15 @@ class TestBeaconEquivalence:
     def test_receiver_holding_the_event_gets_no_facts(self, kind):
         # A copy of an event the receiver already holds takes the repeat path, which reads no beacon
         # facts: heard gives None, and the decision and its DELIVER line are those the facts would give.
-        cfg = small_config(vehicle_count=6, attacker_count=0, transmission_range=1000.0, rsu_positions=())
+        cfg = small_config(vehicle_count=6, attacker_count=0, transmission_range=1000.0, rsu_positions=(),
+                           delivery_loss_probability=0.0)
         outputs = []
         for pass_facts in (False, True):
             world = build_scenario(cfg)
             runner = sim._Runner(world)
             runner.handle_round(0.0, 0)
-            runner.heard_round[:] = 0  # every vehicle heard every other in round 0
+            # Every vehicle heard every other in round 0.
+            assert (last_heard(runner)[~np.eye(6, dtype=bool)] == 0.0).all()
             positions = world.positions_at(0.0)
             first = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
             second = sim.Warning(2, 1, kind, first.event_position, 0.1)
@@ -690,7 +703,8 @@ class TestBeaconEquivalence:
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
     def test_last_heard_matches_scalar_range_test(self, lanes, interval):
-        # Every round's last_heard equals a per-pair Channel.in_range over the senders due in it.
+        # Every round's last_heard equals a per-pair Channel.in_range over the senders due in it. The
+        # neighbor TTL is the whole run, so the ring holds every round and last_heard reaches back to 0.
         cfg = ScenarioConfig(
             vehicle_count=24,
             duration=3.0,
@@ -701,6 +715,7 @@ class TestBeaconEquivalence:
             delivery_loss_probability=0.0,
             event_rate_per_min=0.0,
             rsu_positions=(),
+            neighbor_ttl=3.0,
         )
         world = build_scenario(cfg)
         runner = sim._Runner(world)
@@ -767,7 +782,7 @@ class TestNeighborLookup:
         assert lookups[0] == sum(lv == top for lv, _ in decisions)
 
     def test_lookup_after_a_later_round_fails(self):
-        # The lookup reads heard_round and the position ring as the facts' round left them.
+        # The lookup reads the position and due rings as the facts' round left them.
         cfg = small_config(vehicle_count=8, attacker_count=0, delivery_loss_probability=0.0,
                            transmission_range=1000.0, rsu_positions=())
         runner = sim._Runner(build_scenario(cfg))
@@ -784,12 +799,12 @@ class TestNeighborLookup:
     def test_tie_goes_to_lowest_id(self):
         # Vehicles v and v + 6 share a lane. Put 1 and 7 the same distance from the event on either
         # side of it, and 0 and 6 likewise, farther out: the lower id wins both ties.
-        cfg = small_config(vehicle_count=8, attacker_count=0, rsu_positions=())
+        cfg = small_config(vehicle_count=8, attacker_count=0, rsu_positions=(), transmission_range=1000.0,
+                           delivery_loss_probability=0.0)
         runner = sim._Runner(build_scenario(cfg))
-        runner.handle_round(0.0, 0)
-        runner.heard_round[2] = 0
-        runner.heard_round[2, 2] = -1
+        runner.handle_round(0.0, 0)  # every vehicle is due in round 0
         runner.round_x[0] = [50.0, 400.0, 300.0, 700.0, 650.0, 350.0, 950.0, 600.0]
+        assert (last_heard(runner)[2, [0, 1, 3, 4, 5, 6, 7]] == 0.0).all()
         lane_y = runner.world.lane_y.tolist()
         event = (500.0, lane_y[1])
         (heard,) = runner.heard(np.array([2]), warning_from(1, event, 0.0), 0.0, runner.world.positions_at(0.0))
@@ -799,7 +814,7 @@ class TestNeighborLookup:
 class TestNoSelfPairs:
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["all-due", "jittered"])
     def test_no_vehicle_hears_itself(self, interval):
-        # Self-pairs are kept out by the inf diagonal of lane_gap_sq, not by a mask per round.
+        # Self-pairs are kept out by the lookup's receiver != sender mask, whatever the rings hold.
         cfg = small_config(
             grid=(200.0, 1000.0),
             vehicle_count=12,
@@ -817,7 +832,7 @@ class TestNoSelfPairs:
         def checked_round(t, index):
             seen["partial"] += bool((runner.next_tx > t + 1e-9).any())
             handle_round(t, index)
-            assert (np.diagonal(runner.heard_round) == -1).all()
+            assert (np.diagonal(last_heard(runner)) == -np.inf).all()
             seen["rounds"] += 1
 
         runner.handle_round = checked_round
@@ -825,7 +840,7 @@ class TestNoSelfPairs:
         assert seen["rounds"] == 31
         assert (seen["partial"] > 0) == (interval[1] > interval[0])
         # Every other pair is in range and lossless, so each was heard.
-        assert (runner.heard_round[~np.eye(cfg.vehicle_count, dtype=bool)] >= 0).all()
+        assert (last_heard(runner)[~np.eye(cfg.vehicle_count, dtype=bool)] >= 0).all()
 
 
 class TestAttackers:
@@ -959,3 +974,132 @@ class TestReplayEquivalence:
         )
         replayed = finalize(replay_event_log(result.log_lines, info), info)
         assert replayed.deterministic_view() == result.report.deterministic_view()
+
+
+def splitmix64(z):
+    """SplitMix64's step and output function on one Python int."""
+    mask = 2**64 - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestKeyedBeaconLoss:
+    """Each beacon link's loss is a keyed uniform of (key, round, sender, receiver), not a stream draw."""
+
+    def test_uniform_is_two_splitmix_mixes(self):
+        channel = make_channel()
+        channel.beacon_key = np.uint64(2**64 - 1)
+        links = [(0, 0, 1), (1, 3, 0), (7, 5999, 0), (2**31, 1, 5999)]
+        expected = [
+            (splitmix64(splitmix64(k ^ (2**64 - 1)) ^ (s << 32 | r)) >> 11) * 2.0**-53 for k, s, r in links
+        ]
+        rounds, senders, receivers = (list(column) for column in zip(*links))
+        assert channel.beacon_uniform(rounds, senders, receivers).tolist() == expected
+        assert expected == [0.4077623770414702, 0.37646650918085867, 0.48048815606155004, 0.8339031223179748]
+
+    def test_key_comes_from_a_third_seed_child(self):
+        # spawn(3) gives the same first two children as spawn(2), so the schedule and radio streams keep
+        # their seeds; the third seeds the beacon key.
+        world = build_scenario(small_config(seed=0))
+        sched, chan = np.random.SeedSequence(0).spawn(2)
+        assert world.channel.rng.bit_generator.state == np.random.PCG64(chan).state
+        fresh = np.random.Generator(np.random.PCG64(sched))
+        assert world.x0.tolist() == fresh.uniform(0.0, 1000.0, world.n).tolist()
+        assert int(world.channel.beacon_key) == 16452687389592421897
+        assert world.channel.beacon_uniform(0, 1, 2).tolist() == [0.924515066606247]
+
+    def test_moments_and_kept_fraction(self):
+        channel = make_channel(loss=0.3)
+        channel.beacon_key = np.uint64(12345)
+        rounds, senders, receivers = np.meshgrid(np.arange(100), np.arange(100), np.arange(100), indexing="ij")
+        u = channel.beacon_uniform(rounds, senders, receivers)
+        assert u.shape == (100, 100, 100) and 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 1 / 2) < 0.002
+        assert abs(u.var() - 1 / 12) < 0.0005
+        kept = channel.beacon_kept(rounds, senders, receivers)
+        assert abs(kept.mean() - 0.7) < 0.003
+        assert (kept == (u >= 0.3)).all()
+        # A directed link: (s, r) and (r, s) draw apart.
+        assert (u != u.transpose(0, 2, 1)).sum() == 100 * (100 * 100 - 100)
+
+    def test_any_order_or_subset_of_links_gives_the_same_rounds(self):
+        cfg = small_config(vehicle_count=30, delivery_loss_probability=0.3, beacon_interval=(0.1, 0.35),
+                           event_rate_per_min=0.0, rsu_positions=())
+        runner = sim._Runner(build_scenario(cfg))
+        for index in range(25):
+            runner.handle_round(index * 0.1, index)
+        receivers, senders = np.divmod(np.arange(30 * 30), 30)
+        kmin = runner.last_round - runner.ring + 1
+        every = runner.last_heard_round(receivers, senders, kmin)
+        assert (every >= 0).any() and (every == -1).any()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            links = rng.permutation(len(receivers))[: rng.integers(1, len(receivers) + 1)]
+            assert runner.last_heard_round(receivers[links], senders[links], kmin).tolist() == every[links].tolist()
+
+
+def _export_bytes(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        return export(report, "json", Path(tmp) / "metrics.json").read_bytes()
+
+
+@st.composite
+def _small_configs(draw):
+    n = draw(st.integers(2, 40))
+    width = draw(st.sampled_from([500.0, 1000.0]))  # on the shorter road, vehicles wrap within a TTL
+    positions = [(0.3 * width, 500.0), (0.7 * width, 500.0), (0.5 * width, 480.0)]
+    return ScenarioConfig(
+        grid=(width, 1000.0),
+        vehicle_count=n,
+        duration=draw(st.sampled_from([1.0, 2.5, 4.0])),
+        seed=draw(st.integers(0, 2**32)),
+        attacker_count=draw(st.integers(0, n // 4)),
+        attacker_profile=draw(st.sampled_from(["false-warning", "conflicting-info", "far-event-claim"])),
+        attacker_rate=0.5,
+        lanes_per_direction=draw(st.sampled_from([1, 3])),
+        delivery_loss_probability=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)),
+        beacon_interval=draw(st.sampled_from([(0.1, 0.1), (0.1, 0.35)])),
+        rsu_positions=tuple(positions[: draw(st.integers(0, 3))]),
+        neighbor_ttl=draw(st.sampled_from([0.05, 0.37, 1.5, 10.0])),
+        event_rate_per_min=120.0,
+        ranging_noise_sigma=draw(st.sampled_from([0.0, 5.0])),
+    )
+
+
+class TestEagerReference:
+    """The lazy beacon lookups give what the n x n rounds of ``EagerRunner`` give, byte for byte."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_small_configs())
+    def test_same_bytes_and_same_last_heard_rounds(self, cfg):
+        live = run(build_scenario(cfg))
+        reference = EagerRunner(build_scenario(cfg))
+        n = cfg.vehicle_count
+        receivers, senders = np.divmod(np.arange(n * n), n)
+        handle_round = reference.handle_round
+
+        def checked_round(t, index):
+            handle_round(t, index)
+            # Every pair's last heard round in the rounds the ring holds, lazy against eager.
+            oldest = max(0, index - reference.ring + 1)
+            eager = np.where(reference.heard_round >= oldest, reference.heard_round, -1)
+            lazy = reference.last_heard_round(receivers, senders, oldest).reshape(n, n)
+            assert np.array_equal(lazy, eager), (index, cfg)
+
+        reference.handle_round = checked_round
+        expected = reference.run()
+        assert live.log_text() == expected.log_text()
+        assert _export_bytes(live.report) == _export_bytes(expected.report)
+
+
+class TestMemory:
+    def test_no_runner_array_holds_a_vehicle_pair_each(self):
+        n = 300
+        world = build_scenario(small_config(vehicle_count=n, attacker_count=30, duration=2.0))
+        runner = sim._Runner(world)
+        runner.run()
+        arrays = [v for holder in (runner, world) for v in vars(holder).values() if isinstance(v, np.ndarray)]
+        assert any(a is runner.round_x for a in arrays) and len(arrays) >= 8
+        assert max(a.size for a in arrays) < n * n
