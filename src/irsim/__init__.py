@@ -28,7 +28,6 @@ from .reputation import (
     standing_of,
 )
 from .protocol import (
-    Beacon,
     Disposition,
     EventKind,
     MisbehaviorReport,
@@ -44,7 +43,6 @@ from .sim import SimWorld, attacker_emit, build_scenario, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "Beacon",
     "ConfigError",
     "Disposition",
     "EventKind",

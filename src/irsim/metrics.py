@@ -245,21 +245,18 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
 # -- export / import ---------------------------------------------------------
 
 
-def export(report: MetricsReport, fmt: str, destination: Path | str, include_latency: bool = False) -> Path:
+def export(report: MetricsReport, fmt: str, destination: Path | str) -> Path:
     """Write a report to ``destination`` as JSON or CSV.
 
-    JSON carries the full report object (timing only when
-    ``include_latency`` is set, since it varies run to run). CSV holds one
-    row per distance bucket followed by a key/value summary block. Both
-    parse back losslessly via :func:`load_report`.
+    Neither carries the timing, which varies run to run. JSON holds the
+    rest of the report; CSV holds one row per distance bucket followed by a
+    key/value summary block. Both parse back via :func:`load_report`, with
+    the timing None.
     """
     path = Path(destination)
     fmt = fmt.lower()
     if fmt == "json":
-        payload = report.deterministic_view()
-        if include_latency:
-            payload.update((name, getattr(report, name)) for name in _LATENCY_FIELDS)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report.deterministic_view(), sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         text = _to_csv(report)
     else:

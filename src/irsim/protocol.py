@@ -30,7 +30,6 @@ from .reputation import (
     ReputationRecord,
     RsuReputationList,
     RrlStanding,
-    TrustBands,
     TrustDecision,
     TrustLevel,
     VehicleId,
@@ -65,15 +64,6 @@ class Disposition(IntEnum):
 
 
 @dataclass(frozen=True, slots=True)
-class Beacon:
-    sender: VehicleId
-    position: Position
-    speed: float
-    heading: tuple[float, float]
-    timestamp: float
-
-
-@dataclass(frozen=True, slots=True)
 class Warning:
     sender: VehicleId
     event_id: EventId
@@ -88,7 +78,6 @@ class MisbehaviorReport:
     accused: VehicleId
     event_id: EventId
     timestamp: float
-    signature_valid: bool = True
 
     def __post_init__(self) -> None:
         if self.reporter == self.accused:
@@ -101,7 +90,6 @@ class RrlBroadcast:
 
     rrl: RsuReputationList
     timestamp: float
-    signature_valid: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,13 +176,6 @@ PENDING = WarningOutcome(Disposition.PENDING)
 
 def _distance(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _neutral_points(bands: Optional[TrustBands], initial_points: int) -> int:
-    """Entry points for a vehicle a ledger has no history with: the middle of its range."""
-    if bands is None:
-        return initial_points
-    return (bands.min_points + bands.max_points) // 2
 
 
 class VehicleNode:
@@ -378,8 +359,6 @@ class VehicleNode:
     def handle_rrl_broadcast(self, broadcast: RrlBroadcast) -> bool:
         """Keep a newer ledger snapshot (shared, not copied); seed an empty local ledger from it."""
         rrl = broadcast.rrl
-        if not broadcast.signature_valid:
-            return False
         if self.cached_rrl is not None and rrl.version <= self.cached_rrl.version:
             return False
         self.cached_rrl = rrl
@@ -393,8 +372,11 @@ class VehicleNode:
         self.lrl.adjust(vehicle, delta, self._default_points())
 
     def _default_points(self) -> int:
-        """Neutral entry points for a sender we have no history with."""
-        return _neutral_points(self.lrl.trust_bands(), self.config.initial_points)
+        """Neutral entry points for a sender we have no history with: the middle of the ledger's range."""
+        bands = self.lrl.trust_bands()
+        if bands is None:
+            return self.config.initial_points
+        return (bands.min_points + bands.max_points) // 2
 
     def _estimate_distance(self, true_distance: float, ranging: float) -> float:
         """Signal-strength estimate of a sender-derived distance.
@@ -467,9 +449,10 @@ class RsuNode:
         self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:
-        """Process one misbehavior report; returns True when state changed."""
-        if not report.signature_valid:
-            return False
+        """Process one misbehavior report; returns True when state changed.
+
+        Both parties must be in the ledger: ``seed`` enters every vehicle, and nothing removes one.
+        """
         if standing_of(self.snapshot(), report.reporter) is RrlStanding.FLAGGED:
             return False
         if (report.accused, report.event_id) in self._settled:
@@ -492,7 +475,7 @@ class RsuNode:
 
     def _escalate(self, report: MisbehaviorReport, entry: SuspicionEntry, now: float) -> None:
         accused = report.accused
-        rec = self._ensure(accused)
+        rec = self.entries[accused]
         self._put(apply_point_delta(ReputationRecord(accused, rec.points, rec.misbehavior_points + 1), -1))
         for reporter in (entry.reporter, report.reporter):
             self._bump(reporter, +1)
@@ -552,16 +535,8 @@ class RsuNode:
         self.entries[record.vehicle] = record
         self._snapshot = None
 
-    def _ensure(self, vehicle: VehicleId) -> ReputationRecord:
-        rec = self.entries.get(vehicle)
-        if rec is None:
-            default = _neutral_points(self.snapshot().trust_bands(), self.config.initial_points)
-            rec = ReputationRecord(vehicle, default)
-            self._put(rec)
-        return rec
-
     def _bump(self, vehicle: VehicleId, delta: int) -> None:
-        self._put(apply_point_delta(self._ensure(vehicle), delta))
+        self._put(apply_point_delta(self.entries[vehicle], delta))
 
 
 # -- wire format -----------------------------------------------------------
@@ -575,26 +550,17 @@ NON_SAFETY_MESSAGE_BYTES = 512
 
 _KIND_CODES = {EventKind.CRASH: 0, EventKind.ICE: 1, EventKind.SUDDEN_BRAKE: 2}
 
+# A beacon: sender, x, y, speed, heading x, heading y, timestamp. Beacons are never encoded; this
+# format only gives their wire size.
 BEACON_FORMAT = "<Qdddddd"
+# A report: reporter, accused, event id, timestamp, signature flag (always 1).
 REPORT_FORMAT = "<QQQdB"
 WARNING_FORMAT = "<QQBddd"
-# A ledger broadcast: head (issuer, version, row count), one row per entry, tail (timestamp, signature flag).
+# A ledger broadcast: head (issuer, version, row count), one row per entry, tail (timestamp, signature flag,
+# always 1).
 RRL_HEAD_FORMAT = "<QQI"
 RRL_ROW_FORMAT = "<Qqq"
 RRL_TAIL_FORMAT = "<dB"
-
-
-def encode_beacon(b: Beacon) -> bytes:
-    return struct.pack(
-        BEACON_FORMAT,
-        b.sender,
-        b.position[0],
-        b.position[1],
-        b.speed,
-        b.heading[0],
-        b.heading[1],
-        b.timestamp,
-    )
 
 
 def encode_warning(w: Warning) -> bytes:
@@ -610,9 +576,7 @@ def encode_warning(w: Warning) -> bytes:
 
 
 def encode_report(r: MisbehaviorReport) -> bytes:
-    return struct.pack(
-        REPORT_FORMAT, r.reporter, r.accused, r.event_id, r.timestamp, int(r.signature_valid)
-    )
+    return struct.pack(REPORT_FORMAT, r.reporter, r.accused, r.event_id, r.timestamp, 1)
 
 
 def _ledger_rows(rrl: RsuReputationList) -> tuple[tuple[VehicleId, int, int], ...]:
@@ -624,5 +588,5 @@ def encode_rrl_broadcast(b: RrlBroadcast) -> bytes:
     rows = _ledger_rows(b.rrl)
     head = struct.pack(RRL_HEAD_FORMAT, b.rrl.issuer, b.rrl.version, len(rows))
     body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, mis) for vid, pts, mis in rows)
-    tail = struct.pack(RRL_TAIL_FORMAT, b.timestamp, int(b.signature_valid))
+    tail = struct.pack(RRL_TAIL_FORMAT, b.timestamp, 1)
     return head + body + tail

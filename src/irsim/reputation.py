@@ -213,11 +213,9 @@ class LocalReputationList:
 class RsuReputationList:
     """A published snapshot of the roadside unit's network-wide ledger.
 
-    ``version`` strictly increases with each publication. The derived
-    ranking puts the lowest points first (suspects surface at the top).
-    Treat instances as immutable: the bands are built with the list, so no
-    reader of a published list walks it, and the local seed is cached on
-    first use.
+    ``version`` strictly increases with each publication. Treat instances
+    as immutable: the bands are built with the list, so no reader of a
+    published list walks it, and the local seed is cached on first use.
     """
 
     entries: dict[VehicleId, ReputationRecord]
@@ -232,12 +230,6 @@ class RsuReputationList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, vehicle: VehicleId) -> bool:
-        return vehicle in self.entries
-
-    def ranked(self) -> list[ReputationRecord]:
-        return sorted(self.entries.values(), key=lambda r: (r.points, r.vehicle))
 
     def trust_bands(self) -> Optional[TrustBands]:
         """Bands over the published points, built with the list; None when it is empty."""

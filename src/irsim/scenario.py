@@ -60,6 +60,15 @@ MAX_TIME_S = float(2**32)
 # the reach of any vehicular radio.
 MAX_TRANSMISSION_RANGE = 10_000.0
 
+# The longest grid side, in m: 10,000 km, longer than any highway. The radio
+# squares coordinate gaps, which past about 1e154 m overflow to inf.
+MAX_GRID_M = 1e7
+
+# The highest vehicle speed, in m/s: about three times the speed of sound,
+# far past any vehicle. With it and ``MAX_TIME_S`` a vehicle's unwrapped x
+# stays below 1e13 m, so it never overflows before it wraps onto the grid.
+MAX_SPEED = 1_000.0
+
 # The most ledger-only anchors (trusted plus flagged) a run may seed. Every
 # roadside unit holds one ledger row per anchor and every publication sorts
 # and copies them all, at about 0.7 KB per anchor; a handful pins the band
@@ -124,6 +133,8 @@ class ScenarioConfig:
 
         positive("grid width", self.grid[0])
         positive("grid height", self.grid[1])
+        if max(self.grid) > MAX_GRID_M:
+            raise ConfigError(f"grid sides must be <= {MAX_GRID_M:g} m, got {self.grid!r}")
         non_negative("duration", self.duration)
         non_negative("vehicle_count", self.vehicle_count)
         if self.vehicle_count > MAX_VEHICLES:
@@ -145,6 +156,8 @@ class ScenarioConfig:
             )
         if not 0 < self.speed_range[0] <= self.speed_range[1] < math.inf:
             raise ConfigError(f"speed_range must satisfy 0 < min <= max < inf, got {self.speed_range!r}")
+        if self.speed_range[1] > MAX_SPEED:
+            raise ConfigError(f"speed_range max must be <= {MAX_SPEED:g} m/s, got {self.speed_range[1]!r}")
         positive("transmission_range", self.transmission_range)
         if self.transmission_range > MAX_TRANSMISSION_RANGE:
             raise ConfigError(

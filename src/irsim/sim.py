@@ -69,7 +69,6 @@ class EventInfo:
     truth: bool
     kind: EventKind
     position: tuple[float, float]
-    spawn_time: float
 
 
 class EventRegistry:
@@ -79,10 +78,10 @@ class EventRegistry:
         self.events: dict[int, EventInfo] = {}
         self._next_id = 1
 
-    def register(self, truth: bool, kind: EventKind, position: tuple[float, float], now: float) -> int:
+    def register(self, truth: bool, kind: EventKind, position: tuple[float, float]) -> int:
         event_id = self._next_id
         self._next_id += 1
-        self.events[event_id] = EventInfo(truth, kind, position, now)
+        self.events[event_id] = EventInfo(truth, kind, position)
         return event_id
 
     def message_truth(self, warning: Warning, tolerance_m: float) -> bool:
@@ -138,12 +137,11 @@ class Channel:
         self.rsus = rsus
         self.beacon_key = np.uint64(beacon_key)
 
-    def in_range(self, dx, dy, radius: Optional[float] = None):
-        """The range predicate: squared distance against the squared radius (default: the range)."""
-        return self.in_range_sq(dx, dy * dy, radius)
-
     def in_range_sq(self, dx, dy_sq, radius: Optional[float] = None):
-        """``in_range`` with the y gap given squared."""
+        """The range predicate: ``dx * dx + dy_sq`` (the y gap comes squared) against the squared radius.
+
+        The radius defaults to the transmission range.
+        """
         return dx * dx + dy_sq <= (self.range_m if radius is None else radius) ** 2
 
     def kept(self, shape=None):
@@ -204,7 +202,7 @@ class Channel:
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
         """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed.
 
-        Squared distances are ``dx * dx + dy * dy``, compared with ``r ** 2`` as ``in_range`` does.
+        Squared distances are ``dx * dx + dy * dy``, compared with ``r ** 2`` as ``in_range_sq`` does.
         """
         x, y = float(pos[0]), float(pos[1])
         best, best_sq = None, math.inf
@@ -334,7 +332,7 @@ def attacker_emit(world: SimWorld, attacker: int, now: float) -> list[Warning]:
         ex = float(np.clip(pos[0] + rng.uniform(-60.0, 60.0), 0.0, cfg.grid[0]))
         ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
         kind = _KINDS[int(rng.integers(len(_KINDS)))]
-        event_id = world.registry.register(False, kind, (ex, ey), now)
+        event_id = world.registry.register(False, kind, (ex, ey))
         return [Warning(attacker, event_id, kind, (ex, ey), now)]
 
     if cfg.attacker_profile == "far-event-claim":
@@ -343,7 +341,7 @@ def attacker_emit(world: SimWorld, attacker: int, now: float) -> list[Warning]:
         ex = float(np.clip(ex, 0.0, cfg.grid[0]))
         ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
         kind = _KINDS[int(rng.integers(len(_KINDS)))]
-        event_id = world.registry.register(False, kind, (ex, ey), now)
+        event_id = world.registry.register(False, kind, (ex, ey))
         return [Warning(attacker, event_id, kind, (ex, ey), now)]
 
     # conflicting-info: re-broadcast a known true event with the kind swapped.
@@ -552,7 +550,7 @@ class _Runner:
         ex = float(rng.uniform(0.0, cfg.grid[0]))
         ey = float(cfg.grid[1] / 2.0 + rng.uniform(-10.0, 10.0))
         kind = _KINDS[int(rng.integers(len(_KINDS)))]
-        event_id = world.registry.register(True, kind, (ex, ey), t)
+        event_id = world.registry.register(True, kind, (ex, ey))
         self.emit_line(t, "SPAWN", "-", "-", event_id)
 
         d = np.hypot(positions[:, 0] - ex, positions[:, 1] - ey)

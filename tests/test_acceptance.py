@@ -301,7 +301,7 @@ class TestCriterion8:
         # Monte Carlo delivery frequency at 30% loss.
         channel = sim.Channel(300.0, 0.3, np.random.Generator(np.random.PCG64(2024)))
         trials = 100_000
-        hits = sum(bool(channel.in_range(120.0, 0.0) and channel.kept()) for _ in range(trials))
+        hits = sum(bool(channel.in_range_sq(120.0, 0.0) and channel.kept()) for _ in range(trials))
         frequency = hits / trials
         if abs(frequency - 0.7) > 0.02:
             failures.append(f"monte carlo frequency {frequency}")

@@ -147,6 +147,8 @@ class TestExecute:
             ["--scenario", "transmission_range = 1e9"],
             ["--scenario", "transmission_range = 1e150"],
             ["--scenario", "pending_ttl = 1.7e308"],
+            ["--scenario", "grid = 1.7e308 1000"],
+            ["--scenario", "speed_range = 1 1.7e308"],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
@@ -154,7 +156,7 @@ class TestExecute:
             "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
             "anchor-low-points-huge-file", "vehicles-huge", "trusted-anchors-huge-file", "anchor-sum-over-file",
             "neighbor-ttl-huge-file", "request-period-huge-file", "lanes-huge-file", "tx-range-1e9-file",
-            "tx-range-1e150-file", "pending-ttl-huge-file",
+            "tx-range-1e150-file", "pending-ttl-huge-file", "grid-huge-file", "speed-huge-file",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):

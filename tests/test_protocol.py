@@ -11,7 +11,6 @@ from neighbors import heard_from, last_heard
 
 from irsim import sim
 from irsim.protocol import (
-    Beacon,
     Disposition,
     EventKind,
     Heard,
@@ -25,7 +24,6 @@ from irsim.protocol import (
     Warning,
     WarningOutcome,
     _distance,
-    encode_beacon,
     encode_report,
     encode_rrl_broadcast,
     encode_warning,
@@ -70,9 +68,9 @@ def seed_lrl(node, points_by_vehicle):
         node.lrl.upsert(vid, pts)
 
 
-def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0, valid=True):
+def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0):
     ledger = {vid: ReputationRecord(vid, pts) for vid, pts in sorted(points_by_vehicle.items())}
-    return RrlBroadcast(RsuReputationList(ledger, version, issuer), t, valid)
+    return RrlBroadcast(RsuReputationList(ledger, version, issuer), t)
 
 
 def hear(node, x_by_vehicle):
@@ -449,11 +447,6 @@ class TestRrlBroadcastHandling:
         assert node.cached_rrl.version == 5
         assert node.cached_rrl.entries[1].points == 5
 
-    def test_invalid_signature_discarded(self):
-        node = make_node()
-        assert not node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}, valid=False))
-        assert node.cached_rrl is None
-
     def test_bootstrap_seeds_empty_lrl(self):
         node = make_node(vid=3)
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5, 2: 9, 3: 4}))
@@ -507,8 +500,8 @@ def make_rsu(**kwargs):
     return RsuNode(9000, (500.0, 500.0), 440.0, CFG, **kwargs)
 
 
-def report(reporter, accused, event_id=7, t=0.0, valid=True):
-    return MisbehaviorReport(reporter, accused, event_id, t, valid)
+def report(reporter, accused, event_id=7, t=0.0):
+    return MisbehaviorReport(reporter, accused, event_id, t)
 
 
 class TestRsuReports:
@@ -578,12 +571,6 @@ class TestRsuReports:
         for t, (rep, acc) in enumerate([(3, 14), (8, 14), (3, 15), (8, 15), (3, 16)]):
             rsu.handle_report(report(rep, acc, event_id=100 + t), float(t))
         assert rsu.entries == before
-
-    def test_invalid_signature_ignored(self):
-        rsu = make_rsu()
-        rsu.seed(list(range(20)), 5)
-        rsu.handle_report(report(2, 14, valid=False), 1.0)
-        assert not rsu.suspicion
 
     def test_reporter_equals_accused_rejected(self):
         with pytest.raises(ValueError):
@@ -755,13 +742,6 @@ class TestLedgerSnapshot:
 
 
 class TestWireFormat:
-    def test_beacon_encoding(self):
-        b = Beacon(7, (1.5, 2.5), 30.0, (1.0, 0.0), 4.25)
-        blob = encode_beacon(b)
-        assert len(blob) == 56 == sim._BEACON_WIRE_BYTES
-        sender, x, y, speed, hx, hy, ts = struct.unpack("<Qdddddd", blob)
-        assert (sender, x, y, speed, hx, hy, ts) == (7, 1.5, 2.5, 30.0, 1.0, 0.0, 4.25)
-
     def test_warning_encoding(self):
         w = Warning(7, 99, EventKind.ICE, (10.0, 20.0), 1.5)
         blob = encode_warning(w)
@@ -779,10 +759,10 @@ class TestWireFormat:
         # The simulator counts a ledger's bytes from its row count: 29 fixed bytes plus 24 per row.
         ledger = RsuReputationList({v: ReputationRecord(v, v % 11, v % 3) for v in range(rows)}, 3, 9000)
         size = sim._RRL_FIXED_WIRE_BYTES + sim._RRL_ROW_WIRE_BYTES * len(ledger)
-        assert len(encode_rrl_broadcast(RrlBroadcast(ledger, 6.0, True))) == size == 29 + 24 * rows
+        assert len(encode_rrl_broadcast(RrlBroadcast(ledger, 6.0))) == size == 29 + 24 * rows
 
     def test_report_encoding(self):
-        r = MisbehaviorReport(3, 9, 44, 2.0, True)
+        r = MisbehaviorReport(3, 9, 44, 2.0)
         blob = encode_report(r)
         assert len(blob) == 33 == sim._REPORT_WIRE_BYTES
         reporter, accused, event, ts, valid = struct.unpack("<QQQdB", blob)
@@ -790,7 +770,7 @@ class TestWireFormat:
 
     def test_rrl_broadcast_encoding(self):
         ledger = RsuReputationList({1: ReputationRecord(1, 5, 0), 2: ReputationRecord(2, 9, 1)}, 3, 9000)
-        b = RrlBroadcast(ledger, 6.0, True)
+        b = RrlBroadcast(ledger, 6.0)
         blob = encode_rrl_broadcast(b)
         assert len(blob) == 20 + 2 * 24 + 9
         issuer, version, count = struct.unpack_from("<QQI", blob)

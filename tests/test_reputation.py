@@ -341,14 +341,6 @@ class TestLedgers:
         lrl = LocalReputationList({1: 3, 2: 13, 3: 7, 4: 7})
         assert lrl.ranked() == [(2, 13), (3, 7), (4, 7), (1, 3)]
 
-    def test_rrl_ranked_ascending(self):
-        rrl = RsuReputationList(
-            {1: ReputationRecord(1, 3), 2: ReputationRecord(2, 13), 3: ReputationRecord(3, 7)},
-            version=1,
-            issuer=0,
-        )
-        assert [r.vehicle for r in rrl.ranked()] == [1, 3, 2]
-
     def test_one_record_per_vehicle(self):
         lrl = LocalReputationList()
         lrl.upsert(1, 3)

@@ -3,14 +3,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from irsim.protocol import RrlBroadcast, encode_rrl_broadcast
 from irsim.scenario import (
     MAX_ANCHORS,
+    MAX_GRID_M,
     MAX_LANES_PER_DIRECTION,
     MAX_POINTS,
     MAX_SCHEDULED_EVENTS,
+    MAX_SPEED,
     MAX_TIME_S,
     MAX_TRANSMISSION_RANGE,
     MAX_VEHICLES,
@@ -216,6 +219,20 @@ class TestSizeCeilings:
         make_config({"transmission_range": MAX_TRANSMISSION_RANGE})
         with pytest.raises(ConfigError, match="transmission_range must be <= 10000 m"):
             make_config({"transmission_range": math.nextafter(MAX_TRANSMISSION_RANGE, math.inf)})
+
+    def test_grid_and_speed_ceilings_are_inclusive(self):
+        over = math.nextafter(MAX_GRID_M, math.inf)
+        for grid in ((over, 1000.0), (1000.0, over)):
+            with pytest.raises(ConfigError, match="grid sides must be <= 1e\\+07 m"):
+                make_config({"grid": grid})
+        with pytest.raises(ConfigError, match="speed_range max must be <= 1000 m/s"):
+            make_config({"speed_range": (1.0, math.nextafter(MAX_SPEED, math.inf))})
+        # A run at both ceilings keeps every vehicle on the grid (numpy overflow warnings fail tier-1).
+        at = {"grid": (MAX_GRID_M, MAX_GRID_M), "speed_range": (MAX_SPEED, MAX_SPEED), "rsu_positions": ((0.0, 0.0),)}
+        world = build_scenario(make_config({**at, "vehicle_count": 4, "attacker_count": 1, "duration": 2.0}))
+        run(world)
+        x = world.x_at(2.0)
+        assert np.all((0.0 <= x) & (x < MAX_GRID_M))
 
     @pytest.mark.parametrize("name", ["neighbor_ttl", "rrl_request_period"])
     def test_round_counted_spans_are_capped(self, name):

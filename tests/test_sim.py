@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -15,13 +16,12 @@ from neighbors import last_heard
 from irsim import protocol, reputation, sim
 from irsim.metrics import RunInfo, export, finalize, replay_event_log
 from irsim.protocol import (
-    Beacon,
+    BEACON_FORMAT,
     Disposition,
     EventKind,
     ProtocolConfig,
     RsuNode,
     _distance,
-    encode_beacon,
     encode_report,
     encode_rrl_broadcast,
     encode_warning,
@@ -265,7 +265,9 @@ class TestCounters:
         monkeypatch.setattr(RsuNode, "tick", rsu_tick)
         extras = run(build_scenario(small_config(**overrides), "irs")).report.extras
         assert sent["warning"] and sent["report"] and ledgers
-        beacon = len(encode_beacon(Beacon(7, (1.5, 2.5), 30.0, (1.0, 0.0), 4.25)))
+        # Beacons are never encoded: each counts its struct format's size.
+        beacon = struct.calcsize(BEACON_FORMAT)
+        assert beacon == 56
         assert extras["channel_encoded_bytes"] == (
             sent["warning"] + sent["report"] + sum(ledgers) + beacon * extras["beacons_emitted"]
         )
@@ -291,7 +293,7 @@ class TestNearestRsu:
 
     @pytest.mark.parametrize("gap", [(300.0, 0.0), (180.0, 240.0)], ids=["on-axis", "diagonal"])
     def test_unit_exactly_at_range_counts(self, gap):
-        # dx² + dy² == r² (90000 == 300² exactly) is in range, as in Channel.in_range.
+        # dx² + dy² == r² (90000 == 300² exactly) is in range, as in Channel.in_range_sq.
         rsu = RsuNode(10_000, (gap[0], gap[1]), 440.0, ProtocolConfig())
         assert make_channel(rsus=[rsu]).nearest_rsu((0.0, 0.0)) is rsu
         assert make_channel(range_m=299.999, rsus=[rsu]).nearest_rsu((0.0, 0.0)) is None
@@ -703,7 +705,7 @@ class TestBeaconEquivalence:
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("interval", [(0.1, 0.1), (0.1, 0.35)], ids=["fixed", "jittered"])
     def test_last_heard_matches_scalar_range_test(self, lanes, interval):
-        # Every round's last_heard equals a per-pair Channel.in_range over the senders due in it. The
+        # Every round's last_heard equals a per-pair Channel.in_range_sq over the senders due in it. The
         # neighbor TTL is the whole run, so the ring holds every round and last_heard reaches back to 0.
         cfg = ScenarioConfig(
             vehicle_count=24,
@@ -736,7 +738,7 @@ class TestBeaconEquivalence:
                 next_tx[s] += beacon_iv[s]
                 for r in range(world.n):
                     dx, dy = positions[r][0] - positions[s][0], positions[r][1] - positions[s][1]
-                    if r != s and channel.in_range(dx, dy):
+                    if r != s and channel.in_range_sq(dx, dy * dy):
                         reference[r, s] = t
             assert np.array_equal(last_heard(runner), reference)
             rounds += 1
@@ -868,7 +870,7 @@ class TestAttackers:
         cfg = small_config(attacker_count=1, attacker_profile="conflicting-info")
         world = build_scenario(cfg)
         attacker = world.attacker_ids[0]
-        event_id = world.registry.register(True, EventKind.CRASH, (400.0, 500.0), 1.0)
+        event_id = world.registry.register(True, EventKind.CRASH, (400.0, 500.0))
         world.known_true[attacker].append(event_id)
         w = attacker_emit(world, attacker, 2.0)[0]
         assert w.event_id == event_id
@@ -955,6 +957,24 @@ class TestInterRsuForwarding:
         # Every attacker ends up marked; honest vehicles may be swept in too
         # (expired lone warnings from far witnesses get reported).
         assert set(world.attacker_ids) <= flagged_a
+
+    def test_every_ledger_holds_exactly_the_seeded_ids(self):
+        # RsuNode reads both parties of a report from its ledger without inserting: seeding enters every
+        # vehicle and anchor, and neither reports, escalations nor forwards add or drop an id.
+        cfg = small_config(
+            vehicle_count=40,
+            attacker_count=4,
+            duration=30.0,
+            rsu_positions=((200.0, 500.0), (500.0, 500.0), (800.0, 500.0)),
+        )
+        world = build_scenario(cfg, "irs")
+        anchors = range(sim.ANCHOR_ID_BASE, sim.ANCHOR_ID_BASE + cfg.trusted_anchors + cfg.flagged_anchors)
+        seeded = set(range(cfg.vehicle_count)) | set(anchors)
+        assert all(rsu.entries.keys() == seeded for rsu in world.rsus)
+        result = run(world)
+        assert any(l.split("\t")[1] == "FWD" for l in result.log_lines)
+        assert any(r.misbehavior_points > 0 for r in world.rsus[1].entries.values() if r.vehicle < cfg.vehicle_count)
+        assert all(rsu.entries.keys() == seeded for rsu in world.rsus)
 
 
 class TestReplayEquivalence:
