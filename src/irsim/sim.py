@@ -17,6 +17,7 @@ beacon reception is worked out only for the links a warning reads.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import struct
@@ -376,6 +377,8 @@ class _Runner:
         self.cfg = world.config
         self.irs = world.pipeline == "irs"
         self.log: list[str] = []
+        # The last time ``head`` formatted, and its text.
+        self._head_t, self._head_text = math.nan, ""
         self.decisions = DecisionLog()
         self.heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
@@ -413,18 +416,21 @@ class _Runner:
         heapq.heappush(self.heap, (t, self._seq, kind, payload))
         self._seq += 1
 
-    def emit_line(
-        self,
-        t: float,
-        kind: str,
-        sender: object = "-",
-        receiver: object = "-",
-        event: object = "-",
-        decision: str = "-",
-        truth: str = "-",
-        distance: str = "-",
-    ) -> None:
-        self.log.append(f"{t:.6f}\t{kind}\t{sender}\t{receiver}\t{event}\t{decision}\t{truth}\t{distance}")
+    def head(self, t: float, kind: str) -> str:
+        """The time and kind fields of a line, and the tab after them.
+
+        A line has 8 tab-separated fields: time, kind, sender, receiver, event, decision, truth and
+        distance, with ``-`` in each field its kind does not use. The lines of one event share one head:
+        a warning's DELIVER lines, a publication's RRL lines, a ``settle`` call's RESOLVE or EXPIRE lines.
+        The time is formatted once per event time, since the queue pops times in non-decreasing order.
+        """
+        if t != self._head_t:
+            self._head_t, self._head_text = t, f"{t:.6f}"
+        return f"{self._head_text}\t{kind}\t"
+
+    def emit_line(self, t: float, kind: str, sender: object = "-", receiver: object = "-", event: object = "-") -> None:
+        """Write one line of a kind with no decision, truth or distance."""
+        self.log.append(f"{self.head(t, kind)}{sender}\t{receiver}\t{event}\t-\t-\t-")
 
     # -- main loop ---------------------------------------------------------
 
@@ -469,9 +475,8 @@ class _Runner:
 
     def handle_round(self, t: float, index: int) -> None:
         world, cfg = self.world, self.cfg
-        positions = world.positions_at(t)
         row = index % self.ring
-        self.round_x[row] = positions[:, 0]
+        world.x_at(t, out=self.round_x[row])
         due = np.less_equal(self.next_tx, t + 1e-9, out=self.round_due[row])
         self.last_round = index
         n_due = int(np.count_nonzero(due))
@@ -484,17 +489,21 @@ class _Runner:
         # first two reporters of an event.
         # The same test as VehicleNode.pending_due, over all vehicles at once, in id order.
         expiring = np.nonzero(t - self.oldest_pending > cfg.pending_ttl)[0]
-        # A shuffle of no ids draws nothing from the stream, so a round with none skips it.
+        # A shuffle of no ids draws nothing from the stream, so a round with none skips it. Only a round
+        # that ages something out or serves requests needs the (x, y) positions.
+        positions = None
         if len(expiring):
+            positions = world.positions_at(t)
             for idx in world.channel.arrival_order(expiring).tolist():
                 node = world.nodes[idx]
                 outcome = node.expire_pending(t)
                 self.oldest_pending[idx] = node.oldest_pending
-                self.settle(idx, "EXPIRE", outcome, t, positions)
+                if outcome.finalized:
+                    self.settle(idx, "EXPIRE", outcome, t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
-            self.handle_requests(t, positions)
+            self.handle_requests(t, world.positions_at(t) if positions is None else positions)
 
         nxt = (index + 1) * cfg.beacon_interval[0]
         if nxt <= cfg.duration:
@@ -519,12 +528,13 @@ class _Runner:
 
     def deliver_ledger(self, t: float, rsu: RsuNode, ids: list[int], broadcast: RrlBroadcast) -> None:
         """Hand one ledger publication to each vehicle in ``ids``, in order; count and log each that keeps it."""
-        nodes = self.world.nodes
+        nodes, append = self.world.nodes, self.log.append
+        head = f"{self.head(t, 'RRL')}{rsu.id}\t"
         kept = 0
         for idx in ids:
             if nodes[idx].handle_rrl_broadcast(broadcast):
                 kept += 1
-                self.emit_line(t, "RRL", rsu.id, idx)
+                append(f"{head}{idx}\t-\t-\t-\t-")
         self.counters["rrl_deliveries"] += kept
 
     def handle_rsu_tick(self, t: float, index: int) -> None:
@@ -592,63 +602,57 @@ class _Runner:
         texts = [f"{d:.3f}" for d in np.hypot(gaps[:, 0], gaps[:, 1]).tolist()]
         truth = world.registry.message_truth(warning, cfg.corroboration_tolerance_m)
         facts = self.heard(receivers, warning, now, positions) if self.irs else [None] * len(texts)
+        receivers = receivers.tolist()
+        if truth:
+            for r in receivers:
+                if r in world.known_true and warning.event_id not in world.known_true[r]:
+                    world.known_true[r].append(warning.event_id)
+        self.deliver(warning, now, truth, receivers, texts, facts, positions)
 
-        for r, text, heard in zip(receivers.tolist(), texts, facts):
-            if truth and r in world.known_true and warning.event_id not in world.known_true[r]:
-                world.known_true[r].append(warning.event_id)
-            if self.irs:
-                self.deliver_irs(r, warning, now, text, truth, positions, heard)
-            else:
-                self.deliver_accept_all(r, warning, now, text, truth)
-
-    def deliver_accept_all(self, idx: int, warning: Warning, now: float, distance: str, truth: bool) -> None:
-        """Accept one delivery and write its DELIVER line; ``distance`` is the line's text."""
-        started = time.perf_counter_ns()
-        disposition = Disposition.ACCEPT
-        latency = time.perf_counter_ns() - started
-        self.counters["warning_deliveries"] += 1
-        self.record_decision(
-            "DELIVER",
-            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, float(distance), latency),
-            distance,
-        )
-
-    def deliver_irs(
+    def deliver(
         self,
-        idx: int,
         warning: Warning,
         now: float,
-        distance: str,
         truth: bool,
+        receivers: Sequence[int],
+        texts: Sequence[str],
+        facts: Sequence[Optional[Heard]],
         positions: np.ndarray,
-        heard: Optional[Heard],
     ) -> None:
-        """Decide one delivery, then record it and write its DELIVER line; ``distance`` is the line's text."""
-        node = self.world.nodes[idx]
-        started = time.perf_counter_ns()
-        outcome = node.handle_warning(warning, now, heard)
-        latency = time.perf_counter_ns() - started
-        self.oldest_pending[idx] = node.oldest_pending
+        """Hand ``warning`` to each receiver in order: decide, record, and write the DELIVER line.
 
-        disposition = outcome.disposition
-        if disposition is None:
-            return
-        self.counters["warning_deliveries"] += 1
-        self.record_decision(
-            "DELIVER",
-            DecisionRecord(now, idx, warning.sender, warning.event_id, truth, disposition, float(distance), latency),
-            distance,
-        )
-        if outcome.finalized or outcome.reports:
-            self.settle(idx, "RESOLVE", outcome, now, positions)
-
-    def record_decision(self, kind: str, r: DecisionRecord, distance: str) -> None:
-        """Record one decision and write its DELIVER, RESOLVE or EXPIRE line; ``distance`` is the line's text."""
-        self.decisions.record(r)
-        self.log.append(
-            f"{r.time:.6f}\t{kind}\t{r.sender}\t{r.receiver}\t{r.event_id}\t{DISPOSITION_NAMES[r.decision]}"
-            f"\t{'1' if r.ground_truth else '0'}\t{distance}"
-        )
+        ``texts`` are the ranges as the lines print them, ``facts`` each receiver's beacon facts (irs),
+        and ``positions`` every vehicle's at ``now``. The timed window holds only the decision itself:
+        ``VehicleNode.handle_warning`` (irs) or the constant accept (accept-all). A decision that
+        finalized or reported something is settled right after its own line.
+        """
+        nodes, irs, oldest_pending = self.world.nodes, self.irs, self.oldest_pending
+        record, append, clock = self.decisions.record, self.log.append, time.perf_counter_ns
+        sender, event_id = warning.sender, warning.event_id
+        # Each line is head, receiver, middle, decision, tail, distance.
+        head = f"{self.head(now, 'DELIVER')}{sender}\t"
+        middle, tail = f"\t{event_id}\t", "\t1\t" if truth else "\t0\t"
+        delivered = 0
+        for r, text, heard in zip(receivers, texts, facts):
+            if irs:
+                node = nodes[r]
+                started = clock()
+                outcome = node.handle_warning(warning, now, heard)
+                latency = clock() - started
+                oldest_pending[r] = node.oldest_pending
+                disposition = outcome.disposition
+                if disposition is None:
+                    continue
+            else:
+                started = clock()
+                disposition = Disposition.ACCEPT
+                latency = clock() - started
+            delivered += 1
+            record(DecisionRecord(now, r, sender, event_id, truth, disposition, float(text), latency))
+            append(f"{head}{r}{middle}{DISPOSITION_NAMES[disposition]}{tail}{text}")
+            if irs and (outcome.finalized or outcome.reports):
+                self.settle(r, "RESOLVE", outcome, now, positions)
+        self.counters["warning_deliveries"] += delivered
 
     def first_fresh_round(self, now: float) -> int:
         """The first round whose beacons are fresh at ``now``: its time is at least ``now - neighbor_ttl``."""
@@ -761,12 +765,14 @@ class _Runner:
 
         Truth and distance come from the warning's PENDING record.
         """
+        head = self.head(now, kind)
         for sender, event_id, disposition in outcome.finalized:
             held = self.decisions.provisional(idx, event_id, sender)
-            self.record_decision(
-                kind,
-                DecisionRecord(now, idx, sender, event_id, held.ground_truth, disposition, held.distance_m),
-                f"{held.distance_m:.3f}",
+            truth = held.ground_truth
+            self.decisions.record(DecisionRecord(now, idx, sender, event_id, truth, disposition, held.distance_m))
+            self.log.append(
+                f"{head}{sender}\t{idx}\t{event_id}\t{DISPOSITION_NAMES[disposition]}"
+                f"\t{'1' if truth else '0'}\t{held.distance_m:.3f}"
             )
         for report in outcome.reports:
             self.route_report(idx, report, now, positions)
@@ -810,5 +816,16 @@ class _Runner:
 
 
 def run(world: SimWorld) -> RunResult:
-    """Drive the event queue to the configured duration and report."""
-    return _Runner(world).run()
+    """Drive the event queue to the configured duration and report.
+
+    The objects alive when the run starts are frozen for its length (``gc.freeze``), so a full
+    collection inside it walks only the run's own objects, not the caller's heap. A caller that
+    froze objects itself keeps them frozen, and the run freezes nothing more.
+    """
+    if gc.get_freeze_count():
+        return _Runner(world).run()
+    gc.freeze()
+    try:
+        return _Runner(world).run()
+    finally:
+        gc.unfreeze()

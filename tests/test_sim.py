@@ -1,6 +1,7 @@
 """Simulator tests: determinism, radio model, mobility, attackers, replay."""
 
 import dataclasses
+import gc
 import math
 import struct
 import tempfile
@@ -451,7 +452,7 @@ class TestPendingAgeOut:
         positions = world.positions_at(0.0)
         warning = sim.Warning(1, 1, EventKind.ICE, tuple(positions[1].tolist()), 0.0)
         heard = runner.heard(np.array([0]), warning, 0.0, positions)[0]
-        runner.deliver_irs(0, warning, 0.0, "10.000", True, positions, heard)
+        runner.deliver(warning, 0.0, True, [0], ["10.000"], [heard], positions)
         assert [r.decision for r in runner.decisions.records] == [Disposition.ACCEPT]
         runner.handle_round(2.0, 20)  # 2.0 s is not past the TTL
         assert 1 in world.nodes[0].pending
@@ -693,11 +694,11 @@ class TestBeaconEquivalence:
             facts = runner.heard(np.array([0]), second, 0.1, later)[0]
             assert facts is not None
             first_facts = runner.heard(np.array([0]), first, 0.0, positions)[0]
-            runner.deliver_irs(0, first, 0.0, "10.000", True, positions, first_facts)
+            runner.deliver(first, 0.0, True, [0], ["10.000"], [first_facts], positions)
             assert 1 in world.nodes[0].pending
             held, other = runner.heard(np.array([0, 3]), second, 0.1, later)
             assert held is None and other is not None  # vehicle 3 does not hold the event
-            runner.deliver_irs(0, second, 0.1, "12.000", True, positions, facts if pass_facts else None)
+            runner.deliver(second, 0.1, True, [0], ["12.000"], [facts if pass_facts else None], positions)
             outputs.append((runner.log, runner.decisions.records))
         assert len(outputs[0][0]) == 2 and outputs[0][0] == outputs[1][0]
         assert [r.decision for r in outputs[0][1]] == [r.decision for r in outputs[1][1]]
@@ -975,6 +976,83 @@ class TestInterRsuForwarding:
         assert any(l.split("\t")[1] == "FWD" for l in result.log_lines)
         assert any(r.misbehavior_points > 0 for r in world.rsus[1].entries.values() if r.vehicle < cfg.vehicle_count)
         assert all(rsu.entries.keys() == seeded for rsu in world.rsus)
+
+
+def unused_fields_by_kind():
+    """The README's per-kind table of log fields: kind -> indices of the fields it lists as ``-``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Event log format", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    return {row[0].strip().strip("`"): {i for i, cell in enumerate(row) if cell.strip() == "-"} for row in rows}
+
+
+class TestLogLayout:
+    @pytest.mark.parametrize("rsus", [((500.0, 500.0),), ((300.0, 500.0), (700.0, 500.0)), ()],
+                             ids=["one-rsu", "two-rsus", "no-rsu"])
+    @pytest.mark.parametrize("pipeline", ["irs", "accept-all"])
+    def test_every_line_has_its_kinds_fields(self, rsus, pipeline):
+        # Every line has the 8 fields, a time as "%.6f" prints it that never decreases, and "-" in
+        # exactly the fields the README lists as unused for its kind.
+        unused = unused_fields_by_kind()
+        assert len(unused) == 9 and unused["DELIVER"] == set()
+        cfg = small_config(vehicle_count=40, attacker_count=4, duration=30.0, rsu_positions=rsus)
+        lines = run(build_scenario(cfg, pipeline)).log_lines
+        last = -math.inf
+        for line in lines:
+            fields = line.split("\t")
+            assert len(fields) == 8, line
+            t = float(fields[0])
+            assert fields[0] == f"{t:.6f}" and t >= last, line
+            last = t
+            # Fields 2..7 are the table's columns 1..6; time and kind are always used.
+            assert {i - 1 for i, f in enumerate(fields) if f == "-"} == unused[fields[1]], line
+        kinds = {line.split("\t")[1] for line in lines}
+        # Accept-all, and irs with no ledger to hold, decide at once: nothing is held, reported or asked for.
+        expected = {"SPAWN", "EMIT", "DELIVER"}
+        if pipeline == "irs" and rsus:
+            expected |= {"RESOLVE", "EXPIRE", "REPORT", "RRL", "REQ"} | ({"FWD"} if len(rsus) > 1 else set())
+        assert kinds == expected
+
+
+class TestCollectorFreeze:
+    """``sim.run`` freezes the caller's objects for the run and leaves the freeze count as it found it."""
+
+    def test_an_unfrozen_caller_stays_unfrozen(self, monkeypatch):
+        counts = []
+        final_expiry = sim._Runner.final_expiry
+
+        def observed(runner):
+            counts.append(gc.get_freeze_count())
+            final_expiry(runner)
+
+        monkeypatch.setattr(sim._Runner, "final_expiry", observed)
+        assert gc.get_freeze_count() == 0
+        run(build_scenario(small_config(duration=2.0)))
+        assert gc.get_freeze_count() == 0
+        assert counts and counts[0] > 0  # frozen inside the run
+
+    def test_a_run_that_raises_unfreezes(self, monkeypatch):
+        def failing(runner):
+            raise RuntimeError("expiry failed")
+
+        monkeypatch.setattr(sim._Runner, "final_expiry", failing)
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(RuntimeError, match="expiry failed"):
+            run(build_scenario(small_config(duration=2.0)))
+        assert gc.get_freeze_count() == 0
+
+    def test_a_frozen_caller_keeps_its_count(self):
+        gc.freeze()
+        try:
+            # Built after the freeze, so the run frees none of the frozen objects, and the count moves only
+            # by what the run itself freezes or unfreezes.
+            world = build_scenario(small_config(duration=2.0))
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            run(world)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestReplayEquivalence:
