@@ -27,15 +27,15 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .reputation import (
     HeuristicBand,
     LocalReputationList,
-    ReputationRecord,
     RsuReputationList,
     RrlStanding,
     TrustDecision,
     TrustLevel,
     VehicleId,
-    apply_point_delta,
+    _shifted,
+    apply_point_delta,  # noqa: F401  (perfbench/tracing.py patches these bindings)
     classify_trust,
-    compute_heuristic_bands,  # noqa: F401  (perfbench/tracing.py patches these bindings)
+    compute_heuristic_bands,  # noqa: F401
     compute_trust_bands,  # noqa: F401
     decide_trust,
     heuristic_band,
@@ -363,7 +363,7 @@ class VehicleNode:
             return False
         self.cached_rrl = rrl
         if len(self.lrl) == 0:
-            self.lrl.load(rrl.local_seed(), owner=self.id)
+            self.lrl.load(rrl, owner=self.id)
         return True
 
     # -- internals ---------------------------------------------------------
@@ -405,10 +405,11 @@ class SuspicionEntry:
 class RsuNode:
     """Roadside unit: network ledger, suspicion pairing, periodic publication.
 
-    A single report only marks both parties suspicious. Misbehavior points
-    move only once a second, distinct, non-flagged reporter confirms the
-    same event; the matter is then settled and later reports about it are
-    dropped.
+    The ledger holds points by vehicle in id order, and ``misbehavior`` the
+    nonzero misbehavior points. A single report only marks both parties
+    suspicious. Misbehavior points move only once a second, distinct,
+    non-flagged reporter confirms the same event; the matter is then
+    settled and later reports about it are dropped.
     """
 
     def __init__(
@@ -424,7 +425,8 @@ class RsuNode:
         self.coverage_radius = coverage_radius
         self.config = config
         self.adjacent = adjacent
-        self.entries: dict[VehicleId, ReputationRecord] = {}
+        self.ledger = LocalReputationList()
+        self.misbehavior: dict[VehicleId, int] = {}
         self.version = 0
         self.suspicion: dict[VehicleId, SuspicionEntry] = {}
         self._settled: dict[tuple[VehicleId, EventId], float] = {}
@@ -436,16 +438,21 @@ class RsuNode:
         points: int,
         anchors: Iterable[tuple[VehicleId, int, int]] = (),
     ) -> None:
-        """Pre-populate the ledger with registered vehicles at neutral points.
+        """Fill the ledger with registered vehicles at neutral points, in id order.
 
-        ``anchors`` are ledger-only entries (trusted infrastructure agents,
-        previously confirmed misbehavers) that pin the band geometry to the
-        full reputation scale; they never appear on the road.
+        ``anchors`` are ledger-only (vehicle, points, misbehavior points)
+        rows (trusted infrastructure agents, previously confirmed
+        misbehavers) that pin the band geometry to the full reputation
+        scale; they never appear on the road. A later row for an id
+        replaces an earlier one.
         """
-        for vid in vehicles:
-            self.entries[vid] = ReputationRecord(vid, points)
-        for vid, pts, misbehavior in anchors:
-            self.entries[vid] = ReputationRecord(vid, pts, misbehavior)
+        rows = {vid: (points, 0) for vid in vehicles}
+        rows.update((vid, (pts, misbehavior)) for vid, pts, misbehavior in anchors)
+        ordered = sorted(rows.items())
+        self.ledger = LocalReputationList((vid, pts) for vid, (pts, _) in ordered)
+        self.misbehavior = {vid: misbehavior for vid, (_, misbehavior) in ordered if misbehavior}
+        if any(misbehavior < 0 for misbehavior in self.misbehavior.values()):
+            raise ValueError("misbehavior points must be >= 0")
         self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:
@@ -453,7 +460,7 @@ class RsuNode:
 
         Both parties must be in the ledger: ``seed`` enters every vehicle, and nothing removes one.
         """
-        if standing_of(self.snapshot(), report.reporter) is RrlStanding.FLAGGED:
+        if standing_of(self.ledger, report.reporter) is RrlStanding.FLAGGED:
             return False
         if (report.accused, report.event_id) in self._settled:
             return False
@@ -475,8 +482,8 @@ class RsuNode:
 
     def _escalate(self, report: MisbehaviorReport, entry: SuspicionEntry, now: float) -> None:
         accused = report.accused
-        rec = self.entries[accused]
-        self._put(apply_point_delta(ReputationRecord(accused, rec.points, rec.misbehavior_points + 1), -1))
+        self.misbehavior[accused] = self.misbehavior.get(accused, 0) + 1
+        self._bump(accused, -1)
         for reporter in (entry.reporter, report.reporter):
             self._bump(reporter, +1)
         # Both reporters are vindicated; the accusation is adjudicated.
@@ -498,45 +505,43 @@ class RsuNode:
             del self._settled[key]
 
         self.version += 1
-        snapshot = self.snapshot()
-        broadcast = RrlBroadcast(snapshot, now)
-        misbehaving = tuple(e for e in _ledger_rows(snapshot) if e[2] > 0) if self.adjacent else ()
-        forwards = [
-            RsuForward(self.id, neighbor, misbehaving, now)
-            for neighbor in self.adjacent
-            if misbehaving
-        ]
-        return broadcast, forwards
+        broadcast = RrlBroadcast(self.snapshot(), now)
+        if not (self.adjacent and self.misbehavior):
+            return broadcast, []
+        points = self.ledger.entries
+        misbehaving = tuple((vid, points[vid], misbehavior) for vid, misbehavior in sorted(self.misbehavior.items()))
+        return broadcast, [RsuForward(self.id, neighbor, misbehaving, now) for neighbor in self.adjacent]
 
     def handle_forward(self, forward: RsuForward) -> None:
-        """Merge a neighbor unit's misbehaving digest into the local ledger.
+        """Merge a neighbor unit's misbehaving digest into the ledger.
 
-        Unknown vehicles are inserted as-is; known ones keep the worse view
-        (lower points, higher misbehavior count).
+        Each entry keeps the worse view (lower points, higher misbehavior
+        count). Every unit is seeded with the same ids and none enters an
+        id later, so every forwarded vehicle is held.
         """
-        for vid, points, misbehavior in forward.entries:
-            rec = self.entries.get(vid)
-            if rec is not None:
-                points, misbehavior = min(rec.points, points), max(rec.misbehavior_points, misbehavior)
-            self._put(ReputationRecord(vid, points, misbehavior))
+        points = self.ledger.entries
+        for vid, pts, misbehavior in forward.entries:
+            if pts < points[vid]:
+                self.ledger.upsert(vid, pts)
+                self._snapshot = None
+            if misbehavior > self.misbehavior.get(vid, 0):
+                self.misbehavior[vid] = misbehavior
+                self._snapshot = None
 
     def snapshot(self) -> RsuReputationList:
-        """The ledger as published, in vehicle order.
+        """The ledger as published: a copy of its points, counts, bands and misbehavior points.
 
-        One object per ledger state: it is rebuilt only after an entry or
-        the version changes, so every receiver of a publication shares it,
-        and its trust bands are built with it.
+        The ledger is in vehicle order, so the copy is too. One object per
+        ledger state: it is copied again only after an entry or the version
+        changes, so every receiver of a publication shares it.
         """
         if self._snapshot is None or self._snapshot.version != self.version:
-            self._snapshot = RsuReputationList(dict(sorted(self.entries.items())), self.version, self.id)
+            self._snapshot = RsuReputationList(self.ledger, self.version, self.id, self.misbehavior)
         return self._snapshot
 
-    def _put(self, record: ReputationRecord) -> None:
-        self.entries[record.vehicle] = record
-        self._snapshot = None
-
     def _bump(self, vehicle: VehicleId, delta: int) -> None:
-        self._put(apply_point_delta(self.entries[vehicle], delta))
+        self.ledger.upsert(vehicle, _shifted(self.ledger.entries[vehicle], delta))
+        self._snapshot = None
 
 
 # -- wire format -----------------------------------------------------------
@@ -579,14 +584,10 @@ def encode_report(r: MisbehaviorReport) -> bytes:
     return struct.pack(REPORT_FORMAT, r.reporter, r.accused, r.event_id, r.timestamp, 1)
 
 
-def _ledger_rows(rrl: RsuReputationList) -> tuple[tuple[VehicleId, int, int], ...]:
-    """(vehicle, points, misbehavior points) per entry, in the ledger's order."""
-    return tuple((vid, r.points, r.misbehavior_points) for vid, r in rrl.entries.items())
-
-
 def encode_rrl_broadcast(b: RrlBroadcast) -> bytes:
-    rows = _ledger_rows(b.rrl)
-    head = struct.pack(RRL_HEAD_FORMAT, b.rrl.issuer, b.rrl.version, len(rows))
-    body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, mis) for vid, pts, mis in rows)
+    rrl = b.rrl
+    head = struct.pack(RRL_HEAD_FORMAT, rrl.issuer, rrl.version, len(rrl.entries))
+    misbehavior = rrl.misbehavior
+    body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, misbehavior.get(vid, 0)) for vid, pts in rrl.entries.items())
     tail = struct.pack(RRL_TAIL_FORMAT, b.timestamp, 1)
     return head + body + tail

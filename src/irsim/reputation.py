@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -57,7 +56,7 @@ class TrustDecision(IntEnum):
 
 @dataclass(frozen=True, slots=True)
 class ReputationRecord:
-    """One vehicle's entry in a roadside unit's ledger.
+    """One vehicle's row of a roadside unit's ledger, as a value: its points and misbehavior points.
 
     ``points`` is floored at zero; ``misbehavior_points`` only ever grows.
     """
@@ -73,32 +72,13 @@ class ReputationRecord:
             raise ValueError("misbehavior points must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerSeed:
-    """Points keyed by vehicle, plus how many vehicles hold each point value.
-
-    ``LocalReputationList.load`` copies both tables; neither is written
-    after it is built.
-    """
-
-    points: dict[VehicleId, int]
-    counts: dict[int, int]
-
-    @classmethod
-    def of(cls, points: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]]) -> LedgerSeed:
-        """Copy ``points`` (a mapping, or pairs where a later pair for a vehicle wins) and count its values."""
-        by_vehicle = dict(points)
-        counts = dict(Counter(by_vehicle.values()))
-        if counts and min(counts) < 0:
-            raise ValueError("reputation points must be >= 0")
-        return cls(by_vehicle, counts)
-
-
 class LocalReputationList:
-    """A vehicle's private per-sender reputation ledger: points by vehicle id.
+    """Points by vehicle id, with trust bands over their range.
 
-    The derived ranking puts the highest points first (the most trusted
-    senders at the top).
+    A vehicle keeps one per sender it has heard; a roadside unit keeps one
+    as its network ledger, and each publication of it is an
+    ``RsuReputationList``. The derived ranking puts the highest points
+    first (the most trusted senders at the top).
 
     Every write goes through ``load``, ``upsert``, ``ensure`` or ``adjust``,
     which keep a count of entries per point value and the lowest and highest
@@ -111,8 +91,9 @@ class LocalReputationList:
         self._counts: dict[int, int] = {}
         self._lo = self._hi = 0
         self._bands: Optional[TrustBands] = None
-        if points:
-            self.load(LedgerSeed.of(points))
+        if points:  # every VehicleNode starts with an empty list: skip the copy
+            for vehicle, held in dict(points).items():
+                self.upsert(vehicle, held)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -123,19 +104,18 @@ class LocalReputationList:
     def get(self, vehicle: VehicleId) -> Optional[int]:
         return self.entries.get(vehicle)
 
-    def load(self, seed: LedgerSeed, owner: Optional[VehicleId] = None) -> None:
-        """Fill an empty list with a copy of ``seed``, leaving out ``owner``'s own entry.
+    def load(self, source: LocalReputationList, owner: Optional[VehicleId] = None) -> None:
+        """Fill an empty list with a copy of ``source``, leaving out ``owner``'s own entry.
 
-        One seed can fill the list of every vehicle that receives the same
-        ledger publication: its tables are copied, never written.
+        Its points, counts, bounds and bands are copied, never written, so
+        one ledger publication can fill the list of every vehicle that
+        receives it.
         """
         if self.entries:
             raise ValueError("load needs an empty ledger")
-        self.entries = seed.points.copy()
-        self._counts = seed.counts.copy()
-        if self._counts:
-            self._lo, self._hi = min(self._counts), max(self._counts)
-        self._bands = None
+        self.entries = source.entries.copy()
+        self._counts = source._counts.copy()
+        self._lo, self._hi, self._bands = source._lo, source._hi, source._bands
         own = self.entries.pop(owner, None)
         if own is not None:
             self._count_out(own)
@@ -209,42 +189,28 @@ class LocalReputationList:
             self._bands = None
 
 
-@dataclass
-class RsuReputationList:
-    """A published snapshot of the roadside unit's network-wide ledger.
+class RsuReputationList(LocalReputationList):
+    """A published copy of a roadside unit's ledger, in vehicle order.
 
-    ``version`` strictly increases with each publication. Treat instances
-    as immutable: the bands are built with the list, so no reader of a
-    published list walks it, and the local seed is cached on first use.
+    ``misbehavior`` holds the nonzero misbehavior points by vehicle, and
+    ``version`` strictly increases with each publication. Nothing writes a
+    published list: receivers share it, and a vehicle's empty list
+    ``load``s from it. Its bands are built with it.
     """
 
-    entries: dict[VehicleId, ReputationRecord]
-    version: int
-    issuer: int
-
-    def __post_init__(self) -> None:
-        self._bands: Optional[TrustBands] = (
-            compute_trust_bands([r.points for r in self.entries.values()]) if self.entries else None
-        )
-        self._seed: Optional[LedgerSeed] = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def trust_bands(self) -> Optional[TrustBands]:
-        """Bands over the published points, built with the list; None when it is empty."""
-        return self._bands
-
-    def local_seed(self) -> LedgerSeed:
-        """What an empty local list takes from this ledger: each entry's points.
-
-        Built on first use and cached per snapshot, so all receivers of one
-        publication share one seed. Only vehicles whose list is still empty
-        read it, so most snapshots never build one.
-        """
-        if self._seed is None:
-            self._seed = LedgerSeed.of((vid, rec.points) for vid, rec in self.entries.items())
-        return self._seed
+    def __init__(
+        self,
+        ledger: LocalReputationList,
+        version: int,
+        issuer: int,
+        misbehavior: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]] = (),
+    ) -> None:
+        super().__init__()
+        self.load(ledger)
+        self.trust_bands()
+        self.misbehavior = dict(misbehavior)
+        self.version = version
+        self.issuer = issuer
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,7 +377,7 @@ def apply_point_delta(record: ReputationRecord, delta: int) -> ReputationRecord:
 _STANDING_FROM_LEVEL = (RrlStanding.FLAGGED, RrlStanding.WATCH, RrlStanding.CLEAR)
 
 
-def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStanding:
+def standing_of(rrl: Optional[LocalReputationList], vehicle: VehicleId) -> RrlStanding:
     """Normalize a vehicle's position in the network ledger.
 
     High points map to CLEAR, the middle band to WATCH, low points to
@@ -420,12 +386,12 @@ def standing_of(rrl: Optional[RsuReputationList], vehicle: VehicleId) -> RrlStan
     """
     if rrl is None:
         return RrlStanding.CLEAR
-    rec = rrl.entries.get(vehicle)
-    if rec is None:
+    points = rrl.entries.get(vehicle)
+    if points is None:
         return RrlStanding.CLEAR
     bands = rrl.trust_bands()
     assert bands is not None
-    return _STANDING_FROM_LEVEL[classify_trust(rec.points, bands)]
+    return _STANDING_FROM_LEVEL[classify_trust(points, bands)]
 
 
 def load_conformance_cases() -> dict:

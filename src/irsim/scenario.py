@@ -70,9 +70,9 @@ MAX_GRID_M = 1e7
 MAX_SPEED = 1_000.0
 
 # The most ledger-only anchors (trusted plus flagged) a run may seed. Every
-# roadside unit holds one ledger row per anchor and every publication sorts
-# and copies them all, at about 0.7 KB per anchor; a handful pins the band
-# geometry, and this ceiling keeps anchors to at most as many rows as vehicles.
+# roadside unit holds one ledger row per anchor and every publication copies
+# them all; a handful pins the band geometry, and this ceiling keeps anchors
+# to at most as many rows as vehicles.
 MAX_ANCHORS = MAX_VEHICLES
 
 # The highest initial or anchor point total. Ledger rows carry points as

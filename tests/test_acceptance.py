@@ -29,6 +29,7 @@ from irsim.protocol import (
 )
 from irsim.reputation import (
     HeuristicBand,
+    LocalReputationList,
     ReputationRecord,
     RrlStanding,
     RsuReputationList,
@@ -253,8 +254,8 @@ class TestCriterion8:
         ledger = {1: 13, 2: 11, 3: 7, 4: 4, 5: 1}
         for vid, pts in ledger.items():
             node.lrl.upsert(vid, pts)
-        records = {v: ReputationRecord(v, p) for v, p in sorted(ledger.items())}
-        node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(records, 1, 9000), 0.0))
+        published = LocalReputationList(sorted(ledger.items()))
+        node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(published, 1, 9000), 0.0))
         neighbors = {5: (100.0, 0.0), 2: (140.0, 0.0)}
         w1 = Warning(5, 70, EventKind.ICE, (110.0, 0.0), 1.0)
         out = node.handle_warning(w1, 1.0, heard_from(neighbors, w1))
@@ -272,23 +273,23 @@ class TestCriterion8:
         rsu = RsuNode(9000, (500.0, 500.0), 440.0, ProtocolConfig())
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(MisbehaviorReport(2, 14, 7, 1.0), 1.0)
-        if rsu.entries[14].misbehavior_points != 0:
+        if rsu.misbehavior.get(14, 0) != 0:
             failures.append("single report escalated")
         rsu.handle_report(MisbehaviorReport(2, 14, 7, 2.0), 2.0)
-        if rsu.entries[14].misbehavior_points != 0:
+        if rsu.misbehavior.get(14, 0) != 0:
             failures.append("same reporter escalated")
         rsu.handle_report(MisbehaviorReport(5, 14, 7, 3.0), 3.0)
-        if rsu.entries[14].misbehavior_points != 1:
+        if rsu.misbehavior.get(14, 0) != 1:
             failures.append("two distinct reporters did not escalate")
 
         rsu2 = RsuNode(9000, (500.0, 500.0), 440.0, ProtocolConfig())
         rsu2.seed(list(range(20)), 5)
-        rsu2.entries[3] = ReputationRecord(3, 0)
-        rsu2.entries[4] = ReputationRecord(4, 13)
-        before = dict(rsu2.entries)
+        rsu2.ledger.upsert(3, 0)
+        rsu2.ledger.upsert(4, 13)
+        before = (dict(rsu2.ledger.entries), dict(rsu2.misbehavior))
         for t, accused in enumerate((14, 15, 14, 16)):
             rsu2.handle_report(MisbehaviorReport(3, accused, 50 + t, float(t)), float(t))
-        if rsu2.entries != before:
+        if (rsu2.ledger.entries, rsu2.misbehavior) != before:
             failures.append("flagged reporter changed the ledger")
 
         # Radio soundness over the sweep's delivered messages.
@@ -309,8 +310,8 @@ class TestCriterion8:
         # Staleness monotonicity on nested ledgers.
         neighbors = set(range(10))
         for present in range(10):
-            full = RsuReputationList({v: ReputationRecord(v, 5) for v in range(present)}, 1, 0)
-            smaller = RsuReputationList({v: ReputationRecord(v, 5) for v in range(max(0, present - 1))}, 1, 0)
+            full = RsuReputationList(LocalReputationList(dict.fromkeys(range(present), 5)), 1, 0)
+            smaller = RsuReputationList(LocalReputationList(dict.fromkeys(range(max(0, present - 1)), 5)), 1, 0)
             if rrl_is_stale(full, neighbors) and not rrl_is_stale(smaller, neighbors):
                 failures.append("staleness monotonicity")
 

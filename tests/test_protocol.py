@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from neighbors import heard_from, last_heard
 
 from irsim import sim
@@ -30,7 +30,6 @@ from irsim.protocol import (
 )
 from irsim.reputation import (
     LocalReputationList,
-    ReputationRecord,
     RrlStanding,
     RsuReputationList,
     TrustLevel,
@@ -69,7 +68,7 @@ def seed_lrl(node, points_by_vehicle):
 
 
 def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0):
-    ledger = {vid: ReputationRecord(vid, pts) for vid, pts in sorted(points_by_vehicle.items())}
+    ledger = LocalReputationList(sorted(points_by_vehicle.items()))
     return RrlBroadcast(RsuReputationList(ledger, version, issuer), t)
 
 
@@ -438,14 +437,14 @@ class TestRrlBroadcastHandling:
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}, version=1))
         assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 6}, version=2))
         assert node.cached_rrl.version == 2
-        assert node.cached_rrl.entries[1].points == 6
+        assert node.cached_rrl.entries[1] == 6
 
     def test_stale_version_ignored(self):
         node = make_node()
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}, version=5))
         assert not node.handle_rrl_broadcast(make_rrl_broadcast({1: 9}, version=3))
         assert node.cached_rrl.version == 5
-        assert node.cached_rrl.entries[1].points == 5
+        assert node.cached_rrl.entries[1] == 5
 
     def test_bootstrap_seeds_empty_lrl(self):
         node = make_node(vid=3)
@@ -504,6 +503,15 @@ def report(reporter, accused, event_id=7, t=0.0):
     return MisbehaviorReport(reporter, accused, event_id, t)
 
 
+def row(rsu, vid):
+    """(points, misbehavior points) of ``vid`` in the unit's ledger."""
+    return rsu.ledger.entries[vid], rsu.misbehavior.get(vid, 0)
+
+
+def ledger_state(rsu):
+    return dict(rsu.ledger.entries), dict(rsu.misbehavior)
+
+
 class TestRsuReports:
     def test_first_report_marks_both_suspicious(self):
         rsu = make_rsu()
@@ -520,10 +528,9 @@ class TestRsuReports:
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(report(2, 14), 1.0)
         rsu.handle_report(report(5, 14), 2.0)
-        assert rsu.entries[14].misbehavior_points == 1
-        assert rsu.entries[14].points == 4
-        assert rsu.entries[2].points == 6
-        assert rsu.entries[5].points == 6
+        assert row(rsu, 14) == (4, 1)
+        assert row(rsu, 2) == (6, 0)
+        assert row(rsu, 5) == (6, 0)
         assert 14 not in rsu.suspicion
         assert 2 not in rsu.suspicion
 
@@ -532,14 +539,14 @@ class TestRsuReports:
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(report(2, 14), 1.0)
         rsu.handle_report(report(2, 14, t=2.0), 2.0)
-        assert rsu.entries[14].misbehavior_points == 0
+        assert row(rsu, 14) == (5, 0)
 
     def test_different_event_does_not_escalate(self):
         rsu = make_rsu()
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(report(2, 14, event_id=7), 1.0)
         rsu.handle_report(report(5, 14, event_id=8), 2.0)
-        assert rsu.entries[14].misbehavior_points == 0
+        assert row(rsu, 14) == (5, 0)
 
     def test_settled_event_not_reescalated(self):
         rsu = make_rsu()
@@ -548,14 +555,13 @@ class TestRsuReports:
         rsu.handle_report(report(5, 14), 2.0)
         rsu.handle_report(report(6, 14), 3.0)
         rsu.handle_report(report(7, 14), 4.0)
-        assert rsu.entries[14].misbehavior_points == 1
-        assert rsu.entries[14].points == 4
+        assert row(rsu, 14) == (4, 1)
 
     def test_flagged_reporter_ignored(self):
         rsu = make_rsu()
         rsu.seed(list(range(20)), 5)
-        rsu.entries[3] = ReputationRecord(3, 0)  # low points: Flagged
-        rsu.entries[4] = ReputationRecord(4, 13)  # spread so bands discriminate
+        rsu.ledger.upsert(3, 0)  # low points: Flagged
+        rsu.ledger.upsert(4, 13)  # spread so bands discriminate
         changed = rsu.handle_report(report(3, 14), 1.0)
         assert changed is False
         assert 14 not in rsu.suspicion
@@ -564,13 +570,13 @@ class TestRsuReports:
         # No sequence of reports from Flagged reporters changes any entry.
         rsu = make_rsu()
         rsu.seed(list(range(20)), 5)
-        rsu.entries[3] = ReputationRecord(3, 0)
-        rsu.entries[8] = ReputationRecord(8, 0)
-        rsu.entries[4] = ReputationRecord(4, 13)
-        before = dict(rsu.entries)
+        rsu.ledger.upsert(3, 0)
+        rsu.ledger.upsert(8, 0)
+        rsu.ledger.upsert(4, 13)
+        before = ledger_state(rsu)
         for t, (rep, acc) in enumerate([(3, 14), (8, 14), (3, 15), (8, 15), (3, 16)]):
             rsu.handle_report(report(rep, acc, event_id=100 + t), float(t))
-        assert rsu.entries == before
+        assert ledger_state(rsu) == before
 
     def test_reporter_equals_accused_rejected(self):
         with pytest.raises(ValueError):
@@ -587,8 +593,8 @@ class TestRsuReports:
         for event in range(3):
             rsu.handle_report(report(2, 14, event_id=event), float(event))
             rsu.handle_report(report(5, 14, event_id=event), float(event) + 0.5)
-            assert rsu.entries[14].misbehavior_points >= seen
-            seen = rsu.entries[14].misbehavior_points
+            assert rsu.misbehavior.get(14, 0) >= seen
+            seen = rsu.misbehavior.get(14, 0)
 
 
 class TestRsuTick:
@@ -623,21 +629,21 @@ class TestRsuTick:
         rsu.handle_report(report(2, 14), 0.0)
         rsu.tick(31.0)  # 31 s > 30 s TTL
         assert 14 not in rsu.suspicion
-        assert rsu.entries[14].misbehavior_points == 0
+        assert row(rsu, 14) == (5, 0)
         # A fresh pair after the drop escalates normally.
         rsu.handle_report(report(5, 14, event_id=9), 32.0)
         rsu.handle_report(report(6, 14, event_id=9), 33.0)
-        assert rsu.entries[14].misbehavior_points == 1
+        assert row(rsu, 14) == (4, 1)
 
     def test_handle_forward_merges_worse_view(self):
+        # Every unit holds the same seeded ids, so a forward only updates held entries.
         rsu = make_rsu()
-        rsu.seed([1, 2], 5)
+        rsu.seed([1, 2, 7], 5)
         fwd = RsuForward(9001, 9000, ((1, 2, 3), (7, 1, 4)), 5.0)
         rsu.handle_forward(fwd)
-        assert rsu.entries[1].points == 2
-        assert rsu.entries[1].misbehavior_points == 3
-        assert rsu.entries[7].points == 1
-        assert rsu.entries[7].misbehavior_points == 4
+        assert row(rsu, 1) == (2, 3)
+        assert row(rsu, 2) == (5, 0)
+        assert row(rsu, 7) == (1, 4)
 
 
 class TestLedgerSnapshot:
@@ -651,8 +657,8 @@ class TestLedgerSnapshot:
         rsu.handle_report(report(5, 14), 2.0)  # escalation
         escalated = rsu.snapshot()
         assert escalated is not first
-        assert escalated.entries[14].misbehavior_points == 1
-        assert first.entries[14].misbehavior_points == 0
+        assert (escalated.entries[14], escalated.misbehavior.get(14, 0)) == (4, 1)
+        assert (first.entries[14], first.misbehavior.get(14, 0)) == (5, 0)
         broadcast, _ = rsu.tick(3.0)
         assert broadcast.rrl is not escalated
         assert broadcast.rrl.version == escalated.version + 1
@@ -698,8 +704,8 @@ class TestLedgerSnapshot:
         monkeypatch.setattr(LocalReputationList, "load", spy)
         a, b = make_node(vid=0), make_node(vid=1)
         assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
-        # Both loads copy the one seed of this publication.
-        assert len(seeds) == 2 and seeds[0] is seeds[1] is broadcast.rrl.local_seed()
+        # Both loads copy the publication itself.
+        assert len(seeds) == 2 and seeds[0] is seeds[1] is broadcast.rrl
         assert sorted(a.lrl.entries) == [1, 2, 3, 4, 5, 50, 51]
         assert sorted(b.lrl.entries) == [0, 2, 3, 4, 5, 50, 51]
         assert a.lrl.get(51) == b.lrl.get(51) == 1  # misbehavior points are not imported
@@ -712,7 +718,7 @@ class TestLedgerSnapshot:
         a.handle_rrl_broadcast(broadcast)
         b.handle_rrl_broadcast(broadcast)
         published = dict(broadcast.rrl.entries)
-        seeded = dict(broadcast.rrl.local_seed().points)
+        counts = dict(broadcast.rrl._counts)
         b_before = dict(b.lrl.entries)
         for _ in range(6):
             a.lrl.adjust(51, -1, 5)
@@ -723,7 +729,8 @@ class TestLedgerSnapshot:
         assert b.lrl.entries == b_before
         assert b.lrl.trust_bands() == compute_trust_bands([1, 13])
         assert broadcast.rrl.entries == published
-        assert broadcast.rrl.local_seed().points == seeded
+        assert broadcast.rrl._counts == counts
+        assert broadcast.rrl.trust_bands() == compute_trust_bands([1, 5, 13])
 
     def test_owner_only_ledger_gives_empty_lrl(self):
         node = make_node(vid=3)
@@ -739,6 +746,125 @@ class TestLedgerSnapshot:
         assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 5, 2: 9, 4: 2}, t=3.0))
         assert node.lrl.entries == {1: 5, 2: 9, 4: 2}
         assert node.lrl.trust_bands() == compute_trust_bands([5, 9, 2])
+
+
+_STANDINGS = (RrlStanding.FLAGGED, RrlStanding.WATCH, RrlStanding.CLEAR)
+
+# (kind, unit, reporter, accused, event id, time step): few accused and events, so pairs escalate.
+_rsu_report = st.tuples(
+    st.just("report"), st.integers(0, 2), st.integers(0, 5), st.integers(0, 2), st.integers(0, 1), st.floats(0.0, 12.0)
+)
+_rsu_steps = st.lists(
+    st.one_of(
+        _rsu_report,
+        _rsu_report,
+        # (kind, unit, digest rows as (held id index, points, misbehavior points))
+        st.tuples(st.just("forward"), st.integers(0, 2),
+                  st.lists(st.tuples(st.integers(0, 20), st.integers(0, 15), st.integers(1, 4)), max_size=4)),
+        # (kind, unit, time step)
+        st.tuples(st.just("tick"), st.integers(0, 2), st.floats(0.0, 12.0)),
+    ),
+    min_size=10,
+    max_size=50,
+)
+
+
+class TestLedgerAgainstRebuild:
+    """Units whose ledgers change in place agree with a ledger rebuilt from scratch after every step.
+
+    The reference keeps (points, misbehavior points) rows in a plain dict, with the seed, escalation
+    and forward rules applied the long way, and derives standings, bands and digests from all rows.
+    """
+
+    @staticmethod
+    def check(rsu, rows):
+        points = {v: p for v, (p, _) in rows.items()}
+        assert rsu.ledger.entries == points
+        assert rsu.misbehavior == {v: m for v, (_, m) in rows.items() if m > 0}
+        fresh = RsuReputationList(LocalReputationList(points), 0, 0)
+        bands = compute_trust_bands(points.values())
+        for v in points:
+            assert standing_of(rsu.ledger, v) is standing_of(fresh, v) is _STANDINGS[classify_trust(points[v], bands)]
+        assert standing_of(rsu.ledger, 99) is RrlStanding.CLEAR
+        snapshot = rsu.snapshot()
+        assert snapshot.trust_bands() == bands
+        assert list(snapshot.entries) == sorted(points)
+        assert snapshot.entries == points and snapshot.misbehavior == rsu.misbehavior
+
+    @pytest.mark.parametrize("anchor", [(50, -1, 0), (50, 1, -1)], ids=["points", "misbehavior"])
+    def test_seed_rejects_negative_rows(self, anchor):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            make_rsu().seed([1, 2], 5, [anchor])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 12),
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(0, 14), st.integers(0, 15), st.integers(0, 2)), max_size=4),
+        _rsu_steps,
+    )
+    def test_steps_match_rebuilt_ledger(self, units, n, initial, anchors, steps):
+        rsus = [
+            RsuNode(9000 + i, (500.0, 500.0), 440.0, CFG, tuple(9000 + j for j in (i - 1, i + 1) if 0 <= j < units))
+            for i in range(units)
+        ]
+        models = []
+        for rsu in rsus:
+            rsu.seed(list(range(n)), initial, anchors)
+            rows = {v: (initial, 0) for v in range(n)}
+            rows.update((v, (p, m)) for v, p, m in anchors)
+            models.append(rows)
+            self.check(rsu, rows)
+
+        def forward(k, digest, now):
+            rows = models[k]
+            rsus[k].handle_forward(RsuForward(9001, rsus[k].id, digest, now))
+            for v, p, m in digest:
+                rows[v] = (min(rows[v][0], p), max(rows[v][1], m))
+
+        published = []  # (publication, its points, its misbehavior points) as published
+        now = 0.0
+        for kind, unit, *args in steps:
+            k = unit % units
+            rsu, rows = rsus[k], models[k]
+            if kind == "report":
+                reporter, accused, event, dt = args
+                reporter, accused = reporter % n, accused % n
+                if accused == reporter:
+                    continue
+                now += dt
+                points = {v: p for v, (p, _) in rows.items()}
+                flagged = classify_trust(points[reporter], compute_trust_bands(points.values())) is TrustLevel.LOW
+                entry = rsu.suspicion.get(accused)
+                settled = (accused, event) in rsu._settled
+                changed = rsu.handle_report(report(reporter, accused, event, now), now)
+                assert not (flagged and changed)
+                if not settled and (accused, event) in rsu._settled:
+                    p, m = rows[accused]
+                    rows[accused] = (max(0, p - 1), m + 1)
+                    for r in (entry.reporter, reporter):
+                        rows[r] = (rows[r][0] + 1, rows[r][1])
+            elif kind == "forward":
+                held = sorted(rows)
+                forward(k, tuple((held[i % len(held)], p, m) for i, p, m in args[0]), now)
+            else:
+                now += args[0]
+                broadcast, forwards = rsu.tick(now)
+                assert broadcast.rrl.version == rsu.version
+                published.append((broadcast.rrl, dict(broadcast.rrl.entries), dict(broadcast.rrl.misbehavior)))
+                digest = tuple((v, p, m) for v, (p, m) in sorted(rows.items()) if m > 0)
+                assert [f.entries for f in forwards] == ([digest] * len(rsu.adjacent) if digest else [])
+                blob = encode_rrl_broadcast(broadcast)
+                assert [struct.unpack_from("<Qqq", blob, 20 + 24 * i) for i in range(len(rows))] == [
+                    (v, p, m) for v, (p, m) in sorted(rows.items())
+                ]
+                for f in forwards:
+                    forward(f.destination - 9000, f.entries, now)
+            for other, other_rows in zip(rsus, models):
+                self.check(other, other_rows)
+            # Later steps write the units' ledgers, never an earlier publication.
+            assert all(rrl.entries == pts and rrl.misbehavior == mis for rrl, pts, mis in published)
 
 
 class TestWireFormat:
@@ -757,7 +883,8 @@ class TestWireFormat:
     @pytest.mark.parametrize("rows", [0, 1, 104])
     def test_ledger_wire_size_matches_encoder(self, rows):
         # The simulator counts a ledger's bytes from its row count: 29 fixed bytes plus 24 per row.
-        ledger = RsuReputationList({v: ReputationRecord(v, v % 11, v % 3) for v in range(rows)}, 3, 9000)
+        points = LocalReputationList({v: v % 11 for v in range(rows)})
+        ledger = RsuReputationList(points, 3, 9000, {v: v % 3 for v in range(rows) if v % 3})
         size = sim._RRL_FIXED_WIRE_BYTES + sim._RRL_ROW_WIRE_BYTES * len(ledger)
         assert len(encode_rrl_broadcast(RrlBroadcast(ledger, 6.0))) == size == 29 + 24 * rows
 
@@ -769,11 +896,11 @@ class TestWireFormat:
         assert (reporter, accused, event, ts, valid) == (3, 9, 44, 2.0, 1)
 
     def test_rrl_broadcast_encoding(self):
-        ledger = RsuReputationList({1: ReputationRecord(1, 5, 0), 2: ReputationRecord(2, 9, 1)}, 3, 9000)
+        ledger = RsuReputationList(LocalReputationList({1: 5, 2: 9}), 3, 9000, {2: 1})
         b = RrlBroadcast(ledger, 6.0)
         blob = encode_rrl_broadcast(b)
         assert len(blob) == 20 + 2 * 24 + 9
         issuer, version, count = struct.unpack_from("<QQI", blob)
         assert (issuer, version, count) == (9000, 3, 2)
-        vid, pts, mis = struct.unpack_from("<Qqq", blob, 20)
-        assert (vid, pts, mis) == (1, 5, 0)
+        assert struct.unpack_from("<Qqq", blob, 20) == (1, 5, 0)
+        assert struct.unpack_from("<Qqq", blob, 44) == (2, 9, 1)

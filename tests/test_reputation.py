@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from irsim.reputation import (
     HeuristicBand,
-    LedgerSeed,
     LocalReputationList,
     ReputationRecord,
     RrlStanding,
@@ -253,8 +252,7 @@ class TestDecisionMatrix:
 
 class TestStaleness:
     def _rrl(self, members):
-        entries = {v: ReputationRecord(v, 5) for v in members}
-        return RsuReputationList(entries, 1, 0)
+        return RsuReputationList(LocalReputationList(dict.fromkeys(members, 5)), 1, 0)
 
     def test_under_half(self):
         rrl = self._rrl(range(4))
@@ -315,13 +313,12 @@ class TestPointDelta:
 
 class TestStandingNormalization:
     def test_absent_is_clear(self):
-        rrl = RsuReputationList({1: ReputationRecord(1, 5)}, 1, 0)
+        rrl = RsuReputationList(LocalReputationList({1: 5}), 1, 0)
         assert standing_of(rrl, 99) is RrlStanding.CLEAR
         assert standing_of(None, 1) is RrlStanding.CLEAR
 
     def test_band_mapping(self):
-        entries = {v: ReputationRecord(v, p) for v, p in enumerate([13, 11, 7, 6, 4, 3, 1, 1])}
-        rrl = RsuReputationList(entries, 1, 0)
+        rrl = RsuReputationList(LocalReputationList(enumerate([13, 11, 7, 6, 4, 3, 1, 1])), 1, 0)
         assert standing_of(rrl, 0) is RrlStanding.CLEAR  # 13 points
         assert standing_of(rrl, 2) is RrlStanding.WATCH  # 7 points
         assert standing_of(rrl, 4) is RrlStanding.FLAGGED  # 4 points
@@ -330,7 +327,7 @@ class TestStandingNormalization:
 class TestPublishedBands:
     @given(st.dictionaries(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**62)))
     def test_bands_are_built_with_the_list(self, points):
-        rrl = RsuReputationList({v: ReputationRecord(v, p) for v, p in points.items()}, 1, 0)
+        rrl = RsuReputationList(LocalReputationList(points), 1, 0)
         bands = rrl.trust_bands()
         assert bands == (compute_trust_bands(points.values()) if points else None)
         assert rrl.trust_bands() is bands
@@ -436,42 +433,44 @@ class TestLrlBounds:
     def test_load_needs_empty_ledger(self):
         lrl = LocalReputationList({1: 2})
         with pytest.raises(ValueError):
-            lrl.load(LedgerSeed.of({2: 3}))
+            lrl.load(LocalReputationList({2: 3}))
 
     @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _vehicles, _ledger_ops)
     def test_load_leaves_out_owner(self, initial, owner, ops):
-        seed = LedgerSeed.of(initial)
+        source = LocalReputationList(initial)
         lrl = LocalReputationList()
-        lrl.load(seed, owner=owner)
-        assert lrl.entries == {v: p for v, p in seed.points.items() if v != owner}
+        lrl.load(source, owner=owner)
+        assert lrl.entries == {v: p for v, p in source.entries.items() if v != owner}
         self.check(lrl)
-        # Writes after the load reach neither the seed's points nor its counts.
-        counts = dict(seed.counts)
+        # Writes after the load reach neither the source's points nor its counts.
+        counts = dict(source._counts)
         for op, vid, *args in ops:
             if op == "adjust":
                 lrl.adjust(vid, args[0], args[1])
             else:
                 lrl.upsert(vid, args[0])
             self.check(lrl)
-        assert seed.points == dict(initial)
-        assert seed.counts == counts
+        assert source.entries == dict(initial)
+        assert source._counts == counts
 
     def test_owner_only_ledger_loads_empty(self):
         lrl = LocalReputationList()
-        lrl.load(LedgerSeed.of({4: 7}), owner=4)
+        lrl.load(LocalReputationList({4: 7}), owner=4)
         assert len(lrl) == 0
         assert lrl.trust_bands() is None
         lrl.upsert(2, 3)
         assert lrl.trust_bands() == compute_trust_bands([3])
 
 
-class TestLocalSeed:
-    def test_one_seed_per_snapshot(self):
-        rrl = RsuReputationList({1: ReputationRecord(1, 4, 2), 2: ReputationRecord(2, 9)}, 3, 100)
-        seed = rrl.local_seed()
-        assert rrl.local_seed() is seed
-        assert seed.points == {1: 4, 2: 9}  # misbehavior points are not imported
-        assert seed.counts == {4: 1, 9: 1}
+class TestLoadFromPublication:
+    def test_copies_points_and_counts_not_misbehavior(self):
+        rrl = RsuReputationList(LocalReputationList({1: 4, 2: 9}), 3, 100, {1: 2})
+        lrl = LocalReputationList()
+        lrl.load(rrl)
+        assert lrl.entries == {1: 4, 2: 9}  # misbehavior points are not imported
+        assert lrl._counts == {4: 1, 9: 1}
+        assert not hasattr(lrl, "misbehavior")
+        assert lrl.trust_bands() == compute_trust_bands([4, 9])
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from irsim.protocol import (
     encode_rrl_broadcast,
     encode_warning,
 )
-from irsim.reputation import ReputationRecord, RsuReputationList
+from irsim.reputation import LocalReputationList, RsuReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
 
@@ -316,7 +316,7 @@ class TestLedgerRequests:
         world = build_scenario(cfg)
         runner = sim._Runner(world)
         # Vehicle 0 holds a ledger newer than the roadside unit's broadcast, so it rejects that broadcast.
-        newer = RsuReputationList({v: ReputationRecord(v, 5) for v in range(4)}, 10**6, 0)
+        newer = RsuReputationList(LocalReputationList(dict.fromkeys(range(4), 5)), 10**6, 0)
         world.nodes[0].cached_rrl = newer
         runner.handle_rsu_tick(0.0, 0)
         rrl_lines = [line.split("\t") for line in runner.log if "\tRRL\t" in line]
@@ -389,7 +389,7 @@ class TestLedgerBootstrap:
                 if len(lrl) == 0:
                     continue
                 # The points a per-entry bootstrap loop copies, in the same order.
-                expected = [(vid, rec.points) for vid, rec in broadcast.rrl.entries.items() if vid != idx]
+                expected = [(vid, pts) for vid, pts in broadcast.rrl.entries.items() if vid != idx]
                 assert list(lrl.entries.items()) == expected
                 points = [pts for _, pts in expected]
                 bands = lrl.trust_bands()
@@ -404,7 +404,8 @@ class TestLedgerBootstrap:
 
 class TestBandsBuiltAtPublication:
     def test_no_decision_computes_trust_bands(self, monkeypatch):
-        # A published ledger carries its bands, so the trust decision only reads them.
+        # Every ledger keeps its bands as its points change and a publication copies them, so no decision,
+        # report or publication anywhere in the run computes bands from a list of points.
         cfg = small_config(
             vehicle_count=30,
             duration=6.0,
@@ -413,29 +414,24 @@ class TestBandsBuiltAtPublication:
             rsu_positions=((300.0, 500.0), (700.0, 500.0)),
             beacon_interval=(0.1, 0.35),
         )
-        deciding = [False]
         counts = Counter()
         compute = reputation.compute_trust_bands
         handle_warning = protocol.VehicleNode.handle_warning
 
         def counted_compute(points):
-            counts["bands in a decision" if deciding[0] else "bands"] += 1
+            counts["bands"] += 1
             return compute(points)
 
-        def marked_decision(self, *args):
+        def counted_decision(self, *args):
             counts["decisions"] += 1
-            deciding[0] = True
-            try:
-                return handle_warning(self, *args)
-            finally:
-                deciding[0] = False
+            return handle_warning(self, *args)
 
         monkeypatch.setattr(reputation, "compute_trust_bands", counted_compute)
         monkeypatch.setattr(protocol, "compute_trust_bands", counted_compute)
-        monkeypatch.setattr(protocol.VehicleNode, "handle_warning", marked_decision)
+        monkeypatch.setattr(protocol.VehicleNode, "handle_warning", counted_decision)
         result = run(build_scenario(cfg))
-        assert counts["bands in a decision"] == 0
-        assert counts["decisions"] > 100 and counts["bands"] > 10
+        assert counts["bands"] == 0
+        assert counts["decisions"] > 100
         assert any("\tFWD\t" in line for line in result.log_lines)
 
 
@@ -952,8 +948,8 @@ class TestInterRsuForwarding:
         result = run(world)
         fwd_lines = [l for l in result.log_lines if l.split("\t")[1] == "FWD"]
         assert fwd_lines, "expected ledger digests to flow between roadside units"
-        flagged_a = {v for v, r in world.rsus[0].entries.items() if r.misbehavior_points > 0}
-        flagged_b = {v for v, r in world.rsus[1].entries.items() if r.misbehavior_points > 0}
+        flagged_a = {v for v, m in world.rsus[0].misbehavior.items() if m > 0}
+        flagged_b = {v for v, m in world.rsus[1].misbehavior.items() if m > 0}
         assert flagged_a and flagged_a == flagged_b  # both units converge
         # Every attacker ends up marked; honest vehicles may be swept in too
         # (expired lone warnings from far witnesses get reported).
@@ -971,11 +967,11 @@ class TestInterRsuForwarding:
         world = build_scenario(cfg, "irs")
         anchors = range(sim.ANCHOR_ID_BASE, sim.ANCHOR_ID_BASE + cfg.trusted_anchors + cfg.flagged_anchors)
         seeded = set(range(cfg.vehicle_count)) | set(anchors)
-        assert all(rsu.entries.keys() == seeded for rsu in world.rsus)
+        assert all(rsu.ledger.entries.keys() == seeded >= rsu.misbehavior.keys() for rsu in world.rsus)
         result = run(world)
         assert any(l.split("\t")[1] == "FWD" for l in result.log_lines)
-        assert any(r.misbehavior_points > 0 for r in world.rsus[1].entries.values() if r.vehicle < cfg.vehicle_count)
-        assert all(rsu.entries.keys() == seeded for rsu in world.rsus)
+        assert any(m > 0 for v, m in world.rsus[1].misbehavior.items() if v < cfg.vehicle_count)
+        assert all(rsu.ledger.entries.keys() == seeded >= rsu.misbehavior.keys() for rsu in world.rsus)
 
 
 def unused_fields_by_kind():
