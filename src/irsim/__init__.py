@@ -31,7 +31,6 @@ from .protocol import (
     Disposition,
     EventKind,
     MisbehaviorReport,
-    ProtocolConfig,
     RrlBroadcast,
     RsuNode,
     VehicleNode,
@@ -50,7 +49,6 @@ __all__ = [
     "HeuristicBands",
     "LocalReputationList",
     "MisbehaviorReport",
-    "ProtocolConfig",
     "ReputationRecord",
     "RrlBroadcast",
     "RrlStanding",

@@ -42,6 +42,7 @@ from .reputation import (
     heuristic_from_distance,  # noqa: F401
     standing_of,
 )
+from .scenario import ScenarioConfig
 
 EventId = int
 RsuId = int
@@ -140,19 +141,6 @@ class Heard(NamedTuple):
     extremes: Callable[[], tuple[Position, Position]]
 
 
-@dataclass
-class ProtocolConfig:
-    """Timing and geometry knobs shared by vehicles and roadside units."""
-
-    grid: tuple[float, float] = (1000.0, 1000.0)
-    pending_ttl: float = 2.0
-    suspicion_ttl: float = 30.0
-    corroboration_tolerance_m: float = 20.0
-    plausibility_radius_m: float = 300.0
-    strict_top_heuristic: bool = False
-    initial_points: int = 5
-
-
 class WarningOutcome(NamedTuple):
     """Result of one warning delivery or one pass over the pending buffer: an immutable tuple.
 
@@ -181,6 +169,12 @@ def _distance(a: Position, b: Position) -> float:
 class VehicleNode:
     """On-board trust state: local ledger, cached network ledger, pending buffer.
 
+    ``config`` is the run's ``ScenarioConfig``; the node reads its ``grid``,
+    ``pending_ttl``, ``corroboration_tolerance_m``, ``strict_top_heuristic``,
+    ``initial_points`` and ``transmission_range``. The plausibility radius is
+    the transmission range: a sender is not believed about an event farther
+    from it than it could transmit.
+
     ``distance_noise`` models signal-strength ranging error: called with the
     receiver's range to the sender in meters, it returns an additive offset.
     Ranging error grows with range, so the offset distribution may depend on
@@ -190,7 +184,7 @@ class VehicleNode:
     def __init__(
         self,
         vehicle_id: VehicleId,
-        config: ProtocolConfig,
+        config: ScenarioConfig,
         distance_noise: Optional[Callable[[float], float]] = None,
     ) -> None:
         self.id = vehicle_id
@@ -228,7 +222,7 @@ class VehicleNode:
         sender_at = heard.sender
         ranging = _distance(heard.receiver, sender_at)
         to_event = _distance(sender_at, warning.event_position)
-        if self._estimate_distance(to_event, ranging) > self.config.plausibility_radius_m:
+        if self._estimate_distance(to_event, ranging) > self.config.transmission_range:
             self._adjust(warning.sender, -1)
             report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, (report,))
@@ -410,19 +404,21 @@ class RsuNode:
     suspicious. Misbehavior points move only once a second, distinct,
     non-flagged reporter confirms the same event; the matter is then
     settled and later reports about it are dropped.
+
+    ``config`` is the run's ``ScenarioConfig``; the unit reads its
+    ``suspicion_ttl``. How far a publication reaches
+    (``rsu_coverage_radius``) is the simulator's radio's concern.
     """
 
     def __init__(
         self,
         rsu_id: RsuId,
         position: Position,
-        coverage_radius: float,
-        config: ProtocolConfig,
+        config: ScenarioConfig,
         adjacent: tuple[RsuId, ...] = (),
     ) -> None:
         self.id = rsu_id
         self.position = position
-        self.coverage_radius = coverage_radius
         self.config = config
         self.adjacent = adjacent
         self.ledger = LocalReputationList()

@@ -34,7 +34,6 @@ from .protocol import (
     EventKind,
     Heard,
     MisbehaviorReport,
-    ProtocolConfig,
     RrlBroadcast,
     RsuNode,
     VehicleNode,
@@ -254,16 +253,6 @@ class SimWorld:
             self.is_attacker[idx] = True
         self.benign = frozenset(i for i in range(n) if not self.is_attacker[i])
 
-        self.protocol_config = ProtocolConfig(
-            grid=config.grid,
-            pending_ttl=config.pending_ttl,
-            suspicion_ttl=config.suspicion_ttl,
-            corroboration_tolerance_m=config.corroboration_tolerance_m,
-            plausibility_radius_m=config.transmission_range,
-            strict_top_heuristic=config.strict_top_heuristic,
-            initial_points=config.initial_points,
-        )
-
         anchors = [
             (ANCHOR_ID_BASE + i, config.anchor_top_points, 0)
             for i in range(config.trusted_anchors)
@@ -279,13 +268,7 @@ class SimWorld:
                 adjacent.append(RSU_ID_BASE + rsu_order[rank - 1])
             if rank < len(rsu_order) - 1:
                 adjacent.append(RSU_ID_BASE + rsu_order[rank + 1])
-            rsu = RsuNode(
-                RSU_ID_BASE + k,
-                config.rsu_positions[k],
-                config.rsu_coverage_radius,
-                self.protocol_config,
-                adjacent=tuple(adjacent),
-            )
+            rsu = RsuNode(RSU_ID_BASE + k, config.rsu_positions[k], config, adjacent=tuple(adjacent))
             # Registered vehicles start at neutral points; anchor entries pin
             # the band geometry to the full scale from the first broadcast.
             rsu.seed(list(range(n)), config.initial_points, anchors)
@@ -298,7 +281,7 @@ class SimWorld:
             config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus, beacon_key
         )
         noise = self.channel.ranging_noise(config.ranging_noise_sigma, config.ranging_noise_per_meter)
-        self.nodes: list[VehicleNode] = [VehicleNode(i, self.protocol_config, noise) for i in range(n)]
+        self.nodes: list[VehicleNode] = [VehicleNode(i, config, noise) for i in range(n)]
 
         self.registry = EventRegistry()
         # Per-conflicting-attacker memory of true events they can distort.
@@ -328,32 +311,29 @@ def attacker_emit(world: SimWorld, attacker: int, now: float) -> list[Warning]:
     cfg = world.config
     pos = world.positions_at(now)[attacker]
 
-    if cfg.attacker_profile == "false-warning":
-        # Fabricated hazard close enough to pass the sender-distance check.
-        ex = float(np.clip(pos[0] + rng.uniform(-60.0, 60.0), 0.0, cfg.grid[0]))
-        ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
-        kind = _KINDS[int(rng.integers(len(_KINDS)))]
-        event_id = world.registry.register(False, kind, (ex, ey))
-        return [Warning(attacker, event_id, kind, (ex, ey), now)]
+    if cfg.attacker_profile == "conflicting-info":
+        # Re-broadcast a known true event with the kind swapped.
+        for event_id in world.known_true[attacker]:
+            if event_id in world.altered:
+                continue
+            info = world.registry.events[event_id]
+            wrong_kind = _KINDS[(_KINDS.index(info.kind) + 1) % len(_KINDS)]
+            world.altered.add(event_id)
+            return [Warning(attacker, event_id, wrong_kind, info.position, now)]
+        return []
 
-    if cfg.attacker_profile == "far-event-claim":
+    # A fabricated hazard: each profile draws its x, then both draw y and the kind.
+    if cfg.attacker_profile == "false-warning":
+        # Close enough to pass the sender-distance check.
+        ex = pos[0] + rng.uniform(-60.0, 60.0)
+    else:  # far-event-claim: beyond the transmission range, on the side with more road
         offset = cfg.transmission_range + float(rng.uniform(100.0, 250.0))
         ex = pos[0] + offset if pos[0] < cfg.grid[0] / 2.0 else pos[0] - offset
-        ex = float(np.clip(ex, 0.0, cfg.grid[0]))
-        ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
-        kind = _KINDS[int(rng.integers(len(_KINDS)))]
-        event_id = world.registry.register(False, kind, (ex, ey))
-        return [Warning(attacker, event_id, kind, (ex, ey), now)]
-
-    # conflicting-info: re-broadcast a known true event with the kind swapped.
-    for event_id in world.known_true[attacker]:
-        if event_id in world.altered:
-            continue
-        info = world.registry.events[event_id]
-        wrong_kind = _KINDS[(_KINDS.index(info.kind) + 1) % len(_KINDS)]
-        world.altered.add(event_id)
-        return [Warning(attacker, event_id, wrong_kind, info.position, now)]
-    return []
+    ex = float(np.clip(ex, 0.0, cfg.grid[0]))
+    ey = float(np.clip(pos[1] + rng.uniform(-3.0, 3.0), 0.0, cfg.grid[1]))
+    kind = _KINDS[int(rng.integers(len(_KINDS)))]
+    event_id = world.registry.register(False, kind, (ex, ey))
+    return [Warning(attacker, event_id, kind, (ex, ey), now)]
 
 
 @dataclass
@@ -544,7 +524,7 @@ class _Runner:
             broadcast, forwards = rsu.tick(t)
             self.counters["rrl_broadcasts"] += 1
             self.counters["encoded_bytes"] += _RRL_FIXED_WIRE_BYTES + _RRL_ROW_WIRE_BYTES * len(broadcast.rrl)
-            hearers = np.nonzero(world.channel.hears(positions, rsu.position, rsu.coverage_radius))[0]
+            hearers = np.nonzero(world.channel.hears(positions, rsu.position, cfg.rsu_coverage_radius))[0]
             self.deliver_ledger(t, rsu, hearers.tolist(), broadcast)
             for fwd in forwards:
                 world.rsus_by_id[fwd.destination].handle_forward(fwd)

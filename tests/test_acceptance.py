@@ -21,7 +21,6 @@ from irsim.protocol import (
     Disposition,
     EventKind,
     MisbehaviorReport,
-    ProtocolConfig,
     RrlBroadcast,
     RsuNode,
     VehicleNode,
@@ -250,7 +249,7 @@ class TestCriterion8:
             failures.append("floor")
 
         # Pending single-resolution.
-        node = VehicleNode(0, ProtocolConfig())
+        node = VehicleNode(0, ScenarioConfig())
         ledger = {1: 13, 2: 11, 3: 7, 4: 4, 5: 1}
         for vid, pts in ledger.items():
             node.lrl.upsert(vid, pts)
@@ -270,7 +269,7 @@ class TestCriterion8:
             failures.append("pending double resolution")
 
         # Two-distinct-reporter escalation and flagged immunity.
-        rsu = RsuNode(9000, (500.0, 500.0), 440.0, ProtocolConfig())
+        rsu = RsuNode(9000, (500.0, 500.0), ScenarioConfig())
         rsu.seed(list(range(20)), 5)
         rsu.handle_report(MisbehaviorReport(2, 14, 7, 1.0), 1.0)
         if rsu.misbehavior.get(14, 0) != 0:
@@ -282,7 +281,7 @@ class TestCriterion8:
         if rsu.misbehavior.get(14, 0) != 1:
             failures.append("two distinct reporters did not escalate")
 
-        rsu2 = RsuNode(9000, (500.0, 500.0), 440.0, ProtocolConfig())
+        rsu2 = RsuNode(9000, (500.0, 500.0), ScenarioConfig())
         rsu2.seed(list(range(20)), 5)
         rsu2.ledger.upsert(3, 0)
         rsu2.ledger.upsert(4, 13)

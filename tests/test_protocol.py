@@ -16,7 +16,6 @@ from irsim.protocol import (
     Heard,
     MisbehaviorReport,
     PendingState,
-    ProtocolConfig,
     RrlBroadcast,
     RsuForward,
     RsuNode,
@@ -40,7 +39,7 @@ from irsim.reputation import (
 from irsim.scenario import ScenarioConfig
 
 
-CFG = ProtocolConfig()
+CFG = ScenarioConfig()
 
 # Point spreads reproducing the worked ledger: sender 1 sits at the top,
 # senders 5..8 at the bottom.
@@ -284,7 +283,7 @@ class TestWarningPipeline:
 
     @pytest.mark.parametrize("strict,expected", [(True, Disposition.REJECT), (False, Disposition.ACCEPT)])
     def test_strict_mode_requires_near(self, strict, expected):
-        config = ProtocolConfig(strict_top_heuristic=strict)
+        config = ScenarioConfig(strict_top_heuristic=strict)
         node = make_node(config=config)
         seed_lrl(node, WORKED_POINTS)
         # Neighbor heuristics to the event at x=0: 2 -> 28 -> 40; the sender
@@ -295,6 +294,34 @@ class TestWarningPipeline:
         node.lrl.upsert(1, 13)
         out = node.handle_warning(Warning(1, 65, EventKind.ICE, (0.0, 0.0), 1.0), 1.0)
         assert out.disposition is expected
+
+
+class TestPlausibilityRadius:
+    """The sender-distance check reads the run's transmission range, here 250 m, not the 300 m default."""
+
+    CONFIG = ScenarioConfig(transmission_range=250.0)
+
+    def decide(self, gap):
+        """Sender 3 (middle trust, no network ledger) at x=100 claims an event ``gap`` m along the road."""
+        node = make_node(config=self.CONFIG)  # no ranging noise: the check sees the true distance
+        seed_lrl(node, WORKED_POINTS)
+        hear(node, {3: 100.0, 2: 120.0})
+        before = node.lrl.get(3)
+        out = node.handle_warning(Warning(3, 80, EventKind.ICE, (100.0 + gap, 0.0), 1.0), 1.0)
+        return node, out, node.lrl.get(3) - before
+
+    def test_event_at_the_range_is_plausible(self):
+        _, out, delta = self.decide(250.0)
+        assert out.disposition is Disposition.ACCEPT
+        assert out.reports == ()
+        assert delta == 0
+
+    def test_event_just_past_the_range_is_rejected_and_reported(self):
+        node, out, delta = self.decide(250.5)
+        assert out.disposition is Disposition.REJECT
+        assert [(r.reporter, r.accused, r.event_id) for r in out.reports] == [(node.id, 3, 80)]
+        assert delta == -1
+        assert 80 not in node.pending  # the implausible path holds nothing
 
 
 class TestRangingInput:
@@ -496,7 +523,7 @@ class TestRrlRequest:
 
 
 def make_rsu(**kwargs):
-    return RsuNode(9000, (500.0, 500.0), 440.0, CFG, **kwargs)
+    return RsuNode(9000, (500.0, 500.0), CFG, **kwargs)
 
 
 def report(reporter, accused, event_id=7, t=0.0):
@@ -806,7 +833,7 @@ class TestLedgerAgainstRebuild:
     )
     def test_steps_match_rebuilt_ledger(self, units, n, initial, anchors, steps):
         rsus = [
-            RsuNode(9000 + i, (500.0, 500.0), 440.0, CFG, tuple(9000 + j for j in (i - 1, i + 1) if 0 <= j < units))
+            RsuNode(9000 + i, (500.0, 500.0), CFG, tuple(9000 + j for j in (i - 1, i + 1) if 0 <= j < units))
             for i in range(units)
         ]
         models = []

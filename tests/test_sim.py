@@ -20,7 +20,6 @@ from irsim.protocol import (
     BEACON_FORMAT,
     Disposition,
     EventKind,
-    ProtocolConfig,
     RsuNode,
     _distance,
     encode_report,
@@ -274,10 +273,18 @@ class TestCounters:
         )
 
 
+class TestNodesShareTheRunConfig:
+    def test_every_node_reads_the_world_config(self):
+        world = build_scenario(small_config(rsu_positions=((200.0, 500.0), (500.0, 500.0), (800.0, 500.0))))
+        assert len(world.nodes) == 20 and len(world.rsus) == 3
+        assert all(node.config is world.config for node in world.nodes)
+        assert all(rsu.config is world.config for rsu in world.rsus)
+
+
 class TestNearestRsu:
     @staticmethod
     def rsus(*xs):
-        return [RsuNode(10_000 + k, (x, 0.0), 440.0, ProtocolConfig()) for k, x in enumerate(xs)]
+        return [RsuNode(10_000 + k, (x, 0.0), ScenarioConfig()) for k, x in enumerate(xs)]
 
     def test_closest_in_range_wins(self):
         rsus = self.rsus(0.0, 250.0, 900.0)
@@ -295,14 +302,14 @@ class TestNearestRsu:
     @pytest.mark.parametrize("gap", [(300.0, 0.0), (180.0, 240.0)], ids=["on-axis", "diagonal"])
     def test_unit_exactly_at_range_counts(self, gap):
         # dx² + dy² == r² (90000 == 300² exactly) is in range, as in Channel.in_range_sq.
-        rsu = RsuNode(10_000, (gap[0], gap[1]), 440.0, ProtocolConfig())
+        rsu = RsuNode(10_000, (gap[0], gap[1]), ScenarioConfig())
         assert make_channel(rsus=[rsu]).nearest_rsu((0.0, 0.0)) is rsu
         assert make_channel(range_m=299.999, rsus=[rsu]).nearest_rsu((0.0, 0.0)) is None
 
     @pytest.mark.parametrize("reach", [100.0, 300.0], ids=["inside", "at-range"])
     def test_three_way_tie_goes_to_first_listed(self, reach):
         places = [(200.0 - reach, 0.0), (200.0 + reach, 0.0), (200.0, reach)]
-        rsus = [RsuNode(10_000 + k, p, 440.0, ProtocolConfig()) for k, p in enumerate(places)]
+        rsus = [RsuNode(10_000 + k, p, ScenarioConfig()) for k, p in enumerate(places)]
         for shift in range(3):
             order = rsus[shift:] + rsus[:shift]
             assert make_channel(rsus=order).nearest_rsu((200.0, 0.0)) is order[0]
