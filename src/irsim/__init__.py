@@ -13,7 +13,6 @@ from .reputation import (
     LocalReputationList,
     ReputationRecord,
     RrlStanding,
-    RsuReputationList,
     TrustBands,
     TrustDecision,
     TrustLevel,
@@ -53,7 +52,6 @@ __all__ = [
     "RrlBroadcast",
     "RrlStanding",
     "RsuNode",
-    "RsuReputationList",
     "ScenarioConfig",
     "SimWorld",
     "TrustBands",

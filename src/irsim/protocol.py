@@ -27,7 +27,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .reputation import (
     HeuristicBand,
     LocalReputationList,
-    RsuReputationList,
     RrlStanding,
     TrustDecision,
     TrustLevel,
@@ -87,9 +86,18 @@ class MisbehaviorReport:
 
 @dataclass(frozen=True, slots=True)
 class RrlBroadcast:
-    """One publication of a roadside unit's ledger; receivers share ``rrl``."""
+    """One publication of a roadside unit's ledger, its fields in wire order.
 
-    rrl: RsuReputationList
+    ``version`` strictly increases with each of the unit's ticks. ``rrl`` is a
+    copy of the unit's points, in vehicle order, and ``misbehavior`` a copy of
+    its nonzero misbehavior points. Nobody writes either: every receiver
+    shares them, and so does every later publication until the ledger changes.
+    """
+
+    issuer: RsuId
+    version: int
+    rrl: LocalReputationList
+    misbehavior: dict[VehicleId, int]
     timestamp: float
 
 
@@ -190,7 +198,7 @@ class VehicleNode:
         self.id = vehicle_id
         self.config = config
         self.lrl = LocalReputationList()
-        self.cached_rrl: Optional[RsuReputationList] = None
+        self.cached_rrl: Optional[RrlBroadcast] = None
         self.pending: dict[EventId, PendingWarning] = {}
         # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
         # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
@@ -274,7 +282,8 @@ class VehicleNode:
                 self._remember(warning, now)
                 return ACCEPTED
 
-        decision = decide_trust(level, standing_of(self.cached_rrl, sender))
+        held = self.cached_rrl
+        decision = decide_trust(level, standing_of(None if held is None else held.rrl, sender))
         if decision is TrustDecision.ACCEPT:
             self._remember(warning, now)
             return ACCEPTED
@@ -351,13 +360,13 @@ class VehicleNode:
     # -- network ledger ----------------------------------------------------
 
     def handle_rrl_broadcast(self, broadcast: RrlBroadcast) -> bool:
-        """Keep a newer ledger snapshot (shared, not copied); seed an empty local ledger from it."""
-        rrl = broadcast.rrl
-        if self.cached_rrl is not None and rrl.version <= self.cached_rrl.version:
+        """Keep a newer publication (shared, not copied); seed an empty local ledger from its ledger."""
+        held = self.cached_rrl
+        if held is not None and broadcast.version <= held.version:
             return False
-        self.cached_rrl = rrl
+        self.cached_rrl = broadcast
         if len(self.lrl) == 0:
-            self.lrl.load(rrl, owner=self.id)
+            self.lrl.load(broadcast.rrl, owner=self.id)
         return True
 
     # -- internals ---------------------------------------------------------
@@ -426,7 +435,7 @@ class RsuNode:
         self.version = 0
         self.suspicion: dict[VehicleId, SuspicionEntry] = {}
         self._settled: dict[tuple[VehicleId, EventId], float] = {}
-        self._snapshot: Optional[RsuReputationList] = None
+        self._snapshot: Optional[tuple[LocalReputationList, dict[VehicleId, int]]] = None
 
     def seed(
         self,
@@ -444,11 +453,12 @@ class RsuNode:
         """
         rows = {vid: (points, 0) for vid in vehicles}
         rows.update((vid, (pts, misbehavior)) for vid, pts, misbehavior in anchors)
+        if any(misbehavior < 0 for _, misbehavior in rows.values()):
+            raise ValueError("misbehavior points must be >= 0")
         ordered = sorted(rows.items())
+        # Builds the whole ledger, and rejects negative points, before the unit holds any of it.
         self.ledger = LocalReputationList((vid, pts) for vid, (pts, _) in ordered)
         self.misbehavior = {vid: misbehavior for vid, (_, misbehavior) in ordered if misbehavior}
-        if any(misbehavior < 0 for misbehavior in self.misbehavior.values()):
-            raise ValueError("misbehavior points must be >= 0")
         self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:
@@ -501,7 +511,7 @@ class RsuNode:
             del self._settled[key]
 
         self.version += 1
-        broadcast = RrlBroadcast(self.snapshot(), now)
+        broadcast = self.publish(now)
         if not (self.adjacent and self.misbehavior):
             return broadcast, []
         points = self.ledger.entries
@@ -524,16 +534,24 @@ class RsuNode:
                 self.misbehavior[vid] = misbehavior
                 self._snapshot = None
 
-    def snapshot(self) -> RsuReputationList:
-        """The ledger as published: a copy of its points, counts, bands and misbehavior points.
+    def snapshot(self) -> tuple[LocalReputationList, dict[VehicleId, int]]:
+        """The ledger as published: a copy of its points, counts and bands, and of its misbehavior points.
 
-        The ledger is in vehicle order, so the copy is too. One object per
-        ledger state: it is copied again only after an entry or the version
-        changes, so every receiver of a publication shares it.
+        The ledger is in vehicle order, so the copy is too. One pair per
+        ledger state: it is copied again only after an entry changes, so every
+        publication until then, and every receiver of one, shares it.
         """
-        if self._snapshot is None or self._snapshot.version != self.version:
-            self._snapshot = RsuReputationList(self.ledger, self.version, self.id, self.misbehavior)
+        if self._snapshot is None:
+            rrl = LocalReputationList()
+            rrl.load(self.ledger)
+            rrl.trust_bands()
+            self._snapshot = rrl, dict(self.misbehavior)
         return self._snapshot
+
+    def publish(self, now: float) -> RrlBroadcast:
+        """A publication of the ledger as it stands, under the version of the unit's last tick."""
+        rrl, misbehavior = self.snapshot()
+        return RrlBroadcast(self.id, self.version, rrl, misbehavior, now)
 
     def _bump(self, vehicle: VehicleId, delta: int) -> None:
         self.ledger.upsert(vehicle, _shifted(self.ledger.entries[vehicle], delta))
@@ -557,8 +575,8 @@ BEACON_FORMAT = "<Qdddddd"
 # A report: reporter, accused, event id, timestamp, signature flag (always 1).
 REPORT_FORMAT = "<QQQdB"
 WARNING_FORMAT = "<QQBddd"
-# A ledger broadcast: head (issuer, version, row count), one row per entry, tail (timestamp, signature flag,
-# always 1).
+# A ledger broadcast: head (issuer, version, row count), one row (vehicle, points, misbehavior points) per
+# entry of ``rrl`` in vehicle order, tail (timestamp, signature flag, always 1).
 RRL_HEAD_FORMAT = "<QQI"
 RRL_ROW_FORMAT = "<Qqq"
 RRL_TAIL_FORMAT = "<dB"
@@ -581,9 +599,8 @@ def encode_report(r: MisbehaviorReport) -> bytes:
 
 
 def encode_rrl_broadcast(b: RrlBroadcast) -> bytes:
-    rrl = b.rrl
-    head = struct.pack(RRL_HEAD_FORMAT, rrl.issuer, rrl.version, len(rrl.entries))
-    misbehavior = rrl.misbehavior
-    body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, misbehavior.get(vid, 0)) for vid, pts in rrl.entries.items())
+    entries, misbehavior = b.rrl.entries, b.misbehavior
+    head = struct.pack(RRL_HEAD_FORMAT, b.issuer, b.version, len(entries))
+    body = b"".join(struct.pack(RRL_ROW_FORMAT, vid, pts, misbehavior.get(vid, 0)) for vid, pts in entries.items())
     tail = struct.pack(RRL_TAIL_FORMAT, b.timestamp, 1)
     return head + body + tail

@@ -75,9 +75,9 @@ class ReputationRecord:
 class LocalReputationList:
     """Points by vehicle id, with trust bands over their range.
 
-    A vehicle keeps one per sender it has heard; a roadside unit keeps one
-    as its network ledger, and each publication of it is an
-    ``RsuReputationList``. The derived ranking puts the highest points
+    A vehicle keeps one of the senders it has heard; a roadside unit keeps
+    one as its network ledger, and publishes copies of it that nobody writes
+    (``RrlBroadcast.rrl``). The derived ranking puts the highest points
     first (the most trusted senders at the top).
 
     Every write goes through ``load``, ``upsert``, ``ensure`` or ``adjust``,
@@ -187,30 +187,6 @@ class LocalReputationList:
         elif points == self._hi:
             self._hi = max(self._counts)
             self._bands = None
-
-
-class RsuReputationList(LocalReputationList):
-    """A published copy of a roadside unit's ledger, in vehicle order.
-
-    ``misbehavior`` holds the nonzero misbehavior points by vehicle, and
-    ``version`` strictly increases with each publication. Nothing writes a
-    published list: receivers share it, and a vehicle's empty list
-    ``load``s from it. Its bands are built with it.
-    """
-
-    def __init__(
-        self,
-        ledger: LocalReputationList,
-        version: int,
-        issuer: int,
-        misbehavior: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]] = (),
-    ) -> None:
-        super().__init__()
-        self.load(ledger)
-        self.trust_bands()
-        self.misbehavior = dict(misbehavior)
-        self.version = version
-        self.issuer = issuer
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,7 +330,7 @@ def decide_trust(local: TrustLevel, standing: RrlStanding) -> TrustDecision:
     return _DECISION_MATRIX[local][standing]
 
 
-def rrl_is_stale(rrl: RsuReputationList, neighbors: Iterable[VehicleId]) -> bool:
+def rrl_is_stale(rrl: LocalReputationList, neighbors: Iterable[VehicleId]) -> bool:
     """True when fewer than half of the current neighbors appear in the ledger."""
     ids = set(neighbors)
     return 2 * len(rrl.entries.keys() & ids) < len(ids)

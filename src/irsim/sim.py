@@ -235,9 +235,9 @@ class SimWorld:
         width, height = config.grid
         lanes = 2 * config.lanes_per_direction
         lane_gap = 4.0
-        lane_index = np.arange(n) % lanes if n else np.zeros(0, dtype=int)
+        lane_index = np.arange(n) % lanes
         offsets = (np.arange(lanes) - (lanes - 1) / 2.0) * lane_gap
-        self.lane_y = height / 2.0 + offsets[lane_index] if n else np.zeros(0)
+        self.lane_y = height / 2.0 + offsets[lane_index]
         self.direction = np.where(lane_index < config.lanes_per_direction, 1.0, -1.0)
         self.x0 = self.rng_sched.uniform(0.0, width, n)
         self.speed = self.rng_sched.uniform(config.speed_range[0], config.speed_range[1], n)
@@ -375,11 +375,7 @@ class _Runner:
         # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
         self.oldest_pending = np.full(n, np.inf)
         self.next_tx = np.zeros(n)
-        self.beacon_iv = (
-            world.rng_sched.uniform(self.cfg.beacon_interval[0], self.cfg.beacon_interval[1], n)
-            if n
-            else np.zeros(0)
-        )
+        self.beacon_iv = world.rng_sched.uniform(self.cfg.beacon_interval[0], self.cfg.beacon_interval[1], n)
         self.counters = {
             "beacons_emitted": 0,
             "warnings_emitted": 0,
@@ -504,7 +500,7 @@ class _Runner:
             rsu = channel.nearest_rsu(positions[idx])
             # The request and the response each cross the lossy channel.
             if rsu is not None and channel.kept() and channel.kept():
-                self.deliver_ledger(t, rsu, [idx], RrlBroadcast(rsu.snapshot(), t))
+                self.deliver_ledger(t, rsu, [idx], rsu.publish(t))
 
     def deliver_ledger(self, t: float, rsu: RsuNode, ids: list[int], broadcast: RrlBroadcast) -> None:
         """Hand one ledger publication to each vehicle in ``ids``, in order; count and log each that keeps it."""

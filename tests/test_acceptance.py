@@ -31,7 +31,6 @@ from irsim.reputation import (
     LocalReputationList,
     ReputationRecord,
     RrlStanding,
-    RsuReputationList,
     TrustDecision,
     TrustLevel,
     apply_point_delta,
@@ -254,7 +253,7 @@ class TestCriterion8:
         for vid, pts in ledger.items():
             node.lrl.upsert(vid, pts)
         published = LocalReputationList(sorted(ledger.items()))
-        node.handle_rrl_broadcast(RrlBroadcast(RsuReputationList(published, 1, 9000), 0.0))
+        node.handle_rrl_broadcast(RrlBroadcast(9000, 1, published, {}, 0.0))
         neighbors = {5: (100.0, 0.0), 2: (140.0, 0.0)}
         w1 = Warning(5, 70, EventKind.ICE, (110.0, 0.0), 1.0)
         out = node.handle_warning(w1, 1.0, heard_from(neighbors, w1))
@@ -309,8 +308,8 @@ class TestCriterion8:
         # Staleness monotonicity on nested ledgers.
         neighbors = set(range(10))
         for present in range(10):
-            full = RsuReputationList(LocalReputationList(dict.fromkeys(range(present), 5)), 1, 0)
-            smaller = RsuReputationList(LocalReputationList(dict.fromkeys(range(max(0, present - 1)), 5)), 1, 0)
+            full = LocalReputationList(dict.fromkeys(range(present), 5))
+            smaller = LocalReputationList(dict.fromkeys(range(max(0, present - 1)), 5))
             if rrl_is_stale(full, neighbors) and not rrl_is_stale(smaller, neighbors):
                 failures.append("staleness monotonicity")
 

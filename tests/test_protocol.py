@@ -30,7 +30,6 @@ from irsim.protocol import (
 from irsim.reputation import (
     LocalReputationList,
     RrlStanding,
-    RsuReputationList,
     TrustLevel,
     classify_trust,
     compute_trust_bands,
@@ -67,8 +66,7 @@ def seed_lrl(node, points_by_vehicle):
 
 
 def make_rrl_broadcast(points_by_vehicle, version=1, issuer=9000, t=0.0):
-    ledger = LocalReputationList(sorted(points_by_vehicle.items()))
-    return RrlBroadcast(RsuReputationList(ledger, version, issuer), t)
+    return RrlBroadcast(issuer, version, LocalReputationList(sorted(points_by_vehicle.items())), {}, t)
 
 
 def hear(node, x_by_vehicle):
@@ -241,7 +239,7 @@ class TestWarningPipeline:
         node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
         hear(node, {7: 130.0})
         # Sender 7: local Low (1 point), network standing Flagged.
-        assert standing_of(node.cached_rrl, 7) is RrlStanding.FLAGGED
+        assert standing_of(node.cached_rrl.rrl, 7) is RrlStanding.FLAGGED
         out = node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
         assert out.disposition is Disposition.PENDING
         assert 60 in node.pending
@@ -464,14 +462,14 @@ class TestRrlBroadcastHandling:
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}, version=1))
         assert node.handle_rrl_broadcast(make_rrl_broadcast({1: 6}, version=2))
         assert node.cached_rrl.version == 2
-        assert node.cached_rrl.entries[1] == 6
+        assert node.cached_rrl.rrl.entries[1] == 6
 
     def test_stale_version_ignored(self):
         node = make_node()
         node.handle_rrl_broadcast(make_rrl_broadcast({1: 5}, version=5))
         assert not node.handle_rrl_broadcast(make_rrl_broadcast({1: 9}, version=3))
         assert node.cached_rrl.version == 5
-        assert node.cached_rrl.entries[1] == 5
+        assert node.cached_rrl.rrl.entries[1] == 5
 
     def test_bootstrap_seeds_empty_lrl(self):
         node = make_node(vid=3)
@@ -630,7 +628,7 @@ class TestRsuTick:
         rsu.seed([1, 2], 5)
         b1, _ = rsu.tick(1.0)
         b2, _ = rsu.tick(2.0)
-        assert b2.rrl.version == b1.rrl.version + 1
+        assert b2.version == b1.version + 1
         assert len(b1.rrl) == 2
 
     def test_forwards_list_misbehavers_only(self):
@@ -684,12 +682,40 @@ class TestLedgerSnapshot:
         rsu.handle_report(report(5, 14), 2.0)  # escalation
         escalated = rsu.snapshot()
         assert escalated is not first
-        assert (escalated.entries[14], escalated.misbehavior.get(14, 0)) == (4, 1)
-        assert (first.entries[14], first.misbehavior.get(14, 0)) == (5, 0)
+        assert escalated[0] is not first[0] and escalated[1] is not first[1]
+        assert (escalated[0].entries[14], escalated[1].get(14, 0)) == (4, 1)
+        assert (first[0].entries[14], first[1].get(14, 0)) == (5, 0)
+        # A tick bumps the version of the publication, not the ledger: the pair is shared, not copied.
         broadcast, _ = rsu.tick(3.0)
-        assert broadcast.rrl is not escalated
-        assert broadcast.rrl.version == escalated.version + 1
-        assert rsu.snapshot() is broadcast.rrl
+        assert (broadcast.issuer, broadcast.version) == (rsu.id, 1)
+        assert broadcast.rrl is escalated[0] and broadcast.misbehavior is escalated[1]
+        again, _ = rsu.tick(4.0)
+        assert again.version == broadcast.version + 1
+        assert again.rrl is broadcast.rrl and again.misbehavior is broadcast.misbehavior
+        assert rsu.snapshot() is escalated
+
+    def test_publish_after_escalation_keeps_the_last_tick_version(self):
+        rsu = make_rsu()
+        rsu.seed(list(range(20)), 5)
+        ticked, _ = rsu.tick(1.0)
+        rsu.handle_report(report(2, 14), 2.0)
+        rsu.handle_report(report(5, 14), 2.5)  # escalation
+        answered = rsu.publish(2.5)
+        # The answer to a request carries the new rows under the version of the tick before them.
+        assert (answered.issuer, answered.version, answered.timestamp) == (rsu.id, ticked.version, 2.5)
+        assert answered.rrl is not ticked.rrl
+        assert (answered.rrl.entries[14], answered.misbehavior.get(14, 0)) == (4, 1)
+        assert (ticked.rrl.entries[14], ticked.misbehavior.get(14, 0)) == (5, 0)
+        # So a vehicle that holds the tick's publication keeps it.
+        holder = make_node(vid=0)
+        assert holder.handle_rrl_broadcast(ticked)
+        assert not holder.handle_rrl_broadcast(answered)
+        assert holder.cached_rrl is ticked
+        # The next tick publishes the same rows under the next version, sharing the answer's copy.
+        later, _ = rsu.tick(3.0)
+        assert later.version == ticked.version + 1
+        assert later.rrl is answered.rrl and later.misbehavior is answered.misbehavior
+        assert holder.handle_rrl_broadcast(later)
 
     def test_standing_read_from_the_snapshot_held(self):
         rsu = make_rsu()
@@ -697,17 +723,17 @@ class TestLedgerSnapshot:
         broadcast, _ = rsu.tick(1.0)
         holder = make_node(vid=0)
         assert holder.handle_rrl_broadcast(broadcast)
-        assert standing_of(holder.cached_rrl, 14) is RrlStanding.WATCH
+        assert standing_of(holder.cached_rrl.rrl, 14) is RrlStanding.WATCH
         rsu.handle_report(report(2, 14), 2.0)
         rsu.handle_report(report(5, 14), 2.5)  # escalation: 14 drops to 4 points, below min + th
-        assert standing_of(rsu.snapshot(), 14) is RrlStanding.FLAGGED
+        assert standing_of(rsu.snapshot()[0], 14) is RrlStanding.FLAGGED
         later, _ = rsu.tick(3.0)
         assert standing_of(later.rrl, 14) is RrlStanding.FLAGGED
         # The old publication keeps the standing it was published with.
-        assert holder.cached_rrl is broadcast.rrl
-        assert standing_of(holder.cached_rrl, 14) is RrlStanding.WATCH
+        assert holder.cached_rrl is broadcast
+        assert standing_of(holder.cached_rrl.rrl, 14) is RrlStanding.WATCH
         assert holder.handle_rrl_broadcast(later)
-        assert standing_of(holder.cached_rrl, 14) is RrlStanding.FLAGGED
+        assert standing_of(holder.cached_rrl.rrl, 14) is RrlStanding.FLAGGED
 
     def test_receivers_share_one_ledger(self):
         rsu = make_rsu()
@@ -715,7 +741,7 @@ class TestLedgerSnapshot:
         broadcast, _ = rsu.tick(1.0)
         a, b = make_node(vid=0), make_node(vid=1)
         assert a.handle_rrl_broadcast(broadcast) and b.handle_rrl_broadcast(broadcast)
-        assert a.cached_rrl is b.cached_rrl is broadcast.rrl
+        assert a.cached_rrl is b.cached_rrl is broadcast
 
     def test_receivers_share_seed_records(self, monkeypatch):
         rsu = make_rsu()
@@ -808,20 +834,31 @@ class TestLedgerAgainstRebuild:
         points = {v: p for v, (p, _) in rows.items()}
         assert rsu.ledger.entries == points
         assert rsu.misbehavior == {v: m for v, (_, m) in rows.items() if m > 0}
-        fresh = RsuReputationList(LocalReputationList(points), 0, 0)
+        fresh = LocalReputationList(points)
         bands = compute_trust_bands(points.values())
         for v in points:
             assert standing_of(rsu.ledger, v) is standing_of(fresh, v) is _STANDINGS[classify_trust(points[v], bands)]
         assert standing_of(rsu.ledger, 99) is RrlStanding.CLEAR
-        snapshot = rsu.snapshot()
-        assert snapshot.trust_bands() == bands
-        assert list(snapshot.entries) == sorted(points)
-        assert snapshot.entries == points and snapshot.misbehavior == rsu.misbehavior
+        rrl, misbehavior = rsu.snapshot()
+        assert rrl.trust_bands() == bands
+        assert list(rrl.entries) == sorted(points)
+        assert rrl.entries == points and misbehavior == rsu.misbehavior
 
     @pytest.mark.parametrize("anchor", [(50, -1, 0), (50, 1, -1)], ids=["points", "misbehavior"])
     def test_seed_rejects_negative_rows(self, anchor):
         with pytest.raises(ValueError, match="must be >= 0"):
             make_rsu().seed([1, 2], 5, [anchor])
+        # A rejected seed writes nothing: the unit keeps its rows and publishes what it published.
+        rsu = make_rsu()
+        rsu.seed([0, 1, 2], 5, [(9, 2, 3)])
+        ticked, _ = rsu.tick(1.0)
+        before = ledger_state(rsu)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            rsu.seed([0, 1, 2, 3], 7, [anchor])
+        assert ledger_state(rsu) == before == ({0: 5, 1: 5, 2: 5, 9: 2}, {9: 3})
+        following = rsu.publish(1.5)
+        assert following.rrl is ticked.rrl and following.misbehavior is ticked.misbehavior
+        assert (following.rrl.entries, following.misbehavior) == before
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -851,6 +888,7 @@ class TestLedgerAgainstRebuild:
                 rows[v] = (min(rows[v][0], p), max(rows[v][1], m))
 
         published = []  # (publication, its points, its misbehavior points) as published
+        last = {}  # unit index -> (its latest publication, the rows it published)
         now = 0.0
         for kind, unit, *args in steps:
             k = unit % units
@@ -878,8 +916,16 @@ class TestLedgerAgainstRebuild:
             else:
                 now += args[0]
                 broadcast, forwards = rsu.tick(now)
-                assert broadcast.rrl.version == rsu.version
-                published.append((broadcast.rrl, dict(broadcast.rrl.entries), dict(broadcast.rrl.misbehavior)))
+                assert (broadcast.issuer, broadcast.version) == (rsu.id, rsu.version)
+                if k in last:
+                    previous, previous_rows = last[k]
+                    assert broadcast.version == previous.version + 1
+                    # No row changed since the unit's previous publication: the same copies, under a new version.
+                    unchanged = rows == previous_rows
+                    assert (broadcast.rrl is previous.rrl) is unchanged
+                    assert (broadcast.misbehavior is previous.misbehavior) is unchanged
+                last[k] = broadcast, dict(rows)
+                published.append((broadcast, dict(broadcast.rrl.entries), dict(broadcast.misbehavior)))
                 digest = tuple((v, p, m) for v, (p, m) in sorted(rows.items()) if m > 0)
                 assert [f.entries for f in forwards] == ([digest] * len(rsu.adjacent) if digest else [])
                 blob = encode_rrl_broadcast(broadcast)
@@ -891,7 +937,7 @@ class TestLedgerAgainstRebuild:
             for other, other_rows in zip(rsus, models):
                 self.check(other, other_rows)
             # Later steps write the units' ledgers, never an earlier publication.
-            assert all(rrl.entries == pts and rrl.misbehavior == mis for rrl, pts, mis in published)
+            assert all(b.rrl.entries == pts and b.misbehavior == mis for b, pts, mis in published)
 
 
 class TestWireFormat:
@@ -911,9 +957,9 @@ class TestWireFormat:
     def test_ledger_wire_size_matches_encoder(self, rows):
         # The simulator counts a ledger's bytes from its row count: 29 fixed bytes plus 24 per row.
         points = LocalReputationList({v: v % 11 for v in range(rows)})
-        ledger = RsuReputationList(points, 3, 9000, {v: v % 3 for v in range(rows) if v % 3})
-        size = sim._RRL_FIXED_WIRE_BYTES + sim._RRL_ROW_WIRE_BYTES * len(ledger)
-        assert len(encode_rrl_broadcast(RrlBroadcast(ledger, 6.0))) == size == 29 + 24 * rows
+        b = RrlBroadcast(9000, 3, points, {v: v % 3 for v in range(rows) if v % 3}, 6.0)
+        size = sim._RRL_FIXED_WIRE_BYTES + sim._RRL_ROW_WIRE_BYTES * len(b.rrl)
+        assert len(encode_rrl_broadcast(b)) == size == 29 + 24 * rows
 
     def test_report_encoding(self):
         r = MisbehaviorReport(3, 9, 44, 2.0)
@@ -923,8 +969,7 @@ class TestWireFormat:
         assert (reporter, accused, event, ts, valid) == (3, 9, 44, 2.0, 1)
 
     def test_rrl_broadcast_encoding(self):
-        ledger = RsuReputationList(LocalReputationList({1: 5, 2: 9}), 3, 9000, {2: 1})
-        b = RrlBroadcast(ledger, 6.0)
+        b = RrlBroadcast(9000, 3, LocalReputationList({1: 5, 2: 9}), {2: 1}, 6.0)
         blob = encode_rrl_broadcast(b)
         assert len(blob) == 20 + 2 * 24 + 9
         issuer, version, count = struct.unpack_from("<QQI", blob)

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from irsim.protocol import RsuNode
 from irsim.reputation import (
     HeuristicBand,
     LocalReputationList,
     ReputationRecord,
     RrlStanding,
-    RsuReputationList,
     TrustDecision,
     TrustLevel,
     apply_point_delta,
@@ -25,6 +25,7 @@ from irsim.reputation import (
     rrl_is_stale,
     standing_of,
 )
+from irsim.scenario import ScenarioConfig
 
 
 def brute_force_bands(points):
@@ -252,7 +253,7 @@ class TestDecisionMatrix:
 
 class TestStaleness:
     def _rrl(self, members):
-        return RsuReputationList(LocalReputationList(dict.fromkeys(members, 5)), 1, 0)
+        return LocalReputationList(dict.fromkeys(members, 5))
 
     def test_under_half(self):
         rrl = self._rrl(range(4))
@@ -313,12 +314,12 @@ class TestPointDelta:
 
 class TestStandingNormalization:
     def test_absent_is_clear(self):
-        rrl = RsuReputationList(LocalReputationList({1: 5}), 1, 0)
+        rrl = LocalReputationList({1: 5})
         assert standing_of(rrl, 99) is RrlStanding.CLEAR
         assert standing_of(None, 1) is RrlStanding.CLEAR
 
     def test_band_mapping(self):
-        rrl = RsuReputationList(LocalReputationList(enumerate([13, 11, 7, 6, 4, 3, 1, 1])), 1, 0)
+        rrl = LocalReputationList(enumerate([13, 11, 7, 6, 4, 3, 1, 1]))
         assert standing_of(rrl, 0) is RrlStanding.CLEAR  # 13 points
         assert standing_of(rrl, 2) is RrlStanding.WATCH  # 7 points
         assert standing_of(rrl, 4) is RrlStanding.FLAGGED  # 4 points
@@ -327,7 +328,9 @@ class TestStandingNormalization:
 class TestPublishedBands:
     @given(st.dictionaries(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**62)))
     def test_bands_are_built_with_the_list(self, points):
-        rrl = RsuReputationList(LocalReputationList(points), 1, 0)
+        rsu = RsuNode(0, (0.0, 0.0), ScenarioConfig())
+        rsu.seed([], 0, [(vid, held, 0) for vid, held in points.items()])
+        rrl = rsu.publish(1.0).rrl
         bands = rrl.trust_bands()
         assert bands == (compute_trust_bands(points.values()) if points else None)
         assert rrl.trust_bands() is bands
@@ -464,9 +467,12 @@ class TestLrlBounds:
 
 class TestLoadFromPublication:
     def test_copies_points_and_counts_not_misbehavior(self):
-        rrl = RsuReputationList(LocalReputationList({1: 4, 2: 9}), 3, 100, {1: 2})
+        rsu = RsuNode(100, (0.0, 0.0), ScenarioConfig())
+        rsu.seed([], 0, [(1, 4, 2), (2, 9, 0)])
+        broadcast = rsu.publish(1.0)
+        assert broadcast.misbehavior == {1: 2}
         lrl = LocalReputationList()
-        lrl.load(rrl)
+        lrl.load(broadcast.rrl)
         assert lrl.entries == {1: 4, 2: 9}  # misbehavior points are not imported
         assert lrl._counts == {4: 1, 9: 1}
         assert not hasattr(lrl, "misbehavior")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irsim.protocol import RrlBroadcast, encode_rrl_broadcast
+from irsim.protocol import encode_rrl_broadcast
 from irsim.scenario import (
     MAX_ANCHORS,
     MAX_GRID_M,
@@ -256,7 +256,7 @@ class TestSizeCeilings:
         world = build_scenario(make_config({**overrides, "vehicle_count": 4, "attacker_count": 0, "duration": 1.0}))
         run(world)
         (rsu,) = world.rsus
-        assert len(encode_rrl_broadcast(RrlBroadcast(rsu.snapshot(), 1.0))) == 29 + 24 * len(rsu.ledger)
+        assert len(encode_rrl_broadcast(rsu.publish(1.0))) == 29 + 24 * len(rsu.ledger)
 
 
 class TestHash:

@@ -20,13 +20,14 @@ from irsim.protocol import (
     BEACON_FORMAT,
     Disposition,
     EventKind,
+    RrlBroadcast,
     RsuNode,
     _distance,
     encode_report,
     encode_rrl_broadcast,
     encode_warning,
 )
-from irsim.reputation import LocalReputationList, RsuReputationList
+from irsim.reputation import LocalReputationList
 from irsim.scenario import ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
 
@@ -323,7 +324,7 @@ class TestLedgerRequests:
         world = build_scenario(cfg)
         runner = sim._Runner(world)
         # Vehicle 0 holds a ledger newer than the roadside unit's broadcast, so it rejects that broadcast.
-        newer = RsuReputationList(LocalReputationList(dict.fromkeys(range(4), 5)), 10**6, 0)
+        newer = RrlBroadcast(0, 10**6, LocalReputationList(dict.fromkeys(range(4), 5)), {}, 0.0)
         world.nodes[0].cached_rrl = newer
         runner.handle_rsu_tick(0.0, 0)
         rrl_lines = [line.split("\t") for line in runner.log if "\tRRL\t" in line]
@@ -362,12 +363,12 @@ class TestHeldLedgersListEveryVehicle:
 
         def checked(t, positions):
             held = [node.cached_rrl for node in world.nodes]
-            for rrl in held:
-                assert rrl is None or rrl.entries.keys() >= set(range(n))
+            for broadcast in held:
+                assert broadcast is None or broadcast.rrl.entries.keys() >= set(range(n))
             start = len(runner.log)
             handle_requests(t, positions)
             asked = [int(line.split("\t")[2]) for line in runner.log[start:] if "\tREQ\t" in line]
-            assert asked == [i for i, rrl in enumerate(held) if rrl is None]
+            assert asked == [i for i, broadcast in enumerate(held) if broadcast is None]
             seen["rounds"] += 1
             seen["asked"] += len(asked)
             seen["held"] += n - len(asked)
