@@ -183,17 +183,17 @@ class VehicleNode:
     the transmission range: a sender is not believed about an event farther
     from it than it could transmit.
 
-    ``distance_noise`` models signal-strength ranging error: called with the
-    receiver's range to the sender in meters, it returns an additive offset.
-    Ranging error grows with range, so the offset distribution may depend on
-    the input.
+    ``normal`` models signal-strength ranging error: a zero-argument draw of
+    a unit normal, or None for exact distances. A decision scales each draw by
+    ``ranging_noise_sigma + ranging_noise_per_meter * r``, where ``r`` is the
+    receiver's range to the sender in meters, so the error grows with range.
     """
 
     def __init__(
         self,
         vehicle_id: VehicleId,
         config: ScenarioConfig,
-        distance_noise: Optional[Callable[[float], float]] = None,
+        normal: Optional[Callable[[], float]] = None,
     ) -> None:
         self.id = vehicle_id
         self.config = config
@@ -203,7 +203,7 @@ class VehicleNode:
         # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
         # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
         self.oldest_pending = math.inf
-        self._distance_noise = distance_noise
+        self._normal = normal
 
     # -- warnings ---------------------------------------------------------
 
@@ -226,17 +226,26 @@ class VehicleNode:
         if heard is None:
             return self._handle_lone(warning, now, None, 0.0)
 
-        # Each distance is measured once; the plausibility check and the band draw their own noise.
+        # Each distance is measured once; the plausibility check and the band draw their own noise,
+        # both scaled by the receiver's range to the sender. An estimate is clamped at 0.
+        cfg = self.config
         sender_at = heard.sender
-        ranging = _distance(heard.receiver, sender_at)
-        to_event = _distance(sender_at, warning.event_position)
-        if self._estimate_distance(to_event, ranging) > self.config.transmission_range:
+        estimate = to_event = _distance(sender_at, warning.event_position)
+        normal = self._normal
+        if normal is not None:
+            scale = cfg.ranging_noise_sigma + cfg.ranging_noise_per_meter * _distance(heard.receiver, sender_at)
+            estimate = to_event + scale * normal()
+            estimate = estimate if estimate > 0.0 else 0.0
+        if estimate > cfg.transmission_range:
             self._adjust(warning.sender, -1)
             report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
             return WarningOutcome(Disposition.REJECT, (report,))
-        # The band's estimate is drawn whether or not the decision reads it, so the noise stream
-        # does not depend on the sender's trust level.
-        return self._handle_lone(warning, now, heard, self._estimate_distance(to_event, ranging))
+        if normal is not None:
+            # The band's estimate is drawn whether or not the decision reads it, so the noise stream
+            # does not depend on the sender's trust level.
+            estimate = to_event + scale * normal()
+            estimate = estimate if estimate > 0.0 else 0.0
+        return self._handle_lone(warning, now, heard, estimate)
 
     def _handle_repeat(self, entry: PendingWarning, warning: Warning) -> WarningOutcome:
         sender = warning.sender
@@ -314,7 +323,8 @@ class VehicleNode:
 
     def _hold(self, entry: PendingWarning) -> None:
         self.pending[entry.warning.event_id] = entry
-        self.oldest_pending = min(self.oldest_pending, entry.first_seen)
+        if entry.first_seen < self.oldest_pending:
+            self.oldest_pending = entry.first_seen
 
     # -- pending buffer ----------------------------------------------------
 
@@ -381,19 +391,9 @@ class VehicleNode:
             return self.config.initial_points
         return (bands.min_points + bands.max_points) // 2
 
-    def _estimate_distance(self, true_distance: float, ranging: float) -> float:
-        """Signal-strength estimate of a sender-derived distance.
-
-        The ranging error scales with ``ranging``, how far away the measured sender is.
-        """
-        if self._distance_noise is None:
-            return true_distance
-        return max(0.0, true_distance + self._distance_noise(ranging))
-
     def _position_ok(self, pos: Position) -> bool:
+        # The grid is finite, so these comparisons also reject nan and infinities.
         x, y = pos
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return False
         w, h = self.config.grid
         return 0.0 <= x <= w and 0.0 <= y <= h
 

@@ -9,10 +9,12 @@ seed) pairs produce bit-identical event logs and metrics.
 
 Two deterministic random streams are used: one for world building and
 emission schedules (shared between pipelines so both see the same traffic
-and attacks), and one that only the ``Channel`` draws from, for link loss,
-arrival order and ranging noise. Beacon loss draws from neither: each beacon
-link's loss is a keyed hash of (seed, round index, sender, receiver), so
-beacon reception is worked out only for the links a warning reads.
+and attacks), and one that the ``Channel`` owns, for link loss, arrival
+order and ranging noise; vehicles draw their ranging noise from it through
+the unit normal the ``Channel`` hands them. Beacon loss draws from neither:
+each beacon link's loss is a keyed hash of (seed, round index, sender,
+receiver), so beacon reception is worked out only for the links a warning
+reads.
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 class Channel:
     """The radio: a unit disk with independent Bernoulli loss per directed link.
 
-    The only user of the channel random stream. Each draw keeps the order and
-    shape in which the event loop makes it, so a run stays reproducible:
-    loss draws, arrival orders and ranging noise all come from here. Beacon
-    loss is the exception: ``beacon_uniform`` is a counter-based draw keyed by
+    Owns the channel random stream. Each draw keeps the order and shape in
+    which the event loop makes it, so a run stays reproducible: loss draws,
+    arrival orders and ranging noise all come from here, the last through the
+    ``ranging_normal`` draw that vehicles call while they decide. Beacon loss
+    is the exception: ``beacon_uniform`` is a counter-based draw keyed by
     (``beacon_key``, round, sender, receiver), so a link's fate does not depend
     on which other links were evaluated, or when (Salmon et al., SC'11).
     """
@@ -181,23 +184,14 @@ class Channel:
         """A random permutation of ``ids``: the order in which they are served."""
         return self.rng.permutation(ids)
 
-    def ranging_noise(self, sigma: float, per_m: float) -> Optional[Callable[[float], float]]:
-        """Signal-strength ranging error for ``VehicleNode``, or None when both terms are 0.
+    def ranging_normal(self, sigma: float, per_m: float) -> Optional[Callable[[], float]]:
+        """The stream's unit normal draw for ``VehicleNode``'s ranging error, or None when both terms are 0.
 
-        A draw equals ``rng.normal(0.0, sigma + per_m * ranging)`` and leaves the stream where it
-        does: numpy's ``normal`` is loc + scale * standard normal, here without its broadcasting.
+        The vehicle scales each draw by ``sigma + per_m * ranging``. numpy's ``normal`` is
+        loc + scale * standard normal, so that equals ``rng.normal(0.0, sigma + per_m * ranging)``
+        and leaves the stream where it does.
         """
-        if not (sigma > 0 or per_m > 0):
-            return None
-        standard_normal = self.rng.standard_normal
-
-        def draw(ranging: float) -> float:
-            scale = sigma + per_m * ranging
-            if scale < 0:
-                raise ValueError("scale < 0")
-            return 0.0 + scale * standard_normal()
-
-        return draw
+        return self.rng.standard_normal if sigma > 0 or per_m > 0 else None
 
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
         """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed.
@@ -280,8 +274,8 @@ class SimWorld:
         self.channel = Channel(
             config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus, beacon_key
         )
-        noise = self.channel.ranging_noise(config.ranging_noise_sigma, config.ranging_noise_per_meter)
-        self.nodes: list[VehicleNode] = [VehicleNode(i, config, noise) for i in range(n)]
+        normal = self.channel.ranging_normal(config.ranging_noise_sigma, config.ranging_noise_per_meter)
+        self.nodes: list[VehicleNode] = [VehicleNode(i, config, normal) for i in range(n)]
 
         self.registry = EventRegistry()
         # Per-conflicting-attacker memory of true events they can distort.

@@ -1,0 +1,73 @@
+"""Print one SHA-256 over the event logs and metrics JSON of a fixed scenario sweep.
+
+A change meant to keep behaviour must leave the printed digest unchanged:
+run this script on the parent commit and on the change and compare the two
+lines. The sweep is
+
+- the benchmark's scenarios: 24 ``stock-irs`` (100 vehicles, 10 attackers,
+  20 s, seeds 0-23) and 32 ``dense-irs`` (200 vehicles, 20 attackers, 5 s,
+  seeds 0-31), both ``false-warning`` on the ``irs`` pipeline, with the
+  parameters of ``perfbench/run.py``'s ``WORKLOADS`` written out here;
+- the 8 golden configs of ``test_golden.py`` at seeds 0-2.
+
+Each scenario goes through ``cli.run_one``, which writes the files a user
+gets; the digest covers each file's own SHA-256, in sweep order. Run it as
+
+    python tests/digest_sweep.py
+
+It imports irsim from the ``src`` next to this file, so a second checkout
+gives its own digest. pytest does not collect it (its name has no ``test_``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from irsim import cli  # noqa: E402
+from irsim.scenario import make_config  # noqa: E402
+from test_golden import BASE, MATRIX  # noqa: E402
+
+# (vehicles, attackers, duration in s, scenario seeds), as perfbench's stock-irs and dense-irs.
+BENCHMARK_SWEEPS = ((100, 10, 20.0, range(24)), (200, 20, 5.0, range(32)))
+GOLDEN_SEEDS = range(3)
+
+
+def scenarios():
+    """(overrides, seed, pipeline) for every scenario in the sweep, in sweep order."""
+    for vehicles, attackers, duration, seeds in BENCHMARK_SWEEPS:
+        overrides = {
+            "vehicle_count": vehicles,
+            "attacker_count": attackers,
+            "attacker_profile": "false-warning",
+            "duration": duration,
+        }
+        for seed in seeds:
+            yield overrides, seed, "irs"
+    for overrides, pipeline, *_ in MATRIX.values():
+        for seed in GOLDEN_SEEDS:
+            yield {**BASE, **overrides}, seed, pipeline
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        for overrides, seed, pipeline in scenarios():
+            cli.run_one(make_config({**overrides, "seed": seed}), seed, pipeline, run_dir)
+            for suffix in (".log", ".json"):
+                path = run_dir / f"{pipeline}-seed{seed}{suffix}"
+                digest.update(hashlib.sha256(path.read_bytes()).digest())
+                path.unlink()
+            count += 1
+    print(f"{digest.hexdigest()}  {count} scenarios")
+
+
+if __name__ == "__main__":
+    main()

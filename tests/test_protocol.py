@@ -274,6 +274,27 @@ class TestWarningPipeline:
         out2 = node.handle_warning(Warning(1, 63, EventKind.ICE, (float("nan"), 0.0), 1.0), 1.0)
         assert out2.disposition is Disposition.REJECT
 
+    W, H = 1000.0, 40.0  # a grid whose sides differ, so a swapped bound shows
+
+    @pytest.mark.parametrize(
+        "pos,ok",
+        [
+            *(((bad, 0.0), False) for bad in (math.nan, math.inf, -math.inf)),
+            *(((0.0, bad), False) for bad in (math.nan, math.inf, -math.inf)),
+            ((math.nextafter(W, math.inf), 0.0), False),
+            ((0.0, math.nextafter(H, math.inf)), False),
+            ((math.nextafter(0.0, -math.inf), 0.0), False),
+            ((0.0, math.nextafter(0.0, -math.inf)), False),
+            ((0.0, 0.0), True),
+            ((-0.0, -0.0), True),
+            ((W, 0.0), True),
+            ((0.0, H), True),
+            ((W, H), True),
+        ],
+    )
+    def test_position_check_edges(self, pos, ok):
+        assert VehicleNode(0, ScenarioConfig(grid=(self.W, self.H)))._position_ok(pos) is ok
+
     def test_own_warning_ignored(self):
         node = self._node_with_neighbors()
         out = node.handle_warning(Warning(node.id, 64, EventKind.ICE, (120.0, 0.0), 1.0), 1.0)
@@ -323,32 +344,33 @@ class TestPlausibilityRadius:
 
 
 class TestRangingInput:
-    """Ranging noise is drawn for the receiver's range to the sender's last beacon position."""
+    """A decision draws unit normals and scales them by the receiver's range to the sender's last beacon position."""
 
     HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), extremes=lambda: ((100.0, 0.0), (400.0, 0.0)))
 
     @staticmethod
-    def recording_node(ranges):
-        node = VehicleNode(0, CFG, distance_noise=lambda ranging: ranges.append(ranging) or 0.0)
+    def recording_node(draws, config=CFG, value=0.0):
+        """A node whose unit normal always returns ``value`` and appends to ``draws`` on each call."""
+        node = VehicleNode(0, config, normal=lambda: draws.append(value) or value)
         seed_lrl(node, WORKED_POINTS)
         return node
 
     def test_implausibly_far_path(self):
-        ranges = []
-        out = self.recording_node(ranges).handle_warning(
+        draws = []
+        out = self.recording_node(draws).handle_warning(
             Warning(4, 50, EventKind.CRASH, (900.0, 0.0), 1.0), 1.0, self.HEARD
         )
         assert out.disposition is Disposition.REJECT and out.reports  # 800 m from the sender
-        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)]
+        assert len(draws) == 1
 
     def test_heuristic_band_path(self):
-        ranges = []
+        draws = []
         # Sender 1 is Top, so after the plausibility check its distance is ranged again for the band.
-        out = self.recording_node(ranges).handle_warning(
+        out = self.recording_node(draws).handle_warning(
             Warning(1, 51, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD
         )
         assert out.disposition is Disposition.ACCEPT
-        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)] * 2
+        assert len(draws) == 2
 
     @pytest.mark.parametrize("sender,level", [(3, TrustLevel.MEDIUM), (7, TrustLevel.LOW)], ids=["medium", "low"])
     def test_unbanded_decision_draws_the_band_noise_too(self, sender, level):
@@ -357,14 +379,29 @@ class TestRangingInput:
         def no_lookup():
             raise AssertionError("extremes() called below TOP trust")
 
-        ranges = []
-        node = self.recording_node(ranges)
+        draws = []
+        node = self.recording_node(draws)
         assert classify_trust(node.lrl.get(sender), node.lrl.trust_bands()) is level
         out = node.handle_warning(
             Warning(sender, 52, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD._replace(extremes=no_lookup)
         )
         assert out.disposition is not None
-        assert ranges == [_distance(self.HEARD.receiver, self.HEARD.sender)] * 2
+        assert len(draws) == 2
+
+    # (disposition, reports, draws): an implausible claim is rejected and reported after one draw.
+    @pytest.mark.parametrize(
+        "past,expected", [(0.0, (Disposition.ACCEPT, 0, 2)), (0.5, (Disposition.REJECT, 1, 1))], ids=["at", "past"]
+    )
+    def test_scale_is_the_receiver_to_sender_range(self, past, expected):
+        # With sigma 0, 1 per meter and a draw of 1, the estimate is the true distance plus the range.
+        # The receiver is 60 m from the sender (36 m along the road, 48 m across), and the event is
+        # 240 m from the sender: 240 + 60 m is exactly the 300 m transmission range.
+        config = ScenarioConfig(ranging_noise_sigma=0.0, ranging_noise_per_meter=1.0)
+        draws = []
+        node = self.recording_node(draws, config, value=1.0)
+        heard = Heard(receiver=(64.0, 48.0), sender=(100.0, 0.0), extremes=self.HEARD.extremes)
+        out = node.handle_warning(Warning(3, 53, EventKind.ICE, (340.0 + past, 0.0), 1.0), 1.0, heard)
+        assert (out.disposition, len(out.reports), len(draws)) == expected
 
 
 class TestPendingExpiry:

@@ -13,6 +13,7 @@ import pytest
 from eager_beacons import EagerRunner
 from hypothesis import given, settings, strategies as st
 from neighbors import last_heard
+from test_golden import BASE as GOLDEN_BASE, MATRIX as GOLDEN
 
 from irsim import protocol, reputation, sim
 from irsim.metrics import RunInfo, export, finalize, replay_event_log
@@ -176,30 +177,68 @@ class TestRadio:
         assert all(node.cached_rrl is None for node in world.nodes)
 
 
-class TestRangingNoise:
-    """``Channel.ranging_noise`` draws what ``rng.normal(0.0, sigma + per_m * ranging)`` draws."""
+NOISE_TERMS = pytest.mark.parametrize(
+    "sigma,per_m", [(5.0, 0.0), (0.0, 0.25), (5.0, 0.25)], ids=["sigma", "per-m", "both"]
+)
 
-    @pytest.mark.parametrize("sigma,per_m", [(5.0, 0.0), (0.0, 0.25), (5.0, 0.25)], ids=["sigma", "per-m", "both"])
+
+class TestRangingNoise:
+    """``Channel.ranging_normal`` scaled by ``sigma + per_m * ranging`` draws what ``rng.normal`` draws."""
+
+    @NOISE_TERMS
     def test_same_values_as_rng_normal(self, sigma, per_m):
         channel = make_channel(seed=7)
         twin = np.random.Generator(np.random.PCG64(7))
-        noise = channel.ranging_noise(sigma, per_m)
+        normal = channel.ranging_normal(sigma, per_m)
         for ranging in np.random.default_rng(1).uniform(0.0, 450.0, 2000).tolist() + [0.0, 1e6]:
-            assert noise(ranging) == float(twin.normal(0.0, sigma + per_m * ranging))
+            scale = sigma + per_m * ranging
+            assert scale * normal() == float(twin.normal(0.0, scale))
         # Both leave the stream at the same position.
         assert channel.rng.random() == twin.random()
 
     def test_both_terms_zero_means_no_noise(self):
-        assert make_channel().ranging_noise(0.0, 0.0) is None
+        assert make_channel().ranging_normal(0.0, 0.0) is None
 
-    def test_negative_scale_raises_like_rng_normal(self):
+    @NOISE_TERMS
+    def test_decision_estimates_match_rng_normal(self, sigma, per_m, monkeypatch):
+        # A TOP sender is banded by its estimated distance to the event, drawn after the plausibility
+        # estimate: max(0, true distance + rng.normal(0, sigma + per_m * receiver-to-sender range)).
+        banded = []
+        monkeypatch.setattr(protocol, "heuristic_band", lambda d, *_: banded.append(d) or protocol.HeuristicBand.NEAR)
+        cfg = ScenarioConfig(ranging_noise_sigma=sigma, ranging_noise_per_meter=per_m)
         channel = make_channel(seed=7)
         twin = np.random.Generator(np.random.PCG64(7))
-        with pytest.raises(ValueError):
-            twin.normal(0.0, 5.0 - 0.25 * 100.0)
-        with pytest.raises(ValueError):
-            channel.ranging_noise(5.0, 0.25)(-100.0)
+        node = protocol.VehicleNode(0, cfg, channel.ranging_normal(sigma, per_m))
+        for vid, pts in {1: 13, 2: 11, 3: 7, 7: 1}.items():
+            node.lrl.upsert(vid, pts)
+        place = np.random.default_rng(2)
+        sender_at = (500.0, 500.0)
+        for event_id in range(1, 401):
+            receiver = tuple(place.uniform(200.0, 800.0, 2).tolist())
+            event = (500.0 + float(place.uniform(0.0, 30.0)), 500.0)
+            heard = protocol.Heard(receiver, sender_at, lambda: (sender_at, sender_at))
+            out = node.handle_warning(protocol.Warning(1, event_id, EventKind.ICE, event, 1.0), 1.0, heard)
+            assert out.disposition is Disposition.ACCEPT
+            scale = sigma + per_m * _distance(receiver, sender_at)
+            twin.normal(0.0, scale)  # the plausibility draw
+            assert banded[-1] == max(0.0, _distance(sender_at, event) + float(twin.normal(0.0, scale)))
+        assert len(banded) == 400
+        assert banded.count(0.0) > 0  # some estimates were clamped
         assert channel.rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_run_makes_no_reference_cycles(name):
+    """A run frees everything by reference counting: with the collector off, a later pass finds nothing."""
+    overrides, pipeline, *_ = GOLDEN[name]
+    config = ScenarioConfig(**{**GOLDEN_BASE, **overrides, "duration": 10.0, "seed": 0})
+    gc.collect()
+    gc.disable()
+    try:
+        run(build_scenario(config, pipeline))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
