@@ -97,8 +97,9 @@ class DecisionLog:
         return len(self.records)
 
     def record(self, rec: DecisionRecord) -> None:
-        key = (rec.receiver, rec.event_id, rec.sender)
-        if rec.decision is _PENDING:
+        # (receiver, event_id, sender) and decision, by tuple index.
+        key = (rec[1], rec[3], rec[2])
+        if rec[5] is _PENDING:
             if key in self._final or key in self._pending:
                 raise MetricsError(f"duplicate provisional decision for {key}")
             self._pending[key] = rec
@@ -199,7 +200,9 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
     victims: set[int] = set()
     finals = log.final_records()
     for _time, receiver, _sender, _event, truth, decision, distance, _latency in finals:
-        idx = min(int(distance // BUCKET_WIDTH_M), last)
+        idx = int(distance // BUCKET_WIDTH_M)
+        if idx > last:
+            idx = last
         samples[idx] += 1
         if decision is _ACCEPT:
             accepts[idx] += 1

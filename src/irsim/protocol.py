@@ -72,16 +72,26 @@ class Warning:
     timestamp: float
 
 
-@dataclass(frozen=True, slots=True)
-class MisbehaviorReport:
+class _ReportFields(NamedTuple):
     reporter: VehicleId
     accused: VehicleId
     event_id: EventId
     timestamp: float
 
-    def __post_init__(self) -> None:
-        if self.reporter == self.accused:
+
+class MisbehaviorReport(_ReportFields):
+    """A vehicle's accusation of another vehicle: an immutable tuple, since every rejection and expiry builds one."""
+
+    __slots__ = ()
+
+    def __new__(cls, reporter: VehicleId, accused: VehicleId, event_id: EventId, timestamp: float):
+        if reporter == accused:
             raise ValueError("reporter and accused must differ")
+        return tuple.__new__(cls, (reporter, accused, event_id, timestamp))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> MisbehaviorReport:
+        return cls(*iterable)  # NamedTuple's _make (and so _replace) would skip the check in __new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +227,11 @@ class VehicleNode:
         """
         if warning.sender == self.id:
             return IGNORED
-        if not self._position_ok(warning.event_position):
+        cfg = self.config
+        # The grid is finite, so these comparisons also reject nan and infinities.
+        ex, ey = warning.event_position
+        width, height = cfg.grid
+        if not (0.0 <= ex <= width and 0.0 <= ey <= height):
             return REJECTED
 
         entry = self.pending.get(warning.event_id)
@@ -228,12 +242,12 @@ class VehicleNode:
 
         # Each distance is measured once; the plausibility check and the band draw their own noise,
         # both scaled by the receiver's range to the sender. An estimate is clamped at 0.
-        cfg = self.config
-        sender_at = heard.sender
-        estimate = to_event = _distance(sender_at, warning.event_position)
+        sx, sy = heard.sender
+        estimate = to_event = math.hypot(sx - ex, sy - ey)
         normal = self._normal
         if normal is not None:
-            scale = cfg.ranging_noise_sigma + cfg.ranging_noise_per_meter * _distance(heard.receiver, sender_at)
+            rx, ry = heard.receiver
+            scale = cfg.ranging_noise_sigma + cfg.ranging_noise_per_meter * math.hypot(rx - sx, ry - sy)
             estimate = to_event + scale * normal()
             estimate = estimate if estimate > 0.0 else 0.0
         if estimate > cfg.transmission_range:
@@ -390,12 +404,6 @@ class VehicleNode:
         if bands is None:
             return self.config.initial_points
         return (bands.min_points + bands.max_points) // 2
-
-    def _position_ok(self, pos: Position) -> bool:
-        # The grid is finite, so these comparisons also reject nan and infinities.
-        x, y = pos
-        w, h = self.config.grid
-        return 0.0 <= x <= w and 0.0 <= y <= h
 
 
 @dataclass

@@ -153,8 +153,12 @@ class LocalReputationList:
         return points
 
     def adjust(self, vehicle: VehicleId, delta: int, default_points: int) -> int:
-        """Shift the points of ``vehicle`` by ``delta``, floored at zero, entering it at ``default_points`` first."""
-        points = _shifted(self.ensure(vehicle, default_points), delta)
+        """Shift the points of ``vehicle`` by ``delta``, floored at zero, entering it at ``default_points`` first.
+
+        One read, one write: entering an absent vehicle at its shifted points ends in the same state.
+        """
+        held = self.entries.get(vehicle)
+        points = _shifted(default_points if held is None else held, delta)
         self.upsert(vehicle, points)
         return points
 

@@ -235,6 +235,7 @@ class SimWorld:
         self.direction = np.where(lane_index < config.lanes_per_direction, 1.0, -1.0)
         self.x0 = self.rng_sched.uniform(0.0, width, n)
         self.speed = self.rng_sched.uniform(config.speed_range[0], config.speed_range[1], n)
+        self.velocity = self.direction * self.speed  # x_at's first product, so positions keep their bits
 
         attacker_ids = (
             sorted(int(i) for i in self.rng_sched.choice(n, size=config.attacker_count, replace=False))
@@ -284,7 +285,7 @@ class SimWorld:
 
     def x_at(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Every vehicle's x at time ``t``, written to ``out`` when given."""
-        return np.mod(self.x0 + self.direction * self.speed * t, self.config.grid[0], out=out)
+        return np.mod(self.x0 + self.velocity * t, self.config.grid[0], out=out)
 
     def positions_at(self, t: float) -> np.ndarray:
         """Every vehicle's (x, y) at time ``t``, one row per vehicle."""
@@ -451,7 +452,7 @@ class _Runner:
         self.last_round = index
         n_due = int(np.count_nonzero(due))
         if n_due:
-            self.next_tx[due] += self.beacon_iv[due]
+            np.add(self.next_tx, self.beacon_iv, out=self.next_tx, where=due)
             self.counters["beacons_emitted"] += n_due
 
         # Randomize processing order: report arrival at the roadside unit
@@ -682,12 +683,13 @@ class _Runner:
         rounds = self.last_heard_round(askers, np.full(len(askers), sender), kmin)
         fresh = np.nonzero(rounds >= kmin)[0]
         readers = askers[fresh]
-        own = map(tuple, positions[readers].tolist())
+        own = positions[readers].tolist()
         sender_x = self.round_x[rounds[fresh] % self.ring, sender].tolist()
         sender_y = float(world.lane_y[sender])
-        event, last_round = warning.event_position, self.last_round
-        for i, r, at, x in zip(fresh.tolist(), readers.tolist(), own, sender_x):
-            facts[wanted[i]] = Heard(at, (x, sender_y), partial(self.extremes, r, event, kmin, last_round))
+        event, last_round, extremes = warning.event_position, self.last_round, self.extremes
+        new = tuple.__new__  # builds each Heard without the NamedTuple's Python-level __new__
+        for i, r, (ax, ay), x in zip(fresh.tolist(), readers.tolist(), own, sender_x):
+            facts[wanted[i]] = new(Heard, ((ax, ay), (x, sender_y), partial(extremes, r, event, kmin, last_round)))
         return facts
 
     def extremes(

@@ -45,6 +45,11 @@ from irsim.scenario import ScenarioConfig
 
 SEEDS = list(range(10))
 RUN_BUDGET_S = 60.0
+# Criterion 4: the window for the IRS median of victims.
+VICTIM_MEDIAN_BOUNDS = (2, 8)
+# Criterion 5: the least trusted fraction in the nearest bucket and in the 160 m bucket, and how many
+# inversions below 160 m are allowed, each at most how large.
+NEAREST_MIN, AT_160_MIN, MAX_INVERSIONS, MAX_INVERSION = 0.85, 0.45, 1, 0.05
 
 
 def check(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -55,18 +60,72 @@ def check(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """10 seeds x {irs, accept-all} at the stock scenario, 10 attackers."""
+def stock_config(seed: int) -> ScenarioConfig:
+    """The sweep's scenario: the stock one with 10 false-warning attackers."""
+    return ScenarioConfig(attacker_count=10, seed=seed)
+
+
+def run_sweep(seeds):
+    """{(pipeline, seed): (result, wall seconds)} for ``seeds`` x {irs, accept-all} on ``stock_config``."""
     results = {}
     for pipeline in ("irs", "accept-all"):
-        for seed in SEEDS:
-            config = ScenarioConfig(attacker_count=10, seed=seed)
+        for seed in seeds:
+            config = stock_config(seed)
             started = time.perf_counter()
             result = sim.run(sim.build_scenario(config, pipeline))
             wall = time.perf_counter() - started
             results[(pipeline, seed)] = (result, wall)
     return results
+
+
+def victim_values(results, seeds):
+    """Criterion 4's values over ``seeds``: IRS victims per seed, baseline victims per seed, the IRS median."""
+    irs = [results[("irs", s)][0].report.victims for s in seeds]
+    baseline = [results[("accept-all", s)][0].report.victims for s in seeds]
+    return irs, baseline, statistics.median(irs)
+
+
+def victims_ok(irs, baseline, median) -> bool:
+    """Criterion 4 without its time budget: IRS below the baseline on every seed, its median in the window."""
+    low, high = VICTIM_MEDIAN_BOUNDS
+    return all(a < b for a, b in zip(irs, baseline)) and low <= median <= high
+
+
+def trusted_fraction_values(results, seeds):
+    """Criterion 5's values over ``seeds``, IRS buckets pooled: nearest, 160 m, and the inversions below 160 m.
+
+    An inversion is a rise in trusted fraction from one bucket to the next, nearest first, over the
+    buckets up to the one below 160 m.
+    """
+    pooled: dict[float, list[int]] = {}
+    for seed in seeds:
+        report = results[("irs", seed)][0].report
+        for b in report.buckets:
+            agg = pooled.setdefault(b.low_m, [0, 0])
+            agg[0] += b.samples
+            agg[1] += round(b.trusted_fraction * b.samples)
+    fractions = [
+        (low, correct / samples if samples else 0.0)
+        for low, (samples, correct) in sorted(pooled.items())
+    ]
+    upto = [f for low, f in fractions if low <= 160.0 - BUCKET_WIDTH_M]
+    inversions = [upto[i + 1] - upto[i] for i in range(len(upto) - 1) if upto[i + 1] > upto[i]]
+    return fractions[0][1], dict(fractions)[160.0], inversions
+
+
+def trusted_fraction_ok(nearest, at_160, inversions) -> bool:
+    return (
+        nearest >= NEAREST_MIN
+        and at_160 >= AT_160_MIN
+        and len(inversions) <= MAX_INVERSIONS
+        and all(v <= MAX_INVERSION for v in inversions)
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """10 seeds x {irs, accept-all} at the stock scenario, 10 attackers."""
+    return run_sweep(SEEDS)
 
 
 class TestCriterion1:
@@ -140,15 +199,12 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_victim_reproduction(self, sweep):
-        irs_victims = [sweep[("irs", s)][0].report.victims for s in SEEDS]
-        baseline_victims = [sweep[("accept-all", s)][0].report.victims for s in SEEDS]
-        strictly_less = all(a < b for a, b in zip(irs_victims, baseline_victims))
-        median = statistics.median(irs_victims)
+        irs_victims, baseline_victims, median = victim_values(sweep, SEEDS)
         walls = [sweep[(p, s)][1] for p in ("irs", "accept-all") for s in SEEDS]
-        ok = strictly_less and 2 <= median <= 8 and max(walls) < RUN_BUDGET_S
+        ok = victims_ok(irs_victims, baseline_victims, median) and max(walls) < RUN_BUDGET_S
         check(
             4,
-            "victims strictly below baseline on every seed, median in [2, 8]",
+            f"victims strictly below baseline on every seed, median in {list(VICTIM_MEDIAN_BOUNDS)}",
             ok,
             f"irs={irs_victims}, baseline_median={statistics.median(baseline_victims)}, "
             f"median={median}, max_wall={max(walls):.1f}s",
@@ -157,31 +213,11 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_trusted_fraction_by_distance(self, sweep):
-        pooled: dict[float, list[int]] = {}
-        for seed in SEEDS:
-            report = sweep[("irs", seed)][0].report
-            for b in report.buckets:
-                agg = pooled.setdefault(b.low_m, [0, 0])
-                agg[0] += b.samples
-                agg[1] += round(b.trusted_fraction * b.samples)
-        fractions = [
-            (low, correct / samples if samples else 0.0)
-            for low, (samples, correct) in sorted(pooled.items())
-        ]
-        by_low = dict(fractions)
-        nearest = fractions[0][1]
-        at_160 = by_low[160.0]
-        upto = [f for low, f in fractions if low <= 160.0 - BUCKET_WIDTH_M]
-        inversions = [upto[i + 1] - upto[i] for i in range(len(upto) - 1) if upto[i + 1] > upto[i]]
-        ok = (
-            nearest >= 0.85
-            and at_160 >= 0.45
-            and len(inversions) <= 1
-            and all(v <= 0.05 for v in inversions)
-        )
+        nearest, at_160, inversions = trusted_fraction_values(sweep, SEEDS)
+        ok = trusted_fraction_ok(nearest, at_160, inversions)
         check(
             5,
-            "trusted fraction: nearest >= 0.85, 160 m >= 0.45, near-monotone",
+            f"trusted fraction: nearest >= {NEAREST_MIN}, 160 m >= {AT_160_MIN}, near-monotone",
             ok,
             f"nearest={nearest:.4f}, at160={at_160:.4f}, inversions={[round(v, 5) for v in inversions]}",
         )

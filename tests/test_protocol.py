@@ -1,6 +1,5 @@
 """Vehicle and roadside-unit state machine tests."""
 
-import dataclasses
 import math
 import struct
 
@@ -11,6 +10,7 @@ from neighbors import heard_from, last_heard
 
 from irsim import sim
 from irsim.protocol import (
+    REJECTED,
     Disposition,
     EventKind,
     Heard,
@@ -293,7 +293,19 @@ class TestWarningPipeline:
         ],
     )
     def test_position_check_edges(self, pos, ok):
-        assert VehicleNode(0, ScenarioConfig(grid=(self.W, self.H)))._position_ok(pos) is ok
+        node = VehicleNode(0, ScenarioConfig(grid=(self.W, self.H)))
+        out = node.handle_warning(Warning(1, 62, EventKind.ICE, pos, 1.0), 1.0)
+        if not ok:
+            # Outside the grid: the shared rejection, no report, nothing held.
+            assert out is REJECTED
+            assert node.pending == {}
+            return
+        # Inside the grid the check passes; the unheard lone path then rejects with a report and holds the event.
+        assert out is not REJECTED
+        assert out.disposition is Disposition.REJECT
+        assert out.reports == (MisbehaviorReport(0, 1, 62, 1.0),)
+        assert type(out.reports[0]) is MisbehaviorReport
+        assert list(node.pending) == [62]
 
     def test_own_warning_ignored(self):
         node = self._node_with_neighbors()
@@ -421,6 +433,7 @@ class TestPendingExpiry:
         assert out.finalized == ((7, 60, Disposition.REJECT),)
         assert len(out.reports) == 1
         assert out.reports[0].accused == 7
+        assert type(out.reports[0]) is MisbehaviorReport
         assert node.lrl.get(7) == before - 1
         assert 60 not in node.pending
 
@@ -645,8 +658,19 @@ class TestRsuReports:
             report(2, 2)
         # A copy with a changed field runs the same check.
         with pytest.raises(ValueError):
-            dataclasses.replace(report(2, 14), accused=2)
-        assert dataclasses.replace(report(2, 14), accused=9) == report(2, 9)
+            report(2, 14)._replace(accused=2)
+        assert report(2, 14)._replace(accused=9) == report(2, 9)
+
+    def test_report_make_runs_the_check(self):
+        with pytest.raises(ValueError):
+            MisbehaviorReport._make((2, 2, 1, 0.0))
+        assert MisbehaviorReport._make((2, 14, 1, 0.0)) == report(2, 14, event_id=1)
+
+    def test_report_fields_are_read_only(self):
+        r = report(2, 14)
+        with pytest.raises(AttributeError):
+            r.accused = 9
+        assert r == (2, 14, 7, 0.0)
 
     def test_misbehavior_never_decreases(self):
         rsu = make_rsu()

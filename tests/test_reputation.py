@@ -1,6 +1,7 @@
 """Unit and property tests for the pure reputation core."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -411,6 +412,7 @@ class TestLrlBounds:
         else:
             bands = lrl.trust_bands()
             assert (bands.min_points, bands.max_points) == (min(pts), max(pts))
+        assert lrl._counts == Counter(pts)
 
     @given(st.lists(st.tuples(_vehicles, _points), max_size=20), _ledger_ops)
     def test_bounds_match_brute_force(self, initial, ops):
