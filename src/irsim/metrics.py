@@ -227,7 +227,7 @@ def finalize(log: DecisionLog, info: RunInfo) -> MetricsReport:
     counts = ((_ACCEPT, accepted), (Disposition.REJECT, len(finals) - accepted))
     histogram = {DISPOSITION_NAMES[d]: n for d, n in counts if n}
 
-    latencies = [r.latency_ns for r in log.records if r.latency_ns is not None]
+    latencies = [r[7] for r in log.records if r[7] is not None]  # latency_ns
     mean_ns = float(statistics.fmean(latencies)) if latencies else None
     median_ns = float(statistics.median(latencies)) if latencies else None
 

@@ -150,13 +150,14 @@ class Heard(NamedTuple):
     """What a receiver's beacon rounds say about one warning, as (x, y) positions.
 
     ``receiver`` is where it is now and ``sender`` where the sender was at its last beacon.
-    ``extremes()`` returns (nearest, farthest): where the fresh neighbors nearest to and farthest
-    from the event were at their last beacons. Only a decision that bands the sender calls it.
+    ``extremes(receiver_id)`` returns (nearest, farthest): where the receiver's fresh neighbors
+    nearest to and farthest from the event were at their last beacons. Only a decision that bands
+    the sender calls it, with its own id, so the facts of one warning can share one lookup.
     """
 
     receiver: Position
     sender: Position
-    extremes: Callable[[], tuple[Position, Position]]
+    extremes: Callable[[VehicleId], tuple[Position, Position]]
 
 
 class WarningOutcome(NamedTuple):
@@ -166,7 +167,9 @@ class WarningOutcome(NamedTuple):
     and for a pass over the buffer. ``finalized`` lists earlier pending
     messages this call resolved, as (sender, event_id, disposition) tuples.
     The outcomes that carry no report and finalize nothing are the shared
-    constants below, so most calls allocate no result.
+    constants below, so most calls allocate no result. The others are built
+    with ``tuple.__new__`` and all three fields: the type checks nothing, so
+    that skips only the Python-level ``__new__``.
     """
 
     disposition: Optional[Disposition]
@@ -253,7 +256,7 @@ class VehicleNode:
         if estimate > cfg.transmission_range:
             self._adjust(warning.sender, -1)
             report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
-            return WarningOutcome(Disposition.REJECT, (report,))
+            return tuple.__new__(WarningOutcome, (Disposition.REJECT, (report,), ()))
         if normal is not None:
             # The band's estimate is drawn whether or not the decision reads it, so the noise stream
             # does not depend on the sender's trust level.
@@ -274,9 +277,8 @@ class VehicleNode:
                 for vid in entry.corroborators:
                     self._adjust(vid, +1)
                 entry.state = PendingState.RESOLVED
-                outcome = WarningOutcome(
-                    Disposition.ACCEPT, (), ((entry.warning.sender, warning.event_id, Disposition.ACCEPT),)
-                )
+                finalized = ((entry.warning.sender, warning.event_id, Disposition.ACCEPT),)
+                outcome = tuple.__new__(WarningOutcome, (Disposition.ACCEPT, (), finalized))
             self._adjust(sender, +1)
             entry.corroborators.add(sender)
             return outcome
@@ -292,13 +294,13 @@ class VehicleNode:
         """
         sender = warning.sender
         points = self.lrl.get(sender)
-        if points is None:  # neutral entry points matter only for a sender not held yet
-            points = self.lrl.ensure(sender, self._default_points())
+        if points is None:
+            points = self.lrl.ensure(sender, self.config.initial_points)
 
         # Never heard a beacon from this sender: assume the worst.
         level = TrustLevel.LOW if heard is None else classify_trust(points, self.lrl.trust_bands())
         if level is TrustLevel.TOP:
-            nearest, farthest = heard.extremes()
+            nearest, farthest = heard.extremes(self.id)
             event = warning.event_position
             band = heuristic_band(distance, _distance(nearest, event), _distance(farthest, event))
             if self._heuristic_acceptable(band):
@@ -314,7 +316,7 @@ class VehicleNode:
             self._adjust(sender, -1)
             self._remember(warning, now)
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
-            return WarningOutcome(Disposition.REJECT, (report,))
+            return tuple.__new__(WarningOutcome, (Disposition.REJECT, (report,), ()))
         # Unsure: hold the message and wait for somebody else to confirm it.
         self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
         return PENDING
@@ -379,7 +381,7 @@ class VehicleNode:
         self.oldest_pending = oldest
         if not finalized:
             return IGNORED
-        return WarningOutcome(None, tuple(reports), tuple(finalized))
+        return tuple.__new__(WarningOutcome, (None, tuple(reports), tuple(finalized)))
 
     # -- network ledger ----------------------------------------------------
 
@@ -396,14 +398,7 @@ class VehicleNode:
     # -- internals ---------------------------------------------------------
 
     def _adjust(self, vehicle: VehicleId, delta: int) -> None:
-        self.lrl.adjust(vehicle, delta, self._default_points())
-
-    def _default_points(self) -> int:
-        """Neutral entry points for a sender we have no history with: the middle of the ledger's range."""
-        bands = self.lrl.trust_bands()
-        if bands is None:
-            return self.config.initial_points
-        return (bands.min_points + bands.max_points) // 2
+        self.lrl.adjust(vehicle, delta, self.config.initial_points)
 
 
 @dataclass

@@ -144,23 +144,32 @@ class LocalReputationList:
             self._bands = TrustBands(self._lo, self._hi)
         return self._bands
 
-    def ensure(self, vehicle: VehicleId, default_points: int) -> int:
-        """Return the points of ``vehicle``, entering it at ``default_points`` first if absent."""
+    def ensure(self, vehicle: VehicleId, initial_points: int) -> int:
+        """Return the points of ``vehicle``, entering it at the neutral points first if absent.
+
+        The neutral points are the middle of the range held, ``(lo + hi) // 2``, or ``initial_points``
+        while the list is empty; they are worked out only for an absent vehicle.
+        """
         points = self.entries.get(vehicle)
         if points is None:
-            points = default_points
+            points = self._neutral(initial_points)
             self.upsert(vehicle, points)
         return points
 
-    def adjust(self, vehicle: VehicleId, delta: int, default_points: int) -> int:
-        """Shift the points of ``vehicle`` by ``delta``, floored at zero, entering it at ``default_points`` first.
+    def adjust(self, vehicle: VehicleId, delta: int, initial_points: int) -> int:
+        """Shift the points of ``vehicle`` by ``delta``, floored at zero, entering it at the neutral points first.
 
-        One read, one write: entering an absent vehicle at its shifted points ends in the same state.
+        The neutral points are those of ``ensure``, worked out only for an absent vehicle. One read, one
+        write: entering an absent vehicle at its shifted points ends in the same state.
         """
         held = self.entries.get(vehicle)
-        points = _shifted(default_points if held is None else held, delta)
+        points = _shifted(self._neutral(initial_points) if held is None else held, delta)
         self.upsert(vehicle, points)
         return points
+
+    def _neutral(self, initial_points: int) -> int:
+        """Entry points for a vehicle with no history: the middle of the range held, or ``initial_points``."""
+        return (self._lo + self._hi) // 2 if self.entries else initial_points
 
     def _count_in(self, points: int) -> None:
         held = self._counts.get(points, 0)

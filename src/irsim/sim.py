@@ -595,10 +595,12 @@ class _Runner:
         ``texts`` are the ranges as the lines print them, ``facts`` each receiver's beacon facts (irs),
         and ``positions`` every vehicle's at ``now``. The timed window holds only the decision itself:
         ``VehicleNode.handle_warning`` (irs) or the constant accept (accept-all). A decision that
-        finalized or reported something is settled right after its own line.
+        finalized or reported something is settled right after its own line. Each record is built
+        without ``DecisionRecord``'s Python-level ``__new__``, after the same distance check.
         """
         nodes, irs, oldest_pending = self.world.nodes, self.irs, self.oldest_pending
         record, append, clock = self.decisions.record, self.log.append, time.perf_counter_ns
+        new = tuple.__new__
         sender, event_id = warning.sender, warning.event_id
         # Each line is head, receiver, middle, decision, tail, distance.
         head = f"{self.head(now, 'DELIVER')}{sender}\t"
@@ -619,7 +621,10 @@ class _Runner:
                 disposition = Disposition.ACCEPT
                 latency = clock() - started
             delivered += 1
-            record(DecisionRecord(now, r, sender, event_id, truth, disposition, float(text), latency))
+            distance = float(text)
+            if distance < 0:
+                raise ValueError("distance must be >= 0")
+            record(new(DecisionRecord, (now, r, sender, event_id, truth, disposition, distance, latency)))
             append(f"{head}{r}{middle}{DISPOSITION_NAMES[disposition]}{tail}{text}")
             if irs and (outcome.finalized or outcome.reports):
                 self.settle(r, "RESOLVE", outcome, now, positions)
@@ -669,8 +674,9 @@ class _Runner:
         None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
         already holds the event: a repeat reads no facts, so its beacons are not worked out.
         ``positions`` are every vehicle's at ``now`` (``SimWorld.positions_at``); past positions come
-        from ``round_x``. Each fact's ``extremes`` calls ``_Runner.extremes`` for its receiver, so only
-        a decision that bands the sender pays for the neighbor lookup.
+        from ``round_x``. Every fact shares one ``extremes``: ``_Runner.extremes`` with the event, the
+        first fresh round and this round bound, which the decision calls with its own id. So only a
+        decision that bands the sender pays for the neighbor lookup, and no reader pays to bind it.
         """
         world, sender, event_id = self.world, warning.sender, warning.event_id
         facts: list[Optional[Heard]] = [None] * len(receivers)
@@ -682,14 +688,13 @@ class _Runner:
         askers = receivers[wanted]
         rounds = self.last_heard_round(askers, np.full(len(askers), sender), kmin)
         fresh = np.nonzero(rounds >= kmin)[0]
-        readers = askers[fresh]
-        own = positions[readers].tolist()
+        own = positions[askers[fresh]].tolist()
         sender_x = self.round_x[rounds[fresh] % self.ring, sender].tolist()
         sender_y = float(world.lane_y[sender])
-        event, last_round, extremes = warning.event_position, self.last_round, self.extremes
+        extremes = partial(self.extremes, event=warning.event_position, kmin=kmin, last_round=self.last_round)
         new = tuple.__new__  # builds each Heard without the NamedTuple's Python-level __new__
-        for i, r, (ax, ay), x in zip(fresh.tolist(), readers.tolist(), own, sender_x):
-            facts[wanted[i]] = new(Heard, ((ax, ay), (x, sender_y), partial(extremes, r, event, kmin, last_round)))
+        for i, (ax, ay), x in zip(fresh.tolist(), own, sender_x):
+            facts[wanted[i]] = new(Heard, ((ax, ay), (x, sender_y), extremes))
         return facts
 
     def extremes(
@@ -698,7 +703,8 @@ class _Runner:
         """Where ``receiver``'s fresh neighbors nearest to and farthest from ``event`` were at their last beacons.
 
         Fresh neighbors are those heard in round ``kmin`` or later. The lookup reads the rounds as round
-        ``last_round`` left the ring, so it fails once a later round has run. A tie goes to the lowest id.
+        ``last_round`` left the ring, so it fails once a later round has run. ``heard`` binds all but
+        ``receiver`` once per warning. A tie goes to the lowest id.
         np.hypot can differ from math.hypot in the last bit, so it only picks the two; the decision
         measures them again.
         """
@@ -735,16 +741,18 @@ class _Runner:
     def settle(self, idx: int, kind: str, outcome: WarningOutcome, now: float, positions: np.ndarray) -> None:
         """Write the RESOLVE or EXPIRE record of each warning ``outcome`` finalized, then route its reports.
 
-        Truth and distance come from the warning's PENDING record.
+        Truth and distance come from the warning's PENDING record, which passed ``DecisionRecord``'s
+        check, so the final record is built from them without running it again.
         """
         head = self.head(now, kind)
+        decisions, new = self.decisions, tuple.__new__
         for sender, event_id, disposition in outcome.finalized:
-            held = self.decisions.provisional(idx, event_id, sender)
-            truth = held.ground_truth
-            self.decisions.record(DecisionRecord(now, idx, sender, event_id, truth, disposition, held.distance_m))
+            held = decisions.provisional(idx, event_id, sender)
+            truth, distance = held[4], held[6]  # ground_truth, distance_m
+            decisions.record(new(DecisionRecord, (now, idx, sender, event_id, truth, disposition, distance, None)))
             self.log.append(
                 f"{head}{sender}\t{idx}\t{event_id}\t{DISPOSITION_NAMES[disposition]}"
-                f"\t{'1' if truth else '0'}\t{held.distance_m:.3f}"
+                f"\t{'1' if truth else '0'}\t{distance:.3f}"
             )
         for report in outcome.reports:
             self.route_report(idx, report, now, positions)
@@ -754,7 +762,9 @@ class _Runner:
         now = self.cfg.duration + self.cfg.pending_ttl + 0.001
         positions = self.world.positions_at(self.cfg.duration)
         for idx, node in enumerate(self.world.nodes):
-            self.settle(idx, "EXPIRE", node.expire_pending(now), now, positions)
+            outcome = node.expire_pending(now)
+            if outcome.finalized:
+                self.settle(idx, "EXPIRE", outcome, now, positions)
 
     # -- reporting -------------------------------------------------------------
 

@@ -44,6 +44,7 @@ class EagerRunner(sim._Runner):
     def heard(self, receivers, warning, now, positions):
         world, sender = self.world, warning.sender
         kmin = self.first_fresh_round(now)
+        extremes = partial(self.extremes, event=warning.event_position, kmin=kmin, last_round=self.last_round)
         facts = [None] * len(receivers)
         for i, r in enumerate(receivers.tolist()):
             index = int(self.heard_round[r, sender])
@@ -51,7 +52,7 @@ class EagerRunner(sim._Runner):
                 continue
             at = tuple(positions[r].tolist())
             sender_at = (self.x_heard(sender, index), float(world.lane_y[sender]))
-            facts[i] = Heard(at, sender_at, partial(self.extremes, r, warning.event_position, kmin, self.last_round))
+            facts[i] = Heard(at, sender_at, extremes)
         return facts
 
     def extremes(self, receiver, event, kmin, last_round):

@@ -13,16 +13,20 @@ import numpy as np
 from irsim.protocol import Heard, Warning, _distance
 
 
-def heard_from(neighbors: dict, warning: Warning, receiver=(0.0, 0.0)) -> Optional[Heard]:
+def heard_from(
+    neighbors: dict, warning: Warning, receiver=(0.0, 0.0), receiver_id: Optional[int] = None
+) -> Optional[Heard]:
     """The facts ``neighbors`` give ``warning`` at ``receiver``; None when its sender is not among them.
 
-    ``extremes()`` finds the nearest and farthest neighbor to the event when called, as the
-    simulator's does; a tie goes to the lowest id.
+    ``extremes(receiver_id)`` finds the nearest and farthest neighbor to the event when called, as
+    the simulator's does; a tie goes to the lowest id. Given ``receiver_id``, it also checks that
+    the decision passed that id.
     """
     if warning.sender not in neighbors:
         return None
 
-    def extremes():
+    def extremes(caller):
+        assert receiver_id is None or caller == receiver_id, (caller, receiver_id)
         ids = sorted(neighbors)
         nearest = min(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
         farthest = max(ids, key=lambda v: _distance(neighbors[v], warning.event_position))

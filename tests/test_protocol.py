@@ -53,7 +53,7 @@ class HandPlacedNode(VehicleNode):
         self.placed: dict = {}
 
     def handle_warning(self, warning, now):
-        return super().handle_warning(warning, now, heard_from(self.placed, warning))
+        return super().handle_warning(warning, now, heard_from(self.placed, warning, receiver_id=self.id))
 
 
 def make_node(vid=0, config=CFG):
@@ -130,7 +130,7 @@ class TestBeacons:
         assert heard_one(runner, 0, 5, 2.0) is None
         heard = heard_one(runner, 0, 6, 2.0)
         # 6 is the only fresh neighbor, so it is both the nearest and the farthest.
-        assert heard.extremes() == (heard.sender, heard.sender)
+        assert heard.extremes(0) == (heard.sender, heard.sender)
         assert heard.sender == tuple(runner.world.positions_at(2.0)[6])
 
     def test_own_beacon_ignored(self):
@@ -141,7 +141,7 @@ class TestBeacons:
         facts = [heard_one(runner, 3, s, 0.0, event=own) for s in range(runner.world.n) if s != 3]
         assert all(h is not None and h.receiver == own for h in facts)
         # An event where 3 stands: its nearest fresh neighbor is another vehicle.
-        assert facts[0].extremes()[0] != own
+        assert facts[0].extremes(3)[0] != own
 
 
 class TestWarningPipeline:
@@ -358,7 +358,7 @@ class TestPlausibilityRadius:
 class TestRangingInput:
     """A decision draws unit normals and scales them by the receiver's range to the sender's last beacon position."""
 
-    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), extremes=lambda: ((100.0, 0.0), (400.0, 0.0)))
+    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), extremes=lambda _id: ((100.0, 0.0), (400.0, 0.0)))
 
     @staticmethod
     def recording_node(draws, config=CFG, value=0.0):
@@ -388,8 +388,8 @@ class TestRangingInput:
     def test_unbanded_decision_draws_the_band_noise_too(self, sender, level):
         # Below TOP trust the sender is not banded and no neighbor is looked up, but the band's ranging
         # draw is still made, so the noise stream does not depend on trust.
-        def no_lookup():
-            raise AssertionError("extremes() called below TOP trust")
+        def no_lookup(receiver_id):
+            raise AssertionError(f"extremes({receiver_id}) called below TOP trust")
 
         draws = []
         node = self.recording_node(draws)

@@ -420,15 +420,30 @@ class TestLrlBounds:
         self.check(lrl)
         for op, vid, *args in ops:
             before = lrl.get(vid)
+            held = list(lrl.entries.values())
+            # An absent vehicle enters at the middle of the range held, or at the given points when empty.
+            neutral = (min(held) + max(held)) // 2 if held else args[-1]
             if op == "upsert":
                 lrl.upsert(vid, args[0])
             elif op == "ensure":
-                assert lrl.ensure(vid, args[0]) == (args[0] if before is None else before)
+                assert lrl.ensure(vid, args[0]) == (neutral if before is None else before)
             else:
                 points = lrl.adjust(vid, args[0], args[1])
-                start = args[1] if before is None else before
+                start = neutral if before is None else before
                 assert points == lrl.get(vid) == max(0, start + args[0])
             self.check(lrl)
+
+    def test_absent_vehicle_enters_mid_range(self):
+        lrl = LocalReputationList({1: 2, 2: 9})
+        assert lrl.adjust(5, +1, 40) == (2 + 9) // 2 + 1
+        assert lrl.adjust(6, -9, 40) == 0  # (2 + 9) // 2 - 9, floored
+        assert lrl.ensure(7, 40) == (0 + 9) // 2  # 6's zero moved the low end
+        self.check(lrl)
+
+    def test_absent_vehicle_on_empty_ledger_enters_at_initial_points(self):
+        assert LocalReputationList().adjust(5, -2, 7) == 5
+        assert LocalReputationList().adjust(5, -9, 7) == 0
+        assert LocalReputationList().ensure(3, 7) == 7
 
     def test_load_keeps_last_record_per_vehicle(self):
         lrl = LocalReputationList([(1, 2), (2, 9), (1, 5)])

@@ -216,7 +216,7 @@ class TestRangingNoise:
         for event_id in range(1, 401):
             receiver = tuple(place.uniform(200.0, 800.0, 2).tolist())
             event = (500.0 + float(place.uniform(0.0, 30.0)), 500.0)
-            heard = protocol.Heard(receiver, sender_at, lambda: (sender_at, sender_at))
+            heard = protocol.Heard(receiver, sender_at, lambda _id: (sender_at, sender_at))
             out = node.handle_warning(protocol.Warning(1, event_id, EventKind.ICE, event, 1.0), 1.0, heard)
             assert out.disposition is Disposition.ACCEPT
             scale = sigma + per_m * _distance(receiver, sender_at)
@@ -239,6 +239,59 @@ def test_run_makes_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The 8 golden configs at 10 s, and the two attacker profiles that are not the default, with busier attackers.
+_BUILT_WITHOUT_CONSTRUCTORS = [
+    pytest.param({**GOLDEN_BASE, **overrides, "duration": 10.0, "seed": 0}, pipeline, id=name)
+    for name, (overrides, pipeline, *_) in GOLDEN.items()
+] + [
+    pytest.param(
+        {"vehicle_count": 100, "attacker_count": 10, "attacker_profile": profile, "attacker_rate": 1.0,
+         "duration": 10.0, "seed": 1},
+        "irs",
+        id=f"busy-{profile}",
+    )
+    for profile in ("conflicting-info", "far-event-claim")
+]
+
+
+@pytest.mark.parametrize("fields,pipeline", _BUILT_WITHOUT_CONSTRUCTORS)
+def test_records_and_outcomes_equal_their_constructors(fields, pipeline, monkeypatch):
+    """Records and outcomes built with ``tuple.__new__`` equal what their constructors build, type for type."""
+    shared = {id(o) for o in (protocol.IGNORED, protocol.REJECTED, protocol.ACCEPTED, protocol.PENDING)}
+    built = Counter()
+
+    def same_as_constructed(value, cls):
+        again = cls(*value)
+        assert type(value) is cls and value == again, value
+        assert [type(v) for v in value] == [type(v) for v in again], value
+
+    def checked(name):
+        method = getattr(protocol.VehicleNode, name)
+
+        def spy(self, *args):
+            out = method(self, *args)
+            if id(out) not in shared:
+                same_as_constructed(out, protocol.WarningOutcome)
+                built[name, out.disposition, bool(out.reports), bool(out.finalized)] += 1
+            return out
+
+        monkeypatch.setattr(protocol.VehicleNode, name, spy)
+
+    checked("handle_warning")
+    checked("expire_pending")
+    config = ScenarioConfig(**fields)
+    result = run(build_scenario(config, pipeline))
+    for rec in result.decisions.records:
+        same_as_constructed(rec, sim.DecisionRecord)
+    kinds = Counter(line.split("\t")[1] for line in result.log_lines)
+    assert kinds["DELIVER"] > 0
+    if pipeline == "irs" and config.rsu_positions:  # with no ledger to consult, no warning is held
+        assert kinds["RESOLVE"] > 0 and kinds["EXPIRE"] > 0
+        assert built["handle_warning", Disposition.REJECT, True, False] > 0
+        assert built["handle_warning", Disposition.ACCEPT, False, True] > 0
+        assert built["expire_pending", None, True, True] > 0
 
 
 @pytest.mark.parametrize(
@@ -694,7 +747,7 @@ class TestBeaconEquivalence:
                             assert heard is None, (r, s, event, now)
                         else:
                             assert (heard.receiver, heard.sender) == (where(r, now), at[s]), (r, s, event, now)
-                            assert heard.extremes() == (near, far), (r, s, event, now)
+                            assert heard.extremes(r) == (near, far), (r, s, event, now)
                         if heard is None:
                             seen["stale" if times[r][s] > -math.inf else "unheard"] += 1
                             continue
@@ -806,9 +859,9 @@ class TestNeighborLookup:
             levels.append(classify(points, bands))
             return levels[-1]
 
-        def extremes_spy(self, *args):
+        def extremes_spy(self, *args, **kwargs):
             lookups[0] += 1
-            return extremes(self, *args)
+            return extremes(self, *args, **kwargs)
 
         def handle_lone_spy(self, *args):
             levels.clear()
@@ -837,10 +890,10 @@ class TestNeighborLookup:
         warning = warning_from(0, tuple(positions[0].tolist()), 0.05)
         heard = runner.heard(np.arange(1, 8), warning, 0.05, positions)
         assert all(h is not None for h in heard)
-        heard[0].extremes()
+        heard[0].extremes(1)
         runner.handle_round(0.1, 1)
         with pytest.raises(RuntimeError, match="read after round 1"):
-            heard[1].extremes()
+            heard[1].extremes(2)
 
     def test_tie_goes_to_lowest_id(self):
         # Vehicles v and v + 6 share a lane. Put 1 and 7 the same distance from the event on either
@@ -854,7 +907,28 @@ class TestNeighborLookup:
         lane_y = runner.world.lane_y.tolist()
         event = (500.0, lane_y[1])
         (heard,) = runner.heard(np.array([2]), warning_from(1, event, 0.0), 0.0, runner.world.positions_at(0.0))
-        assert heard.extremes() == ((400.0, lane_y[1]), (50.0, lane_y[0]))
+        assert heard.extremes(2) == ((400.0, lane_y[1]), (50.0, lane_y[0]))
+
+    def test_one_lookup_per_warning(self):
+        # Every fact of one warning shares one lookup, and for each reader it answers as the runner's
+        # own lookup with the warning's event, first fresh round and round.
+        cfg = small_config(vehicle_count=40, attacker_count=0, rsu_positions=())
+        runner = sim._Runner(build_scenario(cfg))
+        for index in range(25):
+            runner.handle_round(index * 0.1, index)
+        now = 2.45
+        kmin = runner.first_fresh_round(now)
+        # The even vehicles last beaconed in the first fresh round, so a lookup from any other round differs.
+        runner.round_due[[k % runner.ring for k in range(kmin + 1, 25)], ::2] = False
+        positions = runner.world.positions_at(now)
+        warning = warning_from(3, tuple(positions[3].tolist()), now)
+        receivers = np.array([r for r in range(40) if r != 3])
+        facts = runner.heard(receivers, warning, now, positions)
+        readers = [(r, h) for r, h in zip(receivers.tolist(), facts) if h is not None]
+        assert len(readers) >= 5 and len({id(h.extremes) for _, h in readers}) == 1
+        for r, heard in readers:
+            expected = runner.extremes(r, warning.event_position, kmin, runner.last_round)
+            assert heard.extremes(r) == expected, r
 
 
 class TestNoSelfPairs:
