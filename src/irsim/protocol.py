@@ -5,12 +5,13 @@ corroboration against warnings it is already holding, conflict detection,
 sender-distance plausibility, then a banded trust decision combining its
 own ledger with the roadside unit's published one. Lone suspicious
 warnings are buffered and expire to a rejection if nobody corroborates
-them. What the vehicle's beacons say about a warning's sender arrives with
+them. What the radio and beacons say about a warning's sender arrives with
 the warning as a ``Heard``: where the sender was when last heard, the
-vehicle's own position, and a lookup of the nearest and farthest fresh
-neighbors to the event, which only a decision at TOP trust makes. The
-roadside unit pairs misbehavior reports from distinct reporters before it
-dings anyone, and periodically broadcasts its ledger.
+ranging errors of the vehicle's estimates (so a decision draws nothing),
+and a lookup of the nearest and farthest fresh neighbors to the event,
+which only a decision at TOP trust makes. The roadside unit pairs
+misbehavior reports from distinct reporters before it dings anyone, and
+periodically broadcasts its ledger.
 
 Nodes are single-owner state machines: all mutation happens through the
 handler methods, which the caller must invoke sequentially per node.
@@ -22,7 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .reputation import (
     HeuristicBand,
@@ -147,16 +148,18 @@ class PendingWarning:
 
 
 class Heard(NamedTuple):
-    """What a receiver's beacon rounds say about one warning, as (x, y) positions.
+    """What the radio and a receiver's beacon rounds say about one warning.
 
-    ``receiver`` is where it is now and ``sender`` where the sender was at its last beacon.
-    ``extremes(receiver_id)`` returns (nearest, farthest): where the receiver's fresh neighbors
-    nearest to and farthest from the event were at their last beacons. Only a decision that bands
-    the sender calls it, with its own id, so the facts of one warning can share one lookup.
+    ``sender`` is the (x, y) where the sender was at its last beacon. ``errors`` are two ranging
+    errors in meters, added to the sender's distance to the event: the first for the plausibility
+    check, the second for the band. ``extremes(receiver_id)`` returns (nearest, farthest): where the
+    receiver's fresh neighbors nearest to and farthest from the event were at their last beacons.
+    Only a decision that bands the sender calls it, with its own id, so the facts of one warning can
+    share one lookup.
     """
 
-    receiver: Position
     sender: Position
+    errors: Sequence[float]
     extremes: Callable[[VehicleId], tuple[Position, Position]]
 
 
@@ -195,19 +198,9 @@ class VehicleNode:
     ``initial_points`` and ``transmission_range``. The plausibility radius is
     the transmission range: a sender is not believed about an event farther
     from it than it could transmit.
-
-    ``normal`` models signal-strength ranging error: a zero-argument draw of
-    a unit normal, or None for exact distances. A decision scales each draw by
-    ``ranging_noise_sigma + ranging_noise_per_meter * r``, where ``r`` is the
-    receiver's range to the sender in meters, so the error grows with range.
     """
 
-    def __init__(
-        self,
-        vehicle_id: VehicleId,
-        config: ScenarioConfig,
-        normal: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, vehicle_id: VehicleId, config: ScenarioConfig) -> None:
         self.id = vehicle_id
         self.config = config
         self.lrl = LocalReputationList()
@@ -216,7 +209,6 @@ class VehicleNode:
         # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
         # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
         self.oldest_pending = math.inf
-        self._normal = normal
 
     # -- warnings ---------------------------------------------------------
 
@@ -243,26 +235,17 @@ class VehicleNode:
         if heard is None:
             return self._handle_lone(warning, now, None, 0.0)
 
-        # Each distance is measured once; the plausibility check and the band draw their own noise,
-        # both scaled by the receiver's range to the sender. An estimate is clamped at 0.
+        # The distance is measured once; the plausibility check and the band each add their own
+        # ranging error. The band's estimate is clamped at 0.
         sx, sy = heard.sender
-        estimate = to_event = math.hypot(sx - ex, sy - ey)
-        normal = self._normal
-        if normal is not None:
-            rx, ry = heard.receiver
-            scale = cfg.ranging_noise_sigma + cfg.ranging_noise_per_meter * math.hypot(rx - sx, ry - sy)
-            estimate = to_event + scale * normal()
-            estimate = estimate if estimate > 0.0 else 0.0
-        if estimate > cfg.transmission_range:
+        to_event = math.hypot(sx - ex, sy - ey)
+        errors = heard.errors
+        if to_event + errors[0] > cfg.transmission_range:
             self._adjust(warning.sender, -1)
             report = MisbehaviorReport(self.id, warning.sender, warning.event_id, now)
             return tuple.__new__(WarningOutcome, (Disposition.REJECT, (report,), ()))
-        if normal is not None:
-            # The band's estimate is drawn whether or not the decision reads it, so the noise stream
-            # does not depend on the sender's trust level.
-            estimate = to_event + scale * normal()
-            estimate = estimate if estimate > 0.0 else 0.0
-        return self._handle_lone(warning, now, heard, estimate)
+        estimate = to_event + errors[1]
+        return self._handle_lone(warning, now, heard, estimate if estimate > 0.0 else 0.0)
 
     def _handle_repeat(self, entry: PendingWarning, warning: Warning) -> WarningOutcome:
         sender = warning.sender

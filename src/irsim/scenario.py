@@ -290,9 +290,13 @@ _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 def load_scenario_file(path: Path | str) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
-    return parse_scenario_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+    return parse_scenario_text(text, source=str(path))
 
 
 def make_config(overrides: dict) -> ScenarioConfig:

@@ -10,8 +10,8 @@ seed) pairs produce bit-identical event logs and metrics.
 Two deterministic random streams are used: one for world building and
 emission schedules (shared between pipelines so both see the same traffic
 and attacks), and one that the ``Channel`` owns, for link loss, arrival
-order and ranging noise; vehicles draw their ranging noise from it through
-the unit normal the ``Channel`` hands them. Beacon loss draws from neither:
+order and ranging errors, which reach a vehicle with the warning's beacon
+facts, so a decision draws nothing. Beacon loss draws from neither:
 each beacon link's loss is a keyed hash of (seed, round index, sender,
 receiver), so beacon reception is worked out only for the links a warning
 reads.
@@ -26,7 +26,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,9 +122,8 @@ class Channel:
 
     Owns the channel random stream. Each draw keeps the order and shape in
     which the event loop makes it, so a run stays reproducible: loss draws,
-    arrival orders and ranging noise all come from here, the last through the
-    ``ranging_normal`` draw that vehicles call while they decide. Beacon loss
-    is the exception: ``beacon_uniform`` is a counter-based draw keyed by
+    arrival orders and ranging errors all come from here. Beacon loss is the
+    exception: ``beacon_uniform`` is a counter-based draw keyed by
     (``beacon_key``, round, sender, receiver), so a link's fate does not depend
     on which other links were evaluated, or when (Salmon et al., SC'11).
     """
@@ -184,14 +183,16 @@ class Channel:
         """A random permutation of ``ids``: the order in which they are served."""
         return self.rng.permutation(ids)
 
-    def ranging_normal(self, sigma: float, per_m: float) -> Optional[Callable[[], float]]:
-        """The stream's unit normal draw for ``VehicleNode``'s ranging error, or None when both terms are 0.
+    def ranging_errors(self, ranges: np.ndarray, sigma: float, per_m: float) -> np.ndarray:
+        """Two ranging errors per element of ``ranges``: column 0 for the plausibility check, 1 for the band.
 
-        The vehicle scales each draw by ``sigma + per_m * ranging``. numpy's ``normal`` is
-        loc + scale * standard normal, so that equals ``rng.normal(0.0, sigma + per_m * ranging)``
-        and leaves the stream where it does.
+        Row i takes two unit normals from the stream, scaled by ``sigma + per_m * ranges[i]``, so the error
+        grows with the receiver's range to the sender. When both terms are 0 the errors are 0 and
+        nothing is drawn.
         """
-        return self.rng.standard_normal if sigma > 0 or per_m > 0 else None
+        if sigma > 0 or per_m > 0:
+            return (sigma + per_m * ranges)[:, None] * self.rng.standard_normal((len(ranges), 2))
+        return np.zeros((len(ranges), 2))
 
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
         """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed.
@@ -275,8 +276,7 @@ class SimWorld:
         self.channel = Channel(
             config.transmission_range, config.delivery_loss_probability, chan_rng, self.rsus, beacon_key
         )
-        normal = self.channel.ranging_normal(config.ranging_noise_sigma, config.ranging_noise_per_meter)
-        self.nodes: list[VehicleNode] = [VehicleNode(i, config, normal) for i in range(n)]
+        self.nodes: list[VehicleNode] = [VehicleNode(i, config) for i in range(n)]
 
         self.registry = EventRegistry()
         # Per-conflicting-attacker memory of true events they can distort.
@@ -674,9 +674,12 @@ class _Runner:
         None where no beacon of the sender arrived within the neighbor TTL, and where the receiver
         already holds the event: a repeat reads no facts, so its beacons are not worked out.
         ``positions`` are every vehicle's at ``now`` (``SimWorld.positions_at``); past positions come
-        from ``round_x``. Every fact shares one ``extremes``: ``_Runner.extremes`` with the event, the
-        first fresh round and this round bound, which the decision calls with its own id. So only a
-        decision that bands the sender pays for the neighbor lookup, and no reader pays to bind it.
+        from ``round_x``. The facts' ranging errors are one ``Channel.ranging_errors`` draw, a row per
+        fact in arrival order, scaled by the range from each receiver now to the sender's last beacon
+        position; a warning with no fact draws nothing. Every fact shares one ``extremes``:
+        ``_Runner.extremes`` with the event, the first fresh round and this round bound, which the
+        decision calls with its own id. So only a decision that bands the sender pays for the neighbor
+        lookup, and no reader pays to bind it.
         """
         world, sender, event_id = self.world, warning.sender, warning.event_id
         facts: list[Optional[Heard]] = [None] * len(receivers)
@@ -688,13 +691,15 @@ class _Runner:
         askers = receivers[wanted]
         rounds = self.last_heard_round(askers, np.full(len(askers), sender), kmin)
         fresh = np.nonzero(rounds >= kmin)[0]
-        own = positions[askers[fresh]].tolist()
-        sender_x = self.round_x[rounds[fresh] % self.ring, sender].tolist()
+        own = positions[askers[fresh]]
+        sender_x = self.round_x[rounds[fresh] % self.ring, sender]
         sender_y = float(world.lane_y[sender])
+        ranges = np.hypot(own[:, 0] - sender_x, own[:, 1] - sender_y)
+        errors = world.channel.ranging_errors(ranges, self.cfg.ranging_noise_sigma, self.cfg.ranging_noise_per_meter)
         extremes = partial(self.extremes, event=warning.event_position, kmin=kmin, last_round=self.last_round)
         new = tuple.__new__  # builds each Heard without the NamedTuple's Python-level __new__
-        for i, (ax, ay), x in zip(fresh.tolist(), own, sender_x):
-            facts[wanted[i]] = new(Heard, ((ax, ay), (x, sender_y), extremes))
+        for i, x, pair in zip(fresh.tolist(), sender_x.tolist(), errors.tolist()):
+            facts[wanted[i]] = new(Heard, ((x, sender_y), pair, extremes))
         return facts
 
     def extremes(

@@ -5,7 +5,8 @@ who heard whom for all n x n pairs, and keeps each pair's last heard round
 in ``heard_round[receiver, sender]`` (-1 for never). It answers ``heard``
 and ``extremes`` from that matrix, with positions from the mobility formula,
 the way the simulator did before it worked beacons out lazily. Its rounds use
-the same keyed loss draws (``Channel.beacon_kept``), so a run through it must
+the same keyed loss draws (``Channel.beacon_kept``), and it draws each
+warning's ranging errors as the simulator does, so a run through it must
 give the same bytes as ``sim.run``.
 """
 
@@ -45,14 +46,19 @@ class EagerRunner(sim._Runner):
         world, sender = self.world, warning.sender
         kmin = self.first_fresh_round(now)
         extremes = partial(self.extremes, event=warning.event_position, kmin=kmin, last_round=self.last_round)
-        facts = [None] * len(receivers)
+        facts, readers, ranges = [None] * len(receivers), [], []
         for i, r in enumerate(receivers.tolist()):
             index = int(self.heard_round[r, sender])
             if index < kmin or warning.event_id in world.nodes[r].pending:
                 continue
-            at = tuple(positions[r].tolist())
             sender_at = (self.x_heard(sender, index), float(world.lane_y[sender]))
-            facts[i] = Heard(at, sender_at, extremes)
+            readers.append((i, sender_at))
+            ranges.append(np.hypot(positions[r][0] - sender_at[0], positions[r][1] - sender_at[1]))
+        # One draw per warning, a row per fact in arrival order, as the simulator makes it.
+        cfg = self.cfg
+        errors = world.channel.ranging_errors(np.array(ranges), cfg.ranging_noise_sigma, cfg.ranging_noise_per_meter)
+        for (i, sender_at), pair in zip(readers, errors.tolist()):
+            facts[i] = Heard(sender_at, pair, extremes)
         return facts
 
     def extremes(self, receiver, event, kmin, last_round):

@@ -14,9 +14,9 @@ from irsim.protocol import Heard, Warning, _distance
 
 
 def heard_from(
-    neighbors: dict, warning: Warning, receiver=(0.0, 0.0), receiver_id: Optional[int] = None
+    neighbors: dict, warning: Warning, errors=(0.0, 0.0), receiver_id: Optional[int] = None
 ) -> Optional[Heard]:
-    """The facts ``neighbors`` give ``warning`` at ``receiver``; None when its sender is not among them.
+    """The facts ``neighbors`` give ``warning`` with ranging ``errors``; None when its sender is not among them.
 
     ``extremes(receiver_id)`` finds the nearest and farthest neighbor to the event when called, as
     the simulator's does; a tie goes to the lowest id. Given ``receiver_id``, it also checks that
@@ -32,7 +32,7 @@ def heard_from(
         farthest = max(ids, key=lambda v: _distance(neighbors[v], warning.event_position))
         return neighbors[nearest], neighbors[farthest]
 
-    return Heard(receiver, neighbors[warning.sender], extremes)
+    return Heard(neighbors[warning.sender], errors, extremes)
 
 
 def last_heard(runner) -> np.ndarray:

@@ -178,6 +178,20 @@ class TestExecute:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_scenario_file_exits_one(self, kind, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"vehicle_count = 4\n\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read scenario file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_anchor_ceiling_is_inclusive(self, tmp_path, capsys):
         # Flags size a tiny run around a scenario file that seeds exactly the most anchors allowed.
         path = tmp_path / "anchors.cfg"

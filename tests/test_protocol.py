@@ -28,6 +28,7 @@ from irsim.protocol import (
     encode_warning,
 )
 from irsim.reputation import (
+    HeuristicBand,
     LocalReputationList,
     RrlStanding,
     TrustLevel,
@@ -138,8 +139,10 @@ class TestBeacons:
         runner.handle_round(0.0, 0)
         own = tuple(runner.world.positions_at(0.0)[3])
         assert heard_one(runner, 3, 3, 0.0, event=own) is None
-        facts = [heard_one(runner, 3, s, 0.0, event=own) for s in range(runner.world.n) if s != 3]
-        assert all(h is not None and h.receiver == own for h in facts)
+        positions = runner.world.positions_at(0.0)
+        senders = [s for s in range(runner.world.n) if s != 3]
+        facts = [heard_one(runner, 3, s, 0.0, event=own) for s in senders]
+        assert all(h is not None and h.sender == tuple(positions[s]) for s, h in zip(senders, facts))
         # An event where 3 stands: its nearest fresh neighbor is another vehicle.
         assert facts[0].extremes(3)[0] != own
 
@@ -356,65 +359,85 @@ class TestPlausibilityRadius:
 
 
 class TestRangingInput:
-    """A decision draws unit normals and scales them by the receiver's range to the sender's last beacon position."""
+    """A decision adds its first ranging error to the sender's distance to the event for the plausibility check.
 
-    HEARD = Heard(receiver=(30.0, 4.0), sender=(100.0, 0.0), extremes=lambda _id: ((100.0, 0.0), (400.0, 0.0)))
+    The second is added for the band; the heard() pass scales both by the receiver's range to the sender.
+    """
+
+    HEARD = Heard(sender=(100.0, 0.0), errors=(0.0, 0.0), extremes=lambda _id: ((100.0, 0.0), (400.0, 0.0)))
 
     @staticmethod
-    def recording_node(draws, config=CFG, value=0.0):
-        """A node whose unit normal always returns ``value`` and appends to ``draws`` on each call."""
-        node = VehicleNode(0, config, normal=lambda: draws.append(value) or value)
+    def node(config=CFG):
+        node = VehicleNode(0, config)
         seed_lrl(node, WORKED_POINTS)
         return node
 
     def test_implausibly_far_path(self):
-        draws = []
-        out = self.recording_node(draws).handle_warning(
-            Warning(4, 50, EventKind.CRASH, (900.0, 0.0), 1.0), 1.0, self.HEARD
-        )
-        assert out.disposition is Disposition.REJECT and out.reports  # 800 m from the sender
-        assert len(draws) == 1
+        # The event is 250 m from the sender: the check adds only the first error to it.
+        for errors, rejected in [((0.0, 0.0), False), ((50.5, 0.0), True), ((0.0, 50.5), False), ((-1e3, 1e3), False)]:
+            node = self.node()
+            before = node.lrl.get(3)
+            out = node.handle_warning(
+                Warning(3, 50, EventKind.CRASH, (350.0, 0.0), 1.0), 1.0, self.HEARD._replace(errors=errors)
+            )
+            assert (out.disposition is Disposition.REJECT and len(out.reports) == 1) is rejected, errors
+            assert node.lrl.get(3) - before == (-1 if rejected else 0), errors
+            assert (50 in node.pending) is not rejected, errors  # the implausible path holds nothing
 
-    def test_heuristic_band_path(self):
-        draws = []
-        # Sender 1 is Top, so after the plausibility check its distance is ranged again for the band.
-        out = self.recording_node(draws).handle_warning(
-            Warning(1, 51, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD
-        )
-        assert out.disposition is Disposition.ACCEPT
-        assert len(draws) == 2
+    def test_heuristic_band_path(self, monkeypatch):
+        # Sender 1 is Top, so it is banded by its distance to the event plus the second error, clamped at 0.
+        distances = []
+        monkeypatch.setattr("irsim.protocol.heuristic_band", lambda d, *_: distances.append(d) or HeuristicBand.NEAR)
+        for event_id, errors in enumerate([(0.0, 0.0), (-1e3, 7.5), (0.0, -4.0), (0.0, -25.0)]):
+            out = self.node().handle_warning(
+                Warning(1, event_id, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD._replace(errors=errors)
+            )
+            assert out.disposition is Disposition.ACCEPT
+        assert distances == [10.0, 17.5, 6.0, 0.0]
 
     @pytest.mark.parametrize("sender,level", [(3, TrustLevel.MEDIUM), (7, TrustLevel.LOW)], ids=["medium", "low"])
-    def test_unbanded_decision_draws_the_band_noise_too(self, sender, level):
-        # Below TOP trust the sender is not banded and no neighbor is looked up, but the band's ranging
-        # draw is still made, so the noise stream does not depend on trust.
+    def test_unbanded_decision_looks_up_nothing(self, sender, level):
+        # Below TOP trust the sender is not banded: no neighbor is looked up and the band's error is not read.
         def no_lookup(receiver_id):
             raise AssertionError(f"extremes({receiver_id}) called below TOP trust")
 
-        draws = []
-        node = self.recording_node(draws)
-        assert classify_trust(node.lrl.get(sender), node.lrl.trust_bands()) is level
-        out = node.handle_warning(
-            Warning(sender, 52, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD._replace(extremes=no_lookup)
-        )
-        assert out.disposition is not None
-        assert len(draws) == 2
+        outcomes = []
+        for band_error in (0.0, 1e6):
+            node = self.node()
+            assert classify_trust(node.lrl.get(sender), node.lrl.trust_bands()) is level
+            heard = self.HEARD._replace(errors=(0.0, band_error), extremes=no_lookup)
+            outcomes.append(node.handle_warning(Warning(sender, 52, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, heard))
+        assert outcomes[0].disposition is not None
+        assert outcomes[0] == outcomes[1]
 
-    # (disposition, reports, draws): an implausible claim is rejected and reported after one draw.
+    # (disposition, reports): an error that takes the estimate past the range rejects and reports.
     @pytest.mark.parametrize(
-        "past,expected", [(0.0, (Disposition.ACCEPT, 0, 2)), (0.5, (Disposition.REJECT, 1, 1))], ids=["at", "past"]
+        "past,expected", [(0.0, (Disposition.ACCEPT, 0)), (0.5, (Disposition.REJECT, 1))], ids=["at", "past"]
     )
     def test_scale_is_the_receiver_to_sender_range(self, past, expected):
-        # With sigma 0, 1 per meter and a draw of 1, the estimate is the true distance plus the range.
-        # The receiver is 60 m from the sender (36 m along the road, 48 m across), and the event is
-        # 240 m from the sender: 240 + 60 m is exactly the 300 m transmission range.
-        config = ScenarioConfig(ranging_noise_sigma=0.0, ranging_noise_per_meter=1.0)
-        draws = []
-        node = self.recording_node(draws, config, value=1.0)
-        heard = Heard(receiver=(64.0, 48.0), sender=(100.0, 0.0), extremes=self.HEARD.extremes)
-        out = node.handle_warning(Warning(3, 53, EventKind.ICE, (340.0 + past, 0.0), 1.0), 1.0, heard)
-        assert (out.disposition, len(out.reports), len(draws)) == expected
+        # With sigma 0, 1 per meter and unit draws of 1, each error is the receiver's range to where the
+        # sender last beaconed. Receiver 1 is 60 m from sender 0 (36 m along the road, 48 m across), and
+        # the event is 240 m from the sender: 240 + 60 m is exactly the 300 m transmission range.
+        config = ScenarioConfig(vehicle_count=2, attacker_count=0, rsu_positions=(), delivery_loss_probability=0.0,
+                                ranging_noise_sigma=0.0, ranging_noise_per_meter=1.0)
+        runner = sim._Runner(sim.build_scenario(config))
+        runner.handle_round(0.0, 0)
+        runner.round_x[0, :2] = [100.0, 64.0]
+        runner.world.lane_y[:] = [500.0, 548.0]
+        positions = np.array([[100.0, 500.0], [64.0, 548.0]])
+        runner.world.channel.rng = ScriptedNormals()
+        warning = Warning(0, 1, EventKind.ICE, (340.0 + past, 500.0), 0.0)
+        (heard,) = runner.heard(np.array([1]), warning, 0.0, positions)
+        assert heard.errors == [60.0, 60.0]
+        out = runner.world.nodes[1].handle_warning(warning, 0.0, heard)
+        assert (out.disposition, len(out.reports)) == expected
 
+
+class ScriptedNormals:
+    """A stand-in channel stream whose unit normals are all 1."""
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
 
 class TestPendingExpiry:
     def _pending_node(self):

@@ -157,8 +157,8 @@ class TestMakeConfig:
         with pytest.raises(ConfigError, match=name):
             make_config(overrides)
 
-    # Decisions scale the unit normal by these terms and check no sign: the noise scale is never
-    # negative, nan or infinite only because validation holds these two fields to finite and >= 0.
+    # Channel.ranging_errors scales its unit normals by these terms and checks no sign: the noise scale
+    # is never negative, nan or infinite only because validation holds these two fields to finite and >= 0.
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
     @pytest.mark.parametrize("name", ["ranging_noise_sigma", "ranging_noise_per_meter"])
     def test_ranging_noise_terms_rejected(self, name, value):

@@ -183,32 +183,37 @@ NOISE_TERMS = pytest.mark.parametrize(
 
 
 class TestRangingNoise:
-    """``Channel.ranging_normal`` scaled by ``sigma + per_m * ranging`` draws what ``rng.normal`` draws."""
+    """``Channel.ranging_errors`` draws what ``rng.normal`` draws, once per warning, inside ``_Runner.heard``."""
 
     @NOISE_TERMS
     def test_same_values_as_rng_normal(self, sigma, per_m):
         channel = make_channel(seed=7)
         twin = np.random.Generator(np.random.PCG64(7))
-        normal = channel.ranging_normal(sigma, per_m)
-        for ranging in np.random.default_rng(1).uniform(0.0, 450.0, 2000).tolist() + [0.0, 1e6]:
-            scale = sigma + per_m * ranging
-            assert scale * normal() == float(twin.normal(0.0, scale))
+        ranges = np.random.default_rng(1).uniform(0.0, 450.0, 2000)
+        for chunk in np.split(np.append(ranges, [0.0, 1e6]), [1, 3, 500, 1999]):
+            scale = sigma + per_m * chunk
+            expected = twin.normal(0.0, scale[:, None], (len(chunk), 2))
+            assert np.array_equal(channel.ranging_errors(chunk, sigma, per_m), expected)
         # Both leave the stream at the same position.
         assert channel.rng.random() == twin.random()
 
     def test_both_terms_zero_means_no_noise(self):
-        assert make_channel().ranging_normal(0.0, 0.0) is None
+        channel = make_channel()
+        before = channel.rng.bit_generator.state
+        errors = channel.ranging_errors(np.array([0.0, 10.0, 1e6]), 0.0, 0.0)
+        assert errors.shape == (3, 2) and not errors.any()
+        assert channel.rng.bit_generator.state == before
 
     @NOISE_TERMS
     def test_decision_estimates_match_rng_normal(self, sigma, per_m, monkeypatch):
-        # A TOP sender is banded by its estimated distance to the event, drawn after the plausibility
-        # estimate: max(0, true distance + rng.normal(0, sigma + per_m * receiver-to-sender range)).
+        # A TOP sender is banded by its estimated distance to the event, the second of its errors:
+        # max(0, true distance + rng.normal(0, sigma + per_m * receiver-to-sender range)).
         banded = []
         monkeypatch.setattr(protocol, "heuristic_band", lambda d, *_: banded.append(d) or protocol.HeuristicBand.NEAR)
         cfg = ScenarioConfig(ranging_noise_sigma=sigma, ranging_noise_per_meter=per_m)
         channel = make_channel(seed=7)
         twin = np.random.Generator(np.random.PCG64(7))
-        node = protocol.VehicleNode(0, cfg, channel.ranging_normal(sigma, per_m))
+        node = protocol.VehicleNode(0, cfg)
         for vid, pts in {1: 13, 2: 11, 3: 7, 7: 1}.items():
             node.lrl.upsert(vid, pts)
         place = np.random.default_rng(2)
@@ -216,7 +221,8 @@ class TestRangingNoise:
         for event_id in range(1, 401):
             receiver = tuple(place.uniform(200.0, 800.0, 2).tolist())
             event = (500.0 + float(place.uniform(0.0, 30.0)), 500.0)
-            heard = protocol.Heard(receiver, sender_at, lambda _id: (sender_at, sender_at))
+            (errors,) = channel.ranging_errors(np.array([_distance(receiver, sender_at)]), sigma, per_m).tolist()
+            heard = protocol.Heard(sender_at, errors, lambda _id: (sender_at, sender_at))
             out = node.handle_warning(protocol.Warning(1, event_id, EventKind.ICE, event, 1.0), 1.0, heard)
             assert out.disposition is Disposition.ACCEPT
             scale = sigma + per_m * _distance(receiver, sender_at)
@@ -225,6 +231,62 @@ class TestRangingNoise:
         assert len(banded) == 400
         assert banded.count(0.0) > 0  # some estimates were clamped
         assert channel.rng.random() == twin.random()
+
+    def test_decisions_draw_nothing(self, monkeypatch):
+        # Every radio draw happens in the Channel before a warning's deliveries; no decision moves the stream.
+        world = build_scenario(small_config(event_rate_per_min=60.0))
+        handle_warning, calls = protocol.VehicleNode.handle_warning, []
+
+        def checked(node, *args):
+            before = world.channel.rng.bit_generator.state
+            outcome = handle_warning(node, *args)
+            calls.append(args[-1] is not None)
+            assert world.channel.rng.bit_generator.state == before
+            return outcome
+
+        monkeypatch.setattr(protocol.VehicleNode, "handle_warning", checked)
+        run(world)
+        assert sum(calls) >= 100 and not all(calls)
+
+    @pytest.mark.parametrize("sigma,per_m", [(5.0, 0.25), (0.0, 0.0)], ids=["noisy", "noise-off"])
+    def test_heard_takes_two_normals_per_fact(self, sigma, per_m):
+        # heard() draws a (F, 2) block for its F facts, in arrival order, and nothing for receivers that
+        # hold the event or have not heard the sender within the neighbor TTL; nothing with noise off.
+        cfg = small_config(vehicle_count=12, attacker_count=0, rsu_positions=(), transmission_range=1000.0,
+                           ranging_noise_sigma=sigma, ranging_noise_per_meter=per_m)
+        world = build_scenario(cfg)
+        runner = sim._Runner(world)
+        for index in range(16):
+            runner.handle_round(index * 0.1, index)
+        runner.round_due[:, 11] = False  # vehicle 11 is never heard
+        now, rng = 1.55, world.channel.rng
+        positions = world.positions_at(now)
+        warning = sim.Warning(3, 1, EventKind.ICE, tuple(positions[3].tolist()), now)
+        world.nodes[4].pending[1] = protocol.PendingWarning(warning, now, {3}, protocol.PendingState.RESOLVED)
+        receivers = np.array([r for r in range(11, -1, -1) if r != 3])
+        seen = last_heard(runner)
+        counts = []
+        for sender, event_id in ((3, 1), (11, 2)):
+            twin = np.random.Generator(np.random.PCG64())
+            twin.bit_generator.state = rng.bit_generator.state
+            facts = runner.heard(receivers, sim.Warning(sender, event_id, EventKind.ICE, warning.event_position, now),
+                                 now, positions)
+            readers = [r for r, h in zip(receivers.tolist(), facts) if h is not None]
+            expected = [r for r in receivers.tolist() if r != sender and seen[r, sender] >= now - cfg.neighbor_ttl
+                        and event_id not in world.nodes[r].pending]
+            assert readers == expected
+            counts.append(len(readers))
+            held = [h for h in facts if h is not None]
+            if sigma or per_m:
+                normals = twin.standard_normal((len(readers), 2))
+                gaps = positions[readers] - np.reshape([h.sender for h in held], (-1, 2))
+                scales = sigma + per_m * np.hypot(gaps[:, 0], gaps[:, 1])
+                assert [h.errors for h in held] == (scales[:, None] * normals).tolist()
+            else:
+                assert all(h.errors == [0.0, 0.0] for h in held)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        # Vehicle 4 holds sender 3's event, and nobody heard sender 11.
+        assert seen[4, 3] >= now - cfg.neighbor_ttl and counts == [10, 0]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
@@ -740,13 +802,23 @@ class TestBeaconEquivalence:
                 references = [reference(r, event) for r in range(n)]
                 for s in range(n):
                     receivers = np.array([r for r in range(n) if r != s])
+                    twin = np.random.Generator(np.random.PCG64())
+                    twin.bit_generator.state = world.channel.rng.bit_generator.state
                     facts = runner.heard(receivers, warning_from(s, event, now), now, world.positions_at(now))
+                    # The ranging errors: one (F, 2) draw for the F facts, in order, each row scaled by the
+                    # range from where the receiver is now to where the sender last beaconed.
+                    readers = [r for r, heard in zip(receivers.tolist(), facts) if heard is not None]
+                    normals = iter(twin.standard_normal((len(readers), 2)).tolist())
+                    assert world.channel.rng.bit_generator.state == twin.bit_generator.state
                     for r, heard in zip(receivers.tolist(), facts):
                         at, near, far = references[r]
                         if s not in at:
                             assert heard is None, (r, s, event, now)
                         else:
-                            assert (heard.receiver, heard.sender) == (where(r, now), at[s]), (r, s, event, now)
+                            gap = np.hypot(where(r, now)[0] - at[s][0], where(r, now)[1] - at[s][1])
+                            scale = cfg.ranging_noise_sigma + cfg.ranging_noise_per_meter * gap
+                            errors = [scale * z for z in next(normals)]
+                            assert (heard.errors, heard.sender) == (errors, at[s]), (r, s, event, now)
                             assert heard.extremes(r) == (near, far), (r, s, event, now)
                         if heard is None:
                             seen["stale" if times[r][s] > -math.inf else "unheard"] += 1
