@@ -425,7 +425,7 @@ class RsuNode:
 
     def seed(
         self,
-        vehicles: list[VehicleId],
+        vehicles: Iterable[VehicleId],
         points: int,
         anchors: Iterable[tuple[VehicleId, int, int]] = (),
     ) -> None:
@@ -435,16 +435,20 @@ class RsuNode:
         rows (trusted infrastructure agents, previously confirmed
         misbehavers) that pin the band geometry to the full reputation
         scale; they never appear on the road. A later row for an id
-        replaces an earlier one.
+        replaces an earlier one. The rows are built in bulk and sorted once;
+        every row is checked before the unit holds any of them. A world
+        seeds one unit and copies its ledger to the others.
         """
-        rows = {vid: (points, 0) for vid in vehicles}
-        rows.update((vid, (pts, misbehavior)) for vid, pts, misbehavior in anchors)
-        if any(misbehavior < 0 for _, misbehavior in rows.values()):
+        rows = dict.fromkeys(vehicles, points)
+        misbehavior: dict[VehicleId, int] = {}
+        for vid, pts, held in anchors:
+            rows[vid] = pts
+            misbehavior[vid] = held
+        if any(held < 0 for held in misbehavior.values()):
             raise ValueError("misbehavior points must be >= 0")
-        ordered = sorted(rows.items())
         # Builds the whole ledger, and rejects negative points, before the unit holds any of it.
-        self.ledger = LocalReputationList((vid, pts) for vid, (pts, _) in ordered)
-        self.misbehavior = {vid: misbehavior for vid, (_, misbehavior) in ordered if misbehavior}
+        self.ledger = LocalReputationList(sorted(rows.items()))
+        self.misbehavior = {vid: held for vid, held in sorted(misbehavior.items()) if held}
         self._snapshot = None
 
     def handle_report(self, report: MisbehaviorReport, now: float) -> bool:

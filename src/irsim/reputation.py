@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -80,20 +81,30 @@ class LocalReputationList:
     (``RrlBroadcast.rrl``). The derived ranking puts the highest points
     first (the most trusted senders at the top).
 
-    Every write goes through ``load``, ``upsert``, ``ensure`` or ``adjust``,
-    which keep a count of entries per point value and the lowest and highest
-    value held, so ``trust_bands`` never walks the ledger. A bound is looked
-    up again among the distinct point values only when its last holder moves.
+    Every write goes through the constructor, ``load``, ``upsert``,
+    ``ensure`` or ``adjust``, which keep a count of entries per point value
+    and the lowest and highest value held, so ``trust_bands`` never walks the
+    ledger. A bound is looked up again among the distinct point values only
+    when its last holder moves.
     """
 
     def __init__(self, points: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]] = ()) -> None:
-        self.entries: dict[VehicleId, int] = {}
-        self._counts: dict[int, int] = {}
-        self._lo = self._hi = 0
+        """Fill the list in bulk from ``points``; a later pair for an id replaces an earlier one.
+
+        Rejects a negative value among the pairs kept before it assigns anything.
+        """
+        entries = dict(points) if points else {}  # every VehicleNode starts empty: no copy, no count
+        counts: dict[int, int] = {}
+        lo = hi = 0
+        if entries:
+            counts = dict(Counter(entries.values()))
+            lo, hi = min(counts), max(counts)
+            if lo < 0:
+                raise ValueError("reputation points must be >= 0")
+        self.entries: dict[VehicleId, int] = entries
+        self._counts = counts
+        self._lo, self._hi = lo, hi
         self._bands: Optional[TrustBands] = None
-        if points:  # every VehicleNode starts with an empty list: skip the copy
-            for vehicle, held in dict(points).items():
-                self.upsert(vehicle, held)
 
     def __len__(self) -> int:
         return len(self.entries)

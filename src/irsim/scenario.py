@@ -236,8 +236,9 @@ class ScenarioConfig:
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> dict:
-    """Parse scenario key/value text into a field-override mapping."""
+    """Parse scenario key/value text into a field-override mapping; each key may be set once."""
     overrides: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,6 +248,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown scenario field: {key}")
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key} (first set on line {set_on[key]})")
+        set_on[key] = lineno
         try:
             overrides[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except ValueError as exc:
@@ -291,7 +295,7 @@ _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 def load_scenario_file(path: Path | str) -> dict:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of the first key
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -239,15 +239,14 @@ class SimWorld:
         self.velocity = self.direction * self.speed  # x_at's first product, so positions keep their bits
 
         attacker_ids = (
-            sorted(int(i) for i in self.rng_sched.choice(n, size=config.attacker_count, replace=False))
+            sorted(self.rng_sched.choice(n, size=config.attacker_count, replace=False).tolist())
             if config.attacker_count
             else []
         )
         self.attacker_ids = attacker_ids
         self.is_attacker = np.zeros(n, dtype=bool)
-        for idx in attacker_ids:
-            self.is_attacker[idx] = True
-        self.benign = frozenset(i for i in range(n) if not self.is_attacker[i])
+        self.is_attacker[attacker_ids] = True
+        self.benign = frozenset(range(n)).difference(attacker_ids)
 
         anchors = [
             (ANCHOR_ID_BASE + i, config.anchor_top_points, 0)
@@ -267,7 +266,14 @@ class SimWorld:
             rsu = RsuNode(RSU_ID_BASE + k, config.rsu_positions[k], config, adjacent=tuple(adjacent))
             # Registered vehicles start at neutral points; anchor entries pin
             # the band geometry to the full scale from the first broadcast.
-            rsu.seed(list(range(n)), config.initial_points, anchors)
+            # Every unit starts from the same rows, so only the first is
+            # seeded and each other unit gets its own copy of that ledger.
+            if self.rsus:
+                first = self.rsus[0]
+                rsu.ledger.load(first.ledger)
+                rsu.misbehavior = dict(first.misbehavior)
+            else:
+                rsu.seed(range(n), config.initial_points, anchors)
             self.rsus.append(rsu)
         self.rsus_by_id = {rsu.id: rsu for rsu in self.rsus}
 

@@ -8,7 +8,10 @@ lines. The sweep is
   20 s, seeds 0-23) and 32 ``dense-irs`` (200 vehicles, 20 attackers, 5 s,
   seeds 0-31), both ``false-warning`` on the ``irs`` pipeline, with the
   parameters of ``perfbench/run.py``'s ``WORKLOADS`` written out here;
-- the 8 golden configs of ``test_golden.py`` at seeds 0-2.
+- the 8 golden configs of ``test_golden.py`` at seeds 0-2;
+- one constant-density world with more than two roadside units: 800
+  vehicles (80 attackers) on an 8,000 x 1,000 m grid, a unit every 1 km
+  (8 units), 144 hazards per minute, 3 s, seed 0.
 
 Each scenario goes through ``cli.run_one``, which writes the files a user
 gets; the digest covers each file's own SHA-256, in sweep order. Run it as
@@ -36,6 +39,16 @@ from test_golden import BASE, MATRIX  # noqa: E402
 # (vehicles, attackers, duration in s, scenario seeds), as perfbench's stock-irs and dense-irs.
 BENCHMARK_SWEEPS = ((100, 10, 20.0, range(24)), (200, 20, 5.0, range(32)))
 GOLDEN_SEEDS = range(3)
+# The road is 10 m per vehicle long, with one roadside unit per km and 18 hazards per minute per 100 vehicles.
+CONSTANT_DENSITY = {
+    "vehicle_count": 800,
+    "attacker_count": 80,
+    "attacker_profile": "false-warning",
+    "duration": 3.0,
+    "grid": (8000.0, 1000.0),
+    "rsu_positions": tuple((1000.0 * k + 500.0, 500.0) for k in range(8)),
+    "event_rate_per_min": 144.0,
+}
 
 
 def scenarios():
@@ -52,6 +65,7 @@ def scenarios():
     for overrides, pipeline, *_ in MATRIX.values():
         for seed in GOLDEN_SEEDS:
             yield {**BASE, **overrides}, seed, pipeline
+    yield CONSTANT_DENSITY, 0, "irs"
 
 
 def main() -> None:

@@ -192,6 +192,29 @@ class TestExecute:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # As Windows Notepad saves UTF-8: the mark must not turn vehicle_count into an unknown field.
+        path = tmp_path / "notepad.cfg"
+        path.write_bytes("vehicle_count = 24\n".encode("utf-8-sig"))
+        assert parse_run_spec(["--scenario", str(path)], env={}).config.vehicle_count == 24
+        path.write_bytes("vehicle_count = 3\nattacker_count = 9\n".encode("utf-8-sig"))
+        out = tmp_path / "out"
+        assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "configuration error: attacker_count (9) must be <= vehicle_count (3)\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_key_set_twice_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("vehicle_count = 20\n# later\nvehicle_count = 30\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {path}:3: duplicate key vehicle_count (first set on line 1)\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_anchor_ceiling_is_inclusive(self, tmp_path, capsys):
         # Flags size a tiny run around a scenario file that seeds exactly the most anchors allowed.
         path = tmp_path / "anchors.cfg"

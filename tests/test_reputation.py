@@ -433,6 +433,26 @@ class TestLrlBounds:
                 assert points == lrl.get(vid) == max(0, start + args[0])
             self.check(lrl)
 
+    @given(st.lists(st.tuples(_vehicles, _points), max_size=30))
+    def test_bulk_fill_matches_upserts_one_by_one(self, pairs):
+        bulk = LocalReputationList(pairs)
+        reference = LocalReputationList()
+        for vid, points in pairs:
+            reference.upsert(vid, points)
+        assert list(bulk.entries.items()) == list(reference.entries.items())
+        assert bulk._counts == reference._counts
+        assert (bulk._lo, bulk._hi) == (reference._lo, reference._hi)
+        assert bulk.trust_bands() == reference.trust_bands()
+        self.check(bulk)
+
+    @given(st.lists(st.tuples(_vehicles, _points), max_size=30), _vehicles, st.integers(max_value=-1))
+    def test_bulk_fill_rejects_a_negative_value(self, pairs, vid, negative):
+        # The last pair for an id is the one kept, so a negative one there must be refused.
+        lrl = None
+        with pytest.raises(ValueError, match="reputation points must be >= 0"):
+            lrl = LocalReputationList(pairs + [(vid, negative)])
+        assert lrl is None
+
     def test_absent_vehicle_enters_mid_range(self):
         lrl = LocalReputationList({1: 2, 2: 9})
         assert lrl.adjust(5, +1, 40) == (2 + 9) // 2 + 1

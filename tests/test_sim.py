@@ -436,6 +436,56 @@ class TestNodesShareTheRunConfig:
         assert all(rsu.config is world.config for rsu in world.rsus)
 
 
+class TestSharedSeed:
+    """A world seeds one roadside unit and copies that ledger to the others."""
+
+    THREE_UNITS = ((800.0, 500.0), (200.0, 500.0), (500.0, 500.0))
+
+    def test_every_unit_holds_its_own_copy_of_one_seed(self):
+        cfg = small_config(rsu_positions=self.THREE_UNITS)
+        world = build_scenario(cfg)
+        anchors = [(sim.ANCHOR_ID_BASE + i, cfg.anchor_top_points, 0) for i in range(cfg.trusted_anchors)] + [
+            (sim.ANCHOR_ID_BASE + cfg.trusted_anchors + i, cfg.anchor_low_points, 1)
+            for i in range(cfg.flagged_anchors)
+        ]
+        alone = RsuNode(sim.RSU_ID_BASE, cfg.rsu_positions[0], cfg)
+        alone.seed(list(range(cfg.vehicle_count)), cfg.initial_points, anchors)
+        assert list(alone.ledger.entries) == sorted(alone.ledger.entries)
+        assert len(world.rsus) == 3
+        for rsu in world.rsus:
+            assert list(rsu.ledger.entries.items()) == list(alone.ledger.entries.items())
+            assert rsu.ledger._counts == alone.ledger._counts
+            assert (rsu.ledger._lo, rsu.ledger._hi) == (alone.ledger._lo, alone.ledger._hi)
+            assert rsu.ledger.trust_bands() == alone.ledger.trust_bands()
+            assert rsu.misbehavior == alone.misbehavior
+        for field in ("entries", "_counts"):
+            assert len({id(getattr(rsu.ledger, field)) for rsu in world.rsus}) == 3
+        assert len({id(rsu.misbehavior) for rsu in world.rsus}) == 3
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["seeded-unit", "copy-1", "copy-2"])
+    def test_an_escalation_stays_at_its_unit(self, at):
+        world = build_scenario(small_config(rsu_positions=self.THREE_UNITS))
+        first = world.rsus[at]
+        others = world.rsus[:at] + world.rsus[at + 1 :]
+        before = [(dict(rsu.ledger.entries), dict(rsu.ledger._counts), dict(rsu.misbehavior)) for rsu in others]
+        assert first.handle_report(protocol.MisbehaviorReport(3, 7, 1, 1.0), 1.0)
+        assert first.handle_report(protocol.MisbehaviorReport(4, 7, 1, 1.5), 1.5)
+        assert first.misbehavior[7] == 1
+        assert first.ledger.get(7) == world.config.initial_points - 1
+        assert first.ledger.get(3) == first.ledger.get(4) == world.config.initial_points + 1
+        after = [(rsu.ledger.entries, rsu.ledger._counts, rsu.misbehavior) for rsu in others]
+        assert after == before
+
+    @pytest.mark.parametrize("attackers", [0, 1, 7, 20])
+    def test_attacker_sets_match_their_per_vehicle_definitions(self, attackers):
+        world = build_scenario(small_config(attacker_count=attackers))
+        ids = set(world.attacker_ids)
+        assert len(ids) == attackers and world.attacker_ids == sorted(ids)
+        assert world.is_attacker.dtype == bool
+        assert world.is_attacker.tolist() == [i in ids for i in range(world.n)]
+        assert world.benign == frozenset(i for i in range(world.n) if i not in ids)
+
+
 class TestNearestRsu:
     @staticmethod
     def rsus(*xs):
