@@ -26,6 +26,10 @@ from .scenario import PIPELINES, ConfigError, ScenarioConfig, load_scenario_file
 
 OUT_DIR_ENV = "IRSIM_OUT"
 
+# The most seeds one --seeds range may name. A sweep lists every seed and one job per seed and pipeline
+# before its first run, and keeps a summary row per run, so a range must be checked before it is built.
+MAX_SWEEP_SEEDS = 10_000
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUN_FAILURE = 2
@@ -95,6 +99,8 @@ def parse_run_spec(argv: Sequence[str], env: Optional[dict] = None) -> RunSpec:
             raise ConfigError(f"--seeds expects a..b, got {args.seeds!r}") from exc
         if hi < lo:
             raise ConfigError(f"--seeds range is empty: {args.seeds!r}")
+        if hi - lo + 1 > MAX_SWEEP_SEEDS:
+            raise ConfigError(f"--seeds names {hi - lo + 1} seeds, at most {MAX_SWEEP_SEEDS} allowed: {args.seeds!r}")
         seeds = list(range(lo, hi + 1))
     elif args.seed is not None:
         seeds = [args.seed]

@@ -34,12 +34,12 @@ from .reputation import (
     VehicleId,
     _shifted,
     apply_point_delta,  # noqa: F401  (perfbench/tracing.py patches these bindings)
+    classify_heuristic,
     classify_trust,
-    compute_heuristic_bands,  # noqa: F401
+    compute_heuristic_bands,
     compute_trust_bands,  # noqa: F401
     decide_trust,
-    heuristic_band,
-    heuristic_from_distance,  # noqa: F401
+    heuristic_from_distance,
     standing_of,
 )
 from .scenario import ScenarioConfig
@@ -138,7 +138,7 @@ class PendingWarning:
     misbehavior report. A RESOLVED entry keeps a decided warning as the
     reference that later copies are credited or contradicted against.
     Entries of either state leave in the first ``expire_pending`` call past
-    the TTL.
+    the TTL. ``first_seen`` is when the entry was held; nothing changes it.
     """
 
     warning: Warning
@@ -198,6 +198,10 @@ class VehicleNode:
     ``initial_points`` and ``transmission_range``. The plausibility radius is
     the transmission range: a sender is not believed about an event farther
     from it than it could transmit.
+
+    ``pending`` holds one ``PendingWarning`` per event. A ``handle_warning``
+    call adds at most one entry and removes none; only ``expire_pending``,
+    which the caller schedules, removes entries.
     """
 
     def __init__(self, vehicle_id: VehicleId, config: ScenarioConfig) -> None:
@@ -206,9 +210,6 @@ class VehicleNode:
         self.lrl = LocalReputationList()
         self.cached_rrl: Optional[RrlBroadcast] = None
         self.pending: dict[EventId, PendingWarning] = {}
-        # Earliest first_seen in ``pending`` (inf when empty); entries enter through _hold.
-        # Read-only outside this class: the simulator mirrors it to find vehicles due to expire.
-        self.oldest_pending = math.inf
 
     # -- warnings ---------------------------------------------------------
 
@@ -283,9 +284,10 @@ class VehicleNode:
         # Never heard a beacon from this sender: assume the worst.
         level = TrustLevel.LOW if heard is None else classify_trust(points, self.lrl.trust_bands())
         if level is TrustLevel.TOP:
-            nearest, farthest = heard.extremes(self.id)
+            # The paper's band: w from the two extreme neighbors' heuristics, then the sender's heuristic in it.
             event = warning.event_position
-            band = heuristic_band(distance, _distance(nearest, event), _distance(farthest, event))
+            extremes = [heuristic_from_distance(_distance(p, event)) for p in heard.extremes(self.id)]
+            band = classify_heuristic(heuristic_from_distance(distance), compute_heuristic_bands(extremes))
             if self._heuristic_acceptable(band):
                 self._remember(warning, now)
                 return ACCEPTED
@@ -301,7 +303,7 @@ class VehicleNode:
             report = MisbehaviorReport(self.id, sender, warning.event_id, now)
             return tuple.__new__(WarningOutcome, (Disposition.REJECT, (report,), ()))
         # Unsure: hold the message and wait for somebody else to confirm it.
-        self._hold(PendingWarning(warning, now, {sender}, PendingState.AWAITING))
+        self.pending[warning.event_id] = PendingWarning(warning, now, {sender}, PendingState.AWAITING)
         return PENDING
 
     def _heuristic_acceptable(self, band: HeuristicBand) -> bool:
@@ -318,19 +320,9 @@ class VehicleNode:
     def _remember(self, warning: Warning, now: float) -> None:
         # Keep decided warnings around (until the buffer ages out) so later
         # copies can corroborate and conflicting ones can be caught.
-        self._hold(PendingWarning(warning, now, {warning.sender}, PendingState.RESOLVED))
-
-    def _hold(self, entry: PendingWarning) -> None:
-        self.pending[entry.warning.event_id] = entry
-        if entry.first_seen < self.oldest_pending:
-            self.oldest_pending = entry.first_seen
+        self.pending[warning.event_id] = PendingWarning(warning, now, {warning.sender}, PendingState.RESOLVED)
 
     # -- pending buffer ----------------------------------------------------
-
-    def pending_due(self, now: float) -> bool:
-        """True when some buffered entry is past the TTL at ``now``, so ``expire_pending`` has work."""
-        # Float subtraction is monotone, so no entry is past the TTL when the oldest is not.
-        return now - self.oldest_pending > self.config.pending_ttl
 
     def expire_pending(self, now: float) -> WarningOutcome:
         """Age out the pending buffer.
@@ -339,19 +331,11 @@ class VehicleNode:
         point, one misbehavior report is emitted, and the warning is listed in
         ``finalized``. Entries that were already resolved just drop out
         without penalty. A pass that finalizes nothing returns ``IGNORED``.
+        One pass over the buffer finds the due entries, so no order of
+        ``first_seen`` times is assumed.
         """
-        if not self.pending_due(now):
-            return IGNORED
         ttl = self.config.pending_ttl
-        # One pass finds the due entries and the oldest of those that stay; no order of times is assumed.
-        due = []
-        oldest = math.inf
-        for event_id, entry in self.pending.items():
-            seen = entry.first_seen
-            if now - seen > ttl:
-                due.append(event_id)
-            elif seen < oldest:
-                oldest = seen
+        due = [event_id for event_id, entry in self.pending.items() if now - entry.first_seen > ttl]
         reports = []
         finalized = []
         for event_id in due:
@@ -361,7 +345,6 @@ class VehicleNode:
                 self._adjust(sender, -1)
                 reports.append(MisbehaviorReport(self.id, sender, event_id, now))
                 finalized.append((sender, event_id, Disposition.REJECT))
-        self.oldest_pending = oldest
         if not finalized:
             return IGNORED
         return tuple.__new__(WarningOutcome, (None, tuple(reports), tuple(finalized)))

@@ -288,17 +288,6 @@ def heuristic_from_distance(distance_m: float) -> float:
     return distance_m / 10.0
 
 
-def heuristic_band(distance_m: float, nearest_m: float, farthest_m: float) -> HeuristicBand:
-    """Band of a sender ``distance_m`` from the event, given two neighbors' distances to it.
-
-    ``classify_heuristic`` of the distance's heuristic in ``compute_heuristic_bands`` of the
-    neighbors' heuristics, with the same checks, without building the list or the bands.
-    """
-    if not (0.0 <= distance_m < math.inf and 0.0 <= nearest_m < math.inf and 0.0 <= farthest_m < math.inf):
-        raise ValueError("distance must be finite and >= 0")
-    return _heuristic_band(distance_m / 10.0, abs(nearest_m / 10.0 - farthest_m / 10.0) / 3.0)
-
-
 def compute_heuristic_bands(heuristics: Iterable[float]) -> HeuristicBands:
     """Derive heuristic bands from the neighbors' heuristics (non-empty)."""
     hs = list(heuristics)
@@ -317,11 +306,7 @@ def classify_heuristic(h: float, bands: HeuristicBands) -> HeuristicBand:
     Thresholds are absolute in h: NEAR below 2w, MIDDLE from 2w up to 3w,
     AWAY from 3w on. Zero width classifies everything MIDDLE.
     """
-    return _heuristic_band(h, bands.w)
-
-
-def _heuristic_band(h: float, w: float) -> HeuristicBand:
-    """The band thresholds of ``classify_heuristic`` for band width ``w`` (h_eval is 2w)."""
+    w = bands.w
     if w == 0:
         return HeuristicBand.MIDDLE
     if h < 2 * w:

@@ -24,6 +24,7 @@ import heapq
 import math
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -373,8 +374,11 @@ class _Runner:
         self.round_x = np.zeros((self.ring, n))
         self.round_due = np.zeros((self.ring, n), dtype=bool)
         self.last_round = -1
-        # Each vehicle's oldest_pending, refreshed after every call that can change its buffer.
-        self.oldest_pending = np.full(n, np.inf)
+        # (first_seen, vehicle) of every entry the vehicles hold, in the order they were held. An entry is
+        # held at its delivery's time, and events run in time order, so the times never decrease; every
+        # entry lives pending_ttl, so the front falls due first. With one timeout for all, appending keeps
+        # the timer list sorted (Varghese & Lauck, "Hashed and hierarchical timing wheels", SOSP 1987).
+        self.held: deque[tuple[float, int]] = deque()
         self.next_tx = np.zeros(n)
         self.beacon_iv = world.rng_sched.uniform(self.cfg.beacon_interval[0], self.cfg.beacon_interval[1], n)
         self.counters = {
@@ -464,19 +468,13 @@ class _Runner:
         # Randomize processing order: report arrival at the roadside unit
         # would otherwise always favor low vehicle ids when crediting the
         # first two reporters of an event.
-        # The same test as VehicleNode.pending_due, over all vehicles at once, in id order.
-        expiring = np.nonzero(t - self.oldest_pending > cfg.pending_ttl)[0]
         # A shuffle of no ids draws nothing from the stream, so a round with none skips it. Only a round
         # that ages something out or serves requests needs the (x, y) positions.
+        expiring = self.due(t)
         positions = None
-        if len(expiring):
+        if expiring:
             positions = world.positions_at(t)
-            for idx in world.channel.arrival_order(expiring).tolist():
-                node = world.nodes[idx]
-                outcome = node.expire_pending(t)
-                self.oldest_pending[idx] = node.oldest_pending
-                if outcome.finalized:
-                    self.settle(idx, "EXPIRE", outcome, t, positions)
+            self.expire(world.channel.arrival_order(expiring).tolist(), t, positions)
 
         req_every = max(1, round(cfg.rrl_request_period / cfg.beacon_interval[0]))
         if world.rsus and index % req_every == 0:
@@ -601,10 +599,12 @@ class _Runner:
         ``texts`` are the ranges as the lines print them, ``facts`` each receiver's beacon facts (irs),
         and ``positions`` every vehicle's at ``now``. The timed window holds only the decision itself:
         ``VehicleNode.handle_warning`` (irs) or the constant accept (accept-all). A decision that
-        finalized or reported something is settled right after its own line. Each record is built
-        without ``DecisionRecord``'s Python-level ``__new__``, after the same distance check.
+        finalized or reported something is settled right after its own line. A decision that held the
+        warning (the receiver's buffer grew, by one entry at most) queues it in ``held`` at ``now``. Each
+        record is built without ``DecisionRecord``'s Python-level ``__new__``, after the same distance
+        check.
         """
-        nodes, irs, oldest_pending = self.world.nodes, self.irs, self.oldest_pending
+        nodes, irs, held = self.world.nodes, self.irs, self.held
         record, append, clock = self.decisions.record, self.log.append, time.perf_counter_ns
         new = tuple.__new__
         sender, event_id = warning.sender, warning.event_id
@@ -615,10 +615,12 @@ class _Runner:
         for r, text, heard in zip(receivers, texts, facts):
             if irs:
                 node = nodes[r]
+                size = len(node.pending)
                 started = clock()
                 outcome = node.handle_warning(warning, now, heard)
                 latency = clock() - started
-                oldest_pending[r] = node.oldest_pending
+                if len(node.pending) > size:
+                    held.append((now, r))
                 disposition = outcome.disposition
                 if disposition is None:
                     continue
@@ -768,14 +770,34 @@ class _Runner:
         for report in outcome.reports:
             self.route_report(idx, report, now, positions)
 
-    def final_expiry(self) -> None:
-        """Force-resolve anything still buffered when the run ends, in vehicle id order."""
-        now = self.cfg.duration + self.cfg.pending_ttl + 0.001
-        positions = self.world.positions_at(self.cfg.duration)
-        for idx, node in enumerate(self.world.nodes):
-            outcome = node.expire_pending(now)
+    def due(self, t: float) -> list[int]:
+        """The vehicles holding an entry past the pending TTL at ``t``, in id order.
+
+        Pops those entries from the front of ``held``: the same test as ``VehicleNode.expire_pending``,
+        and float subtraction is monotone, so the entries past the TTL are a prefix of the queue.
+        """
+        held, ttl = self.held, self.cfg.pending_ttl
+        vehicles = set()
+        while held and t - held[0][0] > ttl:
+            vehicles.add(held.popleft()[1])
+        return sorted(vehicles)
+
+    def expire(self, ids: Sequence[int], t: float, positions: np.ndarray) -> None:
+        """Each vehicle in ``ids``, in order, ages its buffer out at ``t``; settle what that finalizes."""
+        nodes = self.world.nodes
+        for idx in ids:
+            outcome = nodes[idx].expire_pending(t)
             if outcome.finalized:
-                self.settle(idx, "EXPIRE", outcome, now, positions)
+                self.settle(idx, "EXPIRE", outcome, t, positions)
+
+    def final_expiry(self) -> None:
+        """Force-resolve anything still buffered when the run ends, in vehicle id order.
+
+        Every entry was held by ``duration``, and ``duration + pending_ttl`` is kept where 0.001 s still
+        tells (``MAX_TIME_S``), so this pops all of ``held``.
+        """
+        now = self.cfg.duration + self.cfg.pending_ttl + 0.001
+        self.expire(self.due(now), now, self.world.positions_at(self.cfg.duration))
 
     # -- reporting -------------------------------------------------------------
 

@@ -11,7 +11,13 @@ lines. The sweep is
 - the 8 golden configs of ``test_golden.py`` at seeds 0-2;
 - one constant-density world with more than two roadside units: 800
   vehicles (80 attackers) on an 8,000 x 1,000 m grid, a unit every 1 km
-  (8 units), 144 hazards per minute, 3 s, seed 0.
+  (8 units), 144 hazards per minute, 3 s, seed 0;
+- two worlds at the edges of held-warning expiry: 60 vehicles (6
+  attackers at 2 attacks per second), 10 s, two roadside units, jittered
+  beacons (0.1-0.3 s) and no warning jitter, so many entries share a
+  ``first_seen``. One holds entries for 0.35 s, which is not a whole
+  number of beacon rounds; the other for 20 s, so every held entry leaves
+  in the final expiry. Seed 0.
 
 Each scenario goes through ``cli.run_one``, which writes the files a user
 gets; the digest covers each file's own SHA-256, in sweep order. Run it as
@@ -49,6 +55,16 @@ CONSTANT_DENSITY = {
     "rsu_positions": tuple((1000.0 * k + 500.0, 500.0) for k in range(8)),
     "event_rate_per_min": 144.0,
 }
+EXPIRY_EDGES = {
+    "vehicle_count": 60,
+    "attacker_count": 6,
+    "attacker_rate": 2.0,
+    "duration": 10.0,
+    "rsu_positions": ((300.0, 500.0), (700.0, 500.0)),
+    "beacon_interval": (0.1, 0.3),
+    "warning_jitter": 0.0,
+}
+EXPIRY_TTLS = (0.35, 20.0)
 
 
 def scenarios():
@@ -66,6 +82,8 @@ def scenarios():
         for seed in GOLDEN_SEEDS:
             yield {**BASE, **overrides}, seed, pipeline
     yield CONSTANT_DENSITY, 0, "irs"
+    for ttl in EXPIRY_TTLS:
+        yield {**EXPIRY_EDGES, "pending_ttl": ttl}, 0, "irs"
 
 
 def main() -> None:

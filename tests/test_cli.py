@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main, parse_run_spec
+from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, MAX_SWEEP_SEEDS, main, parse_run_spec
 from irsim.scenario import ATTACKER_PROFILES, MAX_ANCHORS, ConfigError, ScenarioConfig
 
 FAST_SCENARIO = """
@@ -56,6 +56,11 @@ class TestParseRunSpec:
     def test_conflicting_seed_flags(self):
         with pytest.raises(ConfigError, match="--seed and --seeds"):
             parse_run_spec(["--seed", "1", "--seeds", "0..2"], env={})
+
+    def test_seed_range_ceiling_is_inclusive(self):
+        assert len(parse_run_spec(["--seeds", f"5..{4 + MAX_SWEEP_SEEDS}"], env={}).seeds) == MAX_SWEEP_SEEDS
+        with pytest.raises(ConfigError, match=f"names {MAX_SWEEP_SEEDS + 1} seeds, at most {MAX_SWEEP_SEEDS}"):
+            parse_run_spec(["--seeds", f"5..{5 + MAX_SWEEP_SEEDS}"], env={})
 
     def test_empty_seed_range(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -129,6 +134,7 @@ class TestExecute:
             ["--tx-range", "nan"],
             ["--seed", "-1"],
             ["--seeds=-2..0"],
+            ["--seeds", f"0..{10**18}"],
             ["--scenario", "event_rate_per_min = inf"],
             ["--vehicles", "4", "--duration", "1e9"],
             ["--scenario", "beacon_interval = 1e-9 1e-9"],
@@ -151,7 +157,7 @@ class TestExecute:
             ["--scenario", "speed_range = 1 1.7e308"],
         ],
         ids=[
-            "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "event-rate-inf-file",
+            "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "seeds-huge", "event-rate-inf-file",
             "duration-huge", "beacon-tiny-file", "event-rate-huge-file", "tx-range-square-overflows",
             "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
             "anchor-low-points-huge-file", "vehicles-huge", "trusted-anchors-huge-file", "anchor-sum-over-file",
@@ -175,7 +181,7 @@ class TestExecute:
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])

@@ -386,8 +386,10 @@ class TestRangingInput:
 
     def test_heuristic_band_path(self, monkeypatch):
         # Sender 1 is Top, so it is banded by its distance to the event plus the second error, clamped at 0.
+        # The heuristics pass through unscaled, so the band sees each estimate as it is.
         distances = []
-        monkeypatch.setattr("irsim.protocol.heuristic_band", lambda d, *_: distances.append(d) or HeuristicBand.NEAR)
+        monkeypatch.setattr("irsim.protocol.heuristic_from_distance", lambda d: d)
+        monkeypatch.setattr("irsim.protocol.classify_heuristic", lambda h, _: distances.append(h) or HeuristicBand.NEAR)
         for event_id, errors in enumerate([(0.0, 0.0), (-1e3, 7.5), (0.0, -4.0), (0.0, -25.0)]):
             out = self.node().handle_warning(
                 Warning(1, event_id, EventKind.ICE, (110.0, 0.0), 1.0), 1.0, self.HEARD._replace(errors=errors)
@@ -500,11 +502,14 @@ class TestPendingOrder:
         node = self.low_node()
         assert node.handle_warning(Warning(8, 61, EventKind.ICE, (120.0, 0.0), 5.0), 5.0).disposition is Disposition.PENDING
         assert node.handle_warning(Warning(7, 60, EventKind.ICE, (120.0, 0.0), 1.0), 1.0).disposition is Disposition.PENDING
-        assert not node.pending_due(3.0)
         assert node.expire_pending(3.0) == WarningOutcome(None)  # 2.0 s is not past the TTL
-        assert node.pending_due(3.5)
-        assert [e for _, e, _ in node.expire_pending(3.5).finalized] == [60]
-        assert [e for _, e, _ in node.expire_pending(7.5).finalized] == [61]
+        assert {e: p.first_seen for e, p in node.pending.items()} == {61: 5.0, 60: 1.0}
+        out = node.expire_pending(3.5)
+        assert out.finalized == ((7, 60, Disposition.REJECT),)
+        assert [(r.accused, r.event_id) for r in out.reports] == [(7, 60)]
+        assert {e: p.first_seen for e, p in node.pending.items()} == {61: 5.0}
+        assert node.expire_pending(7.0) == WarningOutcome(None)
+        assert node.expire_pending(7.5).finalized == ((8, 61, Disposition.REJECT),)
         assert not node.pending
 
     @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=20.0)), max_size=30))
@@ -516,17 +521,48 @@ class TestPendingOrder:
                 out = node.handle_warning(Warning(7 + event_id % 2, event_id, EventKind.ICE, (120.0, 0.0), t), t)
                 assert out.disposition is Disposition.PENDING
                 held[event_id] = t
-                assert node.oldest_pending == min(held.values())
                 continue
             expired = {e for e, seen in held.items() if t - seen > CFG.pending_ttl}
-            assert node.pending_due(t) == bool(expired)
             out = node.expire_pending(t)
             assert {e for _, e, _ in out.finalized} == expired
             assert {r.event_id for r in out.reports} == expired
+            assert (out == WarningOutcome(None)) is not bool(expired)
+            # The one-pass expiry keeps every entry within the TTL, whatever order the times came in.
             held = {e: seen for e, seen in held.items() if e not in expired}
-            assert set(node.pending) == set(held)
-            # The one-pass expiry keeps the oldest remaining entry, whatever order the times came in.
-            assert node.oldest_pending == min(held.values(), default=math.inf)
+            assert {e: p.first_seen for e, p in node.pending.items()} == held
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),  # sender; 0 is the node itself
+                st.integers(100, 105),  # event id: few, so copies of held events recur
+                st.sampled_from(list(EventKind)),
+                st.floats(-50.0, 1100.0),  # event x; the grid is 1000 m wide
+                st.floats(0.0, 50.0),  # time, in any order
+                st.one_of(st.none(), st.tuples(st.floats(0.0, 400.0), st.floats(-100.0, 100.0))),
+            ),
+            max_size=40,
+        )
+    )
+    def test_a_warning_adds_at_most_its_own_entry(self, steps):
+        # With facts or without: the buffer keeps every key it had, and grows by the warning's event
+        # alone, held at the call's time.
+        node = VehicleNode(0, CFG)
+        seed_lrl(node, WORKED_POINTS)
+        node.handle_rrl_broadcast(make_rrl_broadcast(WORKED_POINTS))
+        for sender, event_id, kind, x, t, facts in steps:
+            heard = None
+            if facts is not None:
+                sender_x, error = facts
+                heard = Heard((sender_x, 0.0), (error, error), lambda _id: ((100.0, 0.0), (400.0, 0.0)))
+            before = dict(node.pending)
+            node.handle_warning(Warning(sender, event_id, kind, (x, 0.0), t), t, heard)
+            added = node.pending.keys() - before.keys()
+            assert before.keys() <= node.pending.keys()
+            assert all(node.pending[e] is entry for e, entry in before.items())
+            assert added <= {event_id}
+            if added:
+                assert node.pending[event_id].first_seen == t
 
 
 class TestRrlBroadcastHandling:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from irsim.protocol import RsuNode
+from irsim.protocol import Disposition, EventKind, Heard, RrlBroadcast, RsuNode, VehicleNode, Warning
 from irsim.reputation import (
     HeuristicBand,
     LocalReputationList,
@@ -21,7 +21,6 @@ from irsim.reputation import (
     compute_heuristic_bands,
     compute_trust_bands,
     decide_trust,
-    heuristic_band,
     heuristic_from_distance,
     rrl_is_stale,
     standing_of,
@@ -171,12 +170,34 @@ class TestHeuristics:
 
 
 class TestTwoNeighborBand:
-    """``heuristic_band`` classifies as the list-and-bands path does, distance for distance."""
+    """A TOP decision bands its sender as the paper's list-and-bands path does, distance for distance.
+
+    The decision's sender stands on the event, so its estimated distance is the band's ranging error,
+    and its two extreme neighbors stand on the event's lane at their distances from it. The held ledger
+    flags the sender, so a band the fast path does not take falls to the matrix's REJECT: NEAR and
+    MIDDLE are accepted with ``strict_top_heuristic`` off, NEAR alone with it on.
+    """
 
     @staticmethod
     def reference(distance_m, nearest_m, farthest_m):
         bands = compute_heuristic_bands([heuristic_from_distance(nearest_m), heuristic_from_distance(farthest_m)])
         return classify_heuristic(heuristic_from_distance(distance_m), bands)
+
+    @staticmethod
+    def decided(distance_m, nearest_m, farthest_m):
+        """The band a TOP decision gives a sender ``distance_m`` from the event."""
+        accepted = []
+        for strict in (False, True):
+            node = VehicleNode(0, ScenarioConfig(strict_top_heuristic=strict))
+            node.lrl.upsert(1, 13)
+            node.lrl.upsert(2, 1)  # sender 1 is TOP locally...
+            node.handle_rrl_broadcast(RrlBroadcast(9000, 1, LocalReputationList([(1, 0), (2, 9)]), {}, 0.0))
+            heard = Heard((0.0, 0.0), (0.0, distance_m), lambda _id: ((nearest_m, 0.0), (farthest_m, 0.0)))
+            out = node.handle_warning(Warning(1, 1, EventKind.ICE, (0.0, 0.0), 1.0), 1.0, heard)
+            accepted.append(out.disposition is Disposition.ACCEPT)
+        # ...and FLAGGED on the held ledger, so TOP/FLAGGED rejects whatever the fast path does not accept.
+        by_outcome = {(True, True): HeuristicBand.NEAR, (True, False): HeuristicBand.MIDDLE}
+        return {**by_outcome, (False, False): HeuristicBand.AWAY}[tuple(accepted)]
 
     @given(
         st.floats(min_value=0, max_value=5000, allow_nan=False),
@@ -184,7 +205,7 @@ class TestTwoNeighborBand:
         st.floats(min_value=0, max_value=5000, allow_nan=False),
     )
     def test_matches_reference(self, distance_m, nearest_m, farthest_m):
-        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+        assert self.decided(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
 
     @given(st.integers(0, 500), st.integers(0, 100), st.integers(0, 4), st.integers(-1, 1), st.booleans())
     def test_matches_reference_on_band_edges(self, base, k, multiple, nudge, swap):
@@ -194,7 +215,7 @@ class TestTwoNeighborBand:
         if swap:
             nearest_m, farthest_m = farthest_m, nearest_m
         distance_m = 10.0 * max(0, multiple * k + nudge)
-        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+        assert self.decided(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
 
     @given(
         st.floats(min_value=0, max_value=5000, allow_nan=False),
@@ -208,15 +229,16 @@ class TestTwoNeighborBand:
         for _ in range(abs(ulps)):
             distance_m = math.nextafter(distance_m, math.copysign(math.inf, ulps))
         distance_m = max(0.0, distance_m)
-        assert heuristic_band(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
+        assert self.decided(distance_m, nearest_m, farthest_m) is self.reference(distance_m, nearest_m, farthest_m)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_rejects_non_finite_or_negative_distance(self, bad, position):
+        # The paper's forms reject a bad distance in any of the three places the decision passes one.
         distances = [10.0, 20.0, 30.0]
         distances[position] = bad
         with pytest.raises(ValueError, match="finite"):
-            heuristic_band(*distances)
+            self.reference(*distances)
 
 
 class TestDecisionMatrix:

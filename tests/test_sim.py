@@ -29,7 +29,7 @@ from irsim.protocol import (
     encode_warning,
 )
 from irsim.reputation import LocalReputationList
-from irsim.scenario import ConfigError, ScenarioConfig
+from irsim.scenario import PIPELINES, ConfigError, ScenarioConfig
 from irsim.sim import attacker_emit, build_scenario, run
 
 
@@ -207,9 +207,11 @@ class TestRangingNoise:
     @NOISE_TERMS
     def test_decision_estimates_match_rng_normal(self, sigma, per_m, monkeypatch):
         # A TOP sender is banded by its estimated distance to the event, the second of its errors:
-        # max(0, true distance + rng.normal(0, sigma + per_m * receiver-to-sender range)).
+        # max(0, true distance + rng.normal(0, sigma + per_m * receiver-to-sender range)). The heuristics
+        # pass through unscaled, so the band sees each estimate as it is.
         banded = []
-        monkeypatch.setattr(protocol, "heuristic_band", lambda d, *_: banded.append(d) or protocol.HeuristicBand.NEAR)
+        monkeypatch.setattr(protocol, "heuristic_from_distance", lambda d: d)
+        monkeypatch.setattr(protocol, "classify_heuristic", lambda h, _: banded.append(h) or protocol.HeuristicBand.NEAR)
         cfg = ScenarioConfig(ranging_noise_sigma=sigma, ranging_noise_per_meter=per_m)
         channel = make_channel(seed=7)
         twin = np.random.Generator(np.random.PCG64(7))
@@ -667,20 +669,53 @@ class TestPendingAgeOut:
         runner.handle_round(2.1, 21)
         assert not world.nodes[0].pending
 
-    def test_no_entry_outlives_the_ttl_by_more_than_a_round(self):
+    def test_no_entry_outlives_the_ttl_by_more_than_a_round(self, monkeypatch):
         cfg = small_config(vehicle_count=40, attacker_count=4, duration=40.0)
         world = build_scenario(cfg)
         runner = sim._Runner(world)
-        handle_round = runner.handle_round
+        handle_round, expire_pending = runner.handle_round, protocol.VehicleNode.expire_pending
+        arrival_order = world.channel.arrival_order
+        aged, aged_per_round, shuffled = [], [], []
+
+        def recorded(node, now):
+            aged.append(node.id)
+            return expire_pending(node, now)
+
+        def recorded_order(ids):
+            shuffled.append(list(ids))
+            return arrival_order(ids)
 
         def checked_round(t, index):
+            ttl = cfg.pending_ttl
+            past = {node.id for node in world.nodes if any(t - p.first_seen > ttl for p in node.pending.values())}
+            aged.clear()
+            shuffled.clear()
             handle_round(t, index)
+            assert sorted(aged) == sorted(past)  # each vehicle past the TTL ages out once, and no other
+            # The shuffle gets them in id order, as a scan of every vehicle would give them.
+            assert shuffled == ([sorted(past)] if past else [])
+            aged_per_round.append(len(aged))
             for node in world.nodes:
-                assert all(t - p.first_seen <= cfg.pending_ttl for p in node.pending.values())
-            assert runner.oldest_pending.tolist() == [node.oldest_pending for node in world.nodes]
+                assert all(t - p.first_seen <= ttl for p in node.pending.values())
+            # The queue holds every held entry once, and its times never decrease.
+            entries = [(p.first_seen, node.id) for node in world.nodes for p in node.pending.values()]
+            assert Counter(runner.held) == Counter(entries)
+            times = [seen for seen, _ in runner.held]
+            assert times == sorted(times)
 
+        monkeypatch.setattr(protocol.VehicleNode, "expire_pending", recorded)
+        world.channel.arrival_order = recorded_order
         runner.handle_round = checked_round
         runner.run()
+        assert sum(aged_per_round) > 100  # 770 in this run
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_a_run_leaves_nothing_held(self, pipeline):
+        runner = sim._Runner(build_scenario(small_config(attacker_rate=1.0), pipeline))
+        result = runner.run()
+        assert not runner.held
+        assert not any(node.pending for node in runner.world.nodes)
+        assert (result.report.pending_resolved > 0) is (pipeline == "irs")
 
 
 class TestSharedOutcomes:
