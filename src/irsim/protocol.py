@@ -352,7 +352,11 @@ class VehicleNode:
     # -- network ledger ----------------------------------------------------
 
     def handle_rrl_broadcast(self, broadcast: RrlBroadcast) -> bool:
-        """Keep a newer publication (shared, not copied); seed an empty local ledger from its ledger."""
+        """Keep a newer publication (shared, not copied); an empty local ledger loads its ledger.
+
+        The local ledger then reads through the publication's points and keeps only the rows this vehicle
+        writes, so no receiver copies the publication's rows. ``len`` is O(1): it runs on every delivery.
+        """
         held = self.cached_rrl
         if held is not None and broadcast.version <= held.version:
             return False
@@ -515,8 +519,7 @@ class RsuNode:
         publication until then, and every receiver of one, shares it.
         """
         if self._snapshot is None:
-            rrl = LocalReputationList()
-            rrl.load(self.ledger)
+            rrl = self.ledger.copy()
             rrl.trust_bands()
             self._snapshot = rrl, dict(self.misbehavior)
         return self._snapshot

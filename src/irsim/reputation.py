@@ -73,6 +73,10 @@ class ReputationRecord:
             raise ValueError("misbehavior points must be >= 0")
 
 
+# The base of a list that has loaded no publication. Nothing writes it.
+_NO_ROWS: dict[VehicleId, int] = {}
+
+
 class LocalReputationList:
     """Points by vehicle id, with trust bands over their range.
 
@@ -81,6 +85,14 @@ class LocalReputationList:
     (``RrlBroadcast.rrl``). The derived ranking puts the highest points
     first (the most trusted senders at the top).
 
+    A vehicle's list starts from a publication and then moves only with the
+    vehicle's own opinions, so ``load`` keeps the publication's points as a
+    shared base that the list reads through and never writes. The list's
+    own dict holds only the rows written since; a lookup reads it first and
+    falls back to the base, where the owner's row reads as absent. Every
+    reader sees one ledger: the base's rows in its order, then the rows
+    first entered here.
+
     Every write goes through the constructor, ``load``, ``upsert``,
     ``ensure`` or ``adjust``, which keep a count of entries per point value
     and the lowest and highest value held, so ``trust_bands`` never walks the
@@ -88,59 +100,93 @@ class LocalReputationList:
     when its last holder moves.
     """
 
+    # Bounds and bands of a list that holds nothing yet; the first write or load sets its own.
+    _lo = _hi = 0
+    _bands: Optional[TrustBands] = None
+
     def __init__(self, points: Mapping[VehicleId, int] | Iterable[tuple[VehicleId, int]] = ()) -> None:
         """Fill the list in bulk from ``points``; a later pair for an id replaces an earlier one.
 
         Rejects a negative value among the pairs kept before it assigns anything.
         """
-        entries = dict(points) if points else {}  # every VehicleNode starts empty: no copy, no count
+        own = dict(points) if points else {}  # every VehicleNode starts empty: no copy, no count
         counts: dict[int, int] = {}
-        lo = hi = 0
-        if entries:
-            counts = dict(Counter(entries.values()))
+        if own:
+            counts = dict(Counter(own.values()))
             lo, hi = min(counts), max(counts)
             if lo < 0:
                 raise ValueError("reputation points must be >= 0")
-        self.entries: dict[VehicleId, int] = entries
+            self._lo, self._hi = lo, hi
+        self._own: dict[VehicleId, int] = own
         self._counts = counts
-        self._lo, self._hi = lo, hi
-        self._bands: Optional[TrustBands] = None
+        # Until ``load``: no base to read through, no owner to leave out. ``_shared`` counts the base's
+        # rows the list reads as its own: all but the owner's and those it has written since. Every list
+        # sets these, so the lookups on them stay specialized for every instance.
+        self._base: Mapping[VehicleId, int] = _NO_ROWS
+        self._owner: Optional[VehicleId] = None
+        self._shared = 0
+
+    @property
+    def entries(self) -> dict[VehicleId, int]:
+        """Every row held, in ledger order; read it, never write it.
+
+        A list with no base returns its own dict. One that loaded a
+        publication merges a new dict on each read: the base's rows in its
+        order without the owner's, each with the points written here if
+        any, then the rows first entered here, in the order they came.
+        """
+        base = self._base
+        if not base:
+            return self._own
+        rows = dict(base)
+        rows.pop(self._owner, None)
+        rows.update(self._own)
+        return rows
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._own) + self._shared
 
     def __contains__(self, vehicle: VehicleId) -> bool:
-        return vehicle in self.entries
+        return self.get(vehicle) is not None
 
     def get(self, vehicle: VehicleId) -> Optional[int]:
-        return self.entries.get(vehicle)
+        points = self._own.get(vehicle)
+        if points is None and vehicle != self._owner:
+            return self._base.get(vehicle)
+        return points
 
     def load(self, source: LocalReputationList, owner: Optional[VehicleId] = None) -> None:
-        """Fill an empty list with a copy of ``source``, leaving out ``owner``'s own entry.
+        """Read an empty list through ``source``'s rows, leaving out ``owner``'s own entry.
 
-        Its points, counts, bounds and bands are copied, never written, so
-        one ledger publication can fill the list of every vehicle that
-        receives it.
+        The rows are shared, not copied: ``source`` must be a publication,
+        which nobody writes. Only the count table is copied, with the
+        owner's row counted out; the bounds and bands are taken as they are.
+        So one publication fills the list of every vehicle that receives it,
+        and each list keeps only the points it writes afterwards.
         """
-        if self.entries:
+        if len(self):
             raise ValueError("load needs an empty ledger")
-        self.entries = source.entries.copy()
+        base = source.entries
+        self._base, self._owner, self._shared = base, owner, len(base)
         self._counts = source._counts.copy()
         self._lo, self._hi, self._bands = source._lo, source._hi, source._bands
-        own = self.entries.pop(owner, None)
+        own = base.get(owner)
         if own is not None:
+            self._shared -= 1
             self._count_out(own)
+
+    def copy(self) -> LocalReputationList:
+        """A private copy with no base: the same rows in the same order, counts, bounds and bands."""
+        clone = LocalReputationList()
+        clone._own = self.entries.copy()
+        clone._counts = self._counts.copy()
+        clone._lo, clone._hi, clone._bands = self._lo, self._hi, self._bands
+        return clone
 
     def upsert(self, vehicle: VehicleId, points: int) -> None:
         if points < 0:
             raise ValueError("reputation points must be >= 0")
-        old = self.entries.get(vehicle)
-        self.entries[vehicle] = points
-        if old is None:
-            self._count_in(points)
-        elif old != points:
-            self._count_in(points)
-            self._count_out(old)
+        self._write(vehicle, self.get(vehicle), points)
 
     def points(self) -> list[int]:
         return list(self.entries.values())
@@ -151,7 +197,7 @@ class LocalReputationList:
 
     def trust_bands(self) -> Optional[TrustBands]:
         """Bands over the points held now; None while the ledger is empty."""
-        if self._bands is None and self.entries:
+        if self._bands is None and self._counts:
             self._bands = TrustBands(self._lo, self._hi)
         return self._bands
 
@@ -161,10 +207,10 @@ class LocalReputationList:
         The neutral points are the middle of the range held, ``(lo + hi) // 2``, or ``initial_points``
         while the list is empty; they are worked out only for an absent vehicle.
         """
-        points = self.entries.get(vehicle)
+        points = self.get(vehicle)
         if points is None:
             points = self._neutral(initial_points)
-            self.upsert(vehicle, points)
+            self._write(vehicle, None, points)
         return points
 
     def adjust(self, vehicle: VehicleId, delta: int, initial_points: int) -> int:
@@ -173,14 +219,30 @@ class LocalReputationList:
         The neutral points are those of ``ensure``, worked out only for an absent vehicle. One read, one
         write: entering an absent vehicle at its shifted points ends in the same state.
         """
-        held = self.entries.get(vehicle)
+        held = self.get(vehicle)
         points = _shifted(self._neutral(initial_points) if held is None else held, delta)
-        self.upsert(vehicle, points)
+        self._write(vehicle, held, points)
         return points
+
+    def _write(self, vehicle: VehicleId, old: Optional[int], points: int) -> None:
+        """Hold ``points`` for ``vehicle``, which held ``old`` (None when absent), in the list's own rows.
+
+        A row that keeps its points is not written, so a row read from the base stays there.
+        """
+        own = self._own
+        if old is None:
+            own[vehicle] = points
+            self._count_in(points)
+        elif old != points:
+            if self._shared and vehicle not in own:
+                self._shared -= 1  # the row moves from the base to the list's own
+            own[vehicle] = points
+            self._count_in(points)
+            self._count_out(old)
 
     def _neutral(self, initial_points: int) -> int:
         """Entry points for a vehicle with no history: the middle of the range held, or ``initial_points``."""
-        return (self._lo + self._hi) // 2 if self.entries else initial_points
+        return (self._lo + self._hi) // 2 if self._counts else initial_points
 
     def _count_in(self, points: int) -> None:
         held = self._counts.get(points, 0)
@@ -371,9 +433,13 @@ def standing_of(rrl: Optional[LocalReputationList], vehicle: VehicleId) -> RrlSt
     """
     if rrl is None:
         return RrlStanding.CLEAR
-    points = rrl.entries.get(vehicle)
+    # A network ledger (a unit's or a publication) holds every row itself, so the fallback runs
+    # only for an absent vehicle or a ledger that reads through a base.
+    points = rrl._own.get(vehicle)
     if points is None:
-        return RrlStanding.CLEAR
+        points = rrl.get(vehicle)
+        if points is None:
+            return RrlStanding.CLEAR
     bands = rrl.trust_bands()
     assert bands is not None
     return _STANDING_FROM_LEVEL[classify_trust(points, bands)]

@@ -40,10 +40,14 @@ PIPELINES = ("irs", "accept-all")
 MAX_SCHEDULED_EVENTS = 1_000_000
 
 # The most vehicles a run may hold. The beacon radio keeps no per-pair state
-# (9 B per vehicle and ring round); what grows with the square of the count
-# is the vehicles' copies of the ledger, one entry per vehicle in each copy,
-# about 39 B per vehicle pair. This ceiling holds them to about 1.4 GB; past
-# it a run would fail for memory (see README, "Scenario files").
+# (9 B per vehicle and ring round), and a vehicle's ledger reads through the
+# publication it loaded, keeping only the rows it wrote. At constant density
+# (10 m of road per vehicle, a unit per km) memory grows about linearly: a
+# 30 s run of 6,000 vehicles peaked at 362 MB RSS and took 12.5 s on a 2-core
+# VM. What can still grow with the square of the count is the units' ledgers
+# (a row per vehicle in each) and, where every vehicle hears every other, the
+# rows the vehicles write; the ceiling bounds those and the run time (see
+# README, "Scenario files").
 MAX_VEHICLES = 6_000
 
 # The most lanes per direction. Vehicles fill the lanes in id order, so a
@@ -74,6 +78,13 @@ MAX_SPEED = 1_000.0
 # them all; a handful pins the band geometry, and this ceiling keeps anchors
 # to at most as many rows as vehicles.
 MAX_ANCHORS = MAX_VEHICLES
+
+# The most roadside units a run may place. Each unit holds its own copy of the
+# seeded ledger, a row per vehicle and anchor, and publishes copies of it: about
+# 300 KB per unit at 6,000 vehicles. A 1 s run of 6,000 vehicles and 1,000 units
+# peaked at 0.6 GB (tracemalloc), 1.5 GB with MAX_ANCHORS anchors; the road of
+# MAX_VEHICLES vehicles at 10 m each needs 60 units at one per km.
+MAX_RSUS = 1_000
 
 # The highest initial or anchor point total. Ledger rows carry points as
 # signed 64-bit integers, and a run adds at most one point per confirmed
@@ -169,6 +180,8 @@ class ScenarioConfig:
             )
         if not 0 < self.beacon_interval[0] <= self.beacon_interval[1] < math.inf:
             raise ConfigError(f"beacon_interval must satisfy 0 < min <= max < inf, got {self.beacon_interval!r}")
+        if len(self.rsu_positions) > MAX_RSUS:
+            raise ConfigError(f"rsu_positions must list at most {MAX_RSUS} units, got {len(self.rsu_positions)}")
         for pos in self.rsu_positions:
             if not (0 <= pos[0] <= self.grid[0] and 0 <= pos[1] <= self.grid[1]):
                 raise ConfigError(f"rsu_positions entry {pos!r} outside the grid")

@@ -196,7 +196,10 @@ class Channel:
         return np.zeros((len(ranges), 2))
 
     def nearest_rsu(self, pos) -> Optional[RsuNode]:
-        """The closest roadside unit within range of ``pos``, if any; a tie goes to the first listed.
+        """The closest roadside unit within range of ``pos``, if any; a tie goes to the first in ``rsus``.
+
+        ``SimWorld`` lists its units sorted by position, x then y, so in a run a tie goes to the unit with
+        the lowest position, not to the first in ``rsu_positions``; units at one place keep that order.
 
         Squared distances are ``dx * dx + dy * dy``, compared with ``r ** 2`` as ``in_range_sq`` does.
         """
@@ -271,7 +274,7 @@ class SimWorld:
             # seeded and each other unit gets its own copy of that ledger.
             if self.rsus:
                 first = self.rsus[0]
-                rsu.ledger.load(first.ledger)
+                rsu.ledger = first.ledger.copy()
                 rsu.misbehavior = dict(first.misbehavior)
             else:
                 rsu.seed(range(n), config.initial_points, anchors)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, MAX_SWEEP_SEEDS, main, parse_run_spec
-from irsim.scenario import ATTACKER_PROFILES, MAX_ANCHORS, ConfigError, ScenarioConfig
+from irsim.scenario import ATTACKER_PROFILES, MAX_ANCHORS, MAX_RSUS, ConfigError, ScenarioConfig
 
 FAST_SCENARIO = """
 # small desk-scale scenario
@@ -155,6 +155,7 @@ class TestExecute:
             ["--scenario", "pending_ttl = 1.7e308"],
             ["--scenario", "grid = 1.7e308 1000"],
             ["--scenario", "speed_range = 1 1.7e308"],
+            ["--scenario", "rsu_positions = " + " ".join(f"{k % 1000} 500" for k in range(MAX_RSUS + 1))],
         ],
         ids=[
             "duration-inf", "duration-nan", "tx-range-nan", "seed", "seeds", "seeds-huge", "event-rate-inf-file",
@@ -162,7 +163,7 @@ class TestExecute:
             "rsu-radius-square-overflows-file", "initial-points-huge-file", "anchor-top-points-huge-file",
             "anchor-low-points-huge-file", "vehicles-huge", "trusted-anchors-huge-file", "anchor-sum-over-file",
             "neighbor-ttl-huge-file", "request-period-huge-file", "lanes-huge-file", "tx-range-1e9-file",
-            "tx-range-1e150-file", "pending-ttl-huge-file", "grid-huge-file", "speed-huge-file",
+            "tx-range-1e150-file", "pending-ttl-huge-file", "grid-huge-file", "speed-huge-file", "rsus-over-file",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, argv, tmp_path, capsys, monkeypatch):

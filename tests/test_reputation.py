@@ -524,6 +524,110 @@ class TestLrlBounds:
         assert lrl.trust_bands() == compute_trust_bands([3])
 
 
+class _PrivateLedger:
+    """Reference ledger: one private dict, and a load copies the whole publication without the owner's row."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def load(self, published, owner):
+        if self.rows:
+            raise ValueError("load needs an empty ledger")
+        self.rows = dict(published)
+        self.rows.pop(owner, None)
+
+    def neutral(self, initial_points):
+        held = self.rows.values()
+        return (min(held) + max(held)) // 2 if held else initial_points
+
+    def upsert(self, vid, points):
+        self.rows[vid] = points
+
+    def ensure(self, vid, initial_points):
+        if vid not in self.rows:
+            self.rows[vid] = self.neutral(initial_points)
+        return self.rows[vid]
+
+    def adjust(self, vid, delta, initial_points):
+        start = self.rows[vid] if vid in self.rows else self.neutral(initial_points)
+        self.rows[vid] = max(0, start + delta)
+        return self.rows[vid]
+
+
+_owners = (0, 1)
+_overlay_ops = st.lists(
+    st.tuples(
+        st.sampled_from(_owners),
+        st.one_of(
+            st.tuples(st.just("load"), st.integers(min_value=0, max_value=4)),
+            st.tuples(st.just("upsert"), _vehicles, _points),
+            st.tuples(st.just("ensure"), _vehicles, _points),
+            st.tuples(st.just("adjust"), _vehicles, st.integers(min_value=-40, max_value=40), _points),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestOverlayAgainstPrivateCopy:
+    """A vehicle's list reads through the publication it loaded, yet reads exactly as a private copy would."""
+
+    @staticmethod
+    def same(lrl, ref):
+        rows = ref.rows
+        assert len(lrl) == len(rows)
+        assert list(lrl.entries.items()) == list(rows.items())
+        for vid in range(13):
+            assert lrl.get(vid) == rows.get(vid)
+            assert (vid in lrl) == (vid in rows)
+        assert lrl.points() == list(rows.values())
+        assert lrl.ranked() == sorted(rows.items(), key=lambda e: (-e[1], e[0]))
+        assert lrl._counts == Counter(rows.values())
+        if rows:
+            assert (lrl._lo, lrl._hi) == (min(rows.values()), max(rows.values()))
+            assert lrl.trust_bands() == compute_trust_bands(rows.values())
+        else:
+            assert lrl.trust_bands() is None
+
+    @given(
+        st.dictionaries(st.integers(min_value=2, max_value=12), _points, max_size=11),
+        st.dictionaries(_vehicles, _points, max_size=13),
+        _points,
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+        _overlay_ops,
+    )
+    def test_reads_match_a_private_copy(self, without_owners, with_owners, own_points, first_loads, ops):
+        # Publications without either owner's row, with both, each owner's row alone, and none.
+        rows = [without_owners, {**with_owners, 0: own_points, 1: own_points}, {0: own_points}, {1: own_points}, {}]
+        publications = [LocalReputationList(r) for r in rows]
+        for pub in publications:
+            pub.trust_bands()
+        sent = [(list(p.entries.items()), dict(p._counts), p.trust_bands()) for p in publications]
+        lists = {owner: LocalReputationList() for owner in _owners}
+        refs = {owner: _PrivateLedger() for owner in _owners}
+        steps = [(owner, ("load", k)) for owner, k in zip(_owners, first_loads)] + ops
+        for owner, (op, *args) in steps:
+            lrl, ref = lists[owner], refs[owner]
+            if op == "load":
+                refused = bool(ref.rows)
+                try:
+                    lrl.load(publications[args[0]], owner=owner)
+                except ValueError:
+                    assert refused
+                else:
+                    assert not refused
+                    ref.load(rows[args[0]], owner)
+            elif op == "upsert":
+                lrl.upsert(*args)
+                ref.upsert(*args)
+            else:
+                assert getattr(lrl, op)(*args) == getattr(ref, op)(*args)
+            for other in _owners:
+                self.same(lists[other], refs[other])
+            # Nothing a list does reaches the publications it reads through.
+            assert [(list(p.entries.items()), p._counts, p.trust_bands()) for p in publications] == sent
+
+
 class TestLoadFromPublication:
     def test_copies_points_and_counts_not_misbehavior(self):
         rsu = RsuNode(100, (0.0, 0.0), ScenarioConfig())

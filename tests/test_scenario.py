@@ -12,6 +12,7 @@ from irsim.scenario import (
     MAX_GRID_M,
     MAX_LANES_PER_DIRECTION,
     MAX_POINTS,
+    MAX_RSUS,
     MAX_SCHEDULED_EVENTS,
     MAX_SPEED,
     MAX_TIME_S,
@@ -213,6 +214,14 @@ class TestSizeCeilings:
         for trusted, flagged in ((MAX_ANCHORS + 1, 0), (1, MAX_ANCHORS), (MAX_ANCHORS // 2 + 1, MAX_ANCHORS // 2)):
             with pytest.raises(ConfigError, match=f"trusted_anchors \\+ flagged_anchors must be <= {MAX_ANCHORS}"):
                 make_config({"trusted_anchors": trusted, "flagged_anchors": flagged})
+
+    def test_rsu_ceiling_is_inclusive(self):
+        # Validation only: no world is built, so no unit copies a ledger.
+        assert MAX_RSUS >= 60  # one unit per km on the road of MAX_VEHICLES vehicles at 10 m each
+        grid = {"grid": (float(MAX_RSUS), 1000.0)}
+        make_config({**grid, "rsu_positions": tuple((float(k), 500.0) for k in range(MAX_RSUS))})
+        with pytest.raises(ConfigError, match=f"rsu_positions must list at most {MAX_RSUS} units, got {MAX_RSUS + 1}"):
+            make_config({**grid, "rsu_positions": tuple((float(k), 500.0) for k in range(MAX_RSUS + 1))})
 
     @pytest.mark.parametrize("name", ["initial_points", "anchor_top_points", "anchor_low_points"])
     def test_point_ceiling_is_inclusive(self, name):

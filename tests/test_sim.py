@@ -5,6 +5,7 @@ import gc
 import math
 import struct
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -521,6 +522,23 @@ class TestNearestRsu:
             order = rsus[shift:] + rsus[:shift]
             assert make_channel(rsus=order).nearest_rsu((200.0, 0.0)) is order[0]
 
+    @pytest.mark.parametrize(
+        "listed, winner",
+        [
+            (((700.0, 500.0), (300.0, 500.0)), 10_001),
+            (((300.0, 500.0), (700.0, 500.0)), 10_000),
+            (((500.0, 700.0), (500.0, 300.0)), 10_001),
+            (((700.0, 500.0), (500.0, 500.0), (300.0, 500.0), (500.0, 500.0)), 10_001),
+        ],
+        ids=["x-reversed", "x-ascending", "y-reversed", "same-place"],
+    )
+    def test_world_tie_goes_to_the_lowest_position(self, listed, winner):
+        # The world sorts its units by position, x then y, keeping listing order for units at one place,
+        # and a tie goes to the first of that order, not to the first in ``rsu_positions``.
+        world = build_scenario(small_config(vehicle_count=4, attacker_count=0, rsu_positions=listed))
+        assert [rsu.position for rsu in world.rsus] == sorted(listed)
+        assert world.channel.nearest_rsu((500.0, 500.0)).id == winner
+
 
 class TestLedgerRequests:
     def test_rejected_response_is_neither_counted_nor_logged(self):
@@ -614,6 +632,52 @@ class TestLedgerBootstrap:
         runner.run()
         assert seeded == set(range(cfg.vehicle_count))
         assert {line.split("\t")[2] for line in runner.log if "\tRRL\t" in line} == {"10000", "10001"}
+
+
+class TestSharedPublications:
+    def test_vehicles_read_through_unchanged_publications(self, monkeypatch):
+        cfg = small_config(
+            vehicle_count=30, duration=8.0, attacker_count=4, attacker_rate=1.0,
+            rsu_positions=((300.0, 500.0), (700.0, 500.0)),
+        )
+        sent = {}
+        written = {}
+        publish = RsuNode.publish
+
+        def recorded(rsu, now):
+            broadcast = publish(rsu, now)
+            rrl = broadcast.rrl
+            sent.setdefault(id(rrl), (rrl, list(rrl.entries.items()), dict(rrl._counts), rrl.trust_bands()))
+            return broadcast
+
+        def noting(method):
+            def write(lrl, vehicle, *args):
+                written.setdefault(id(lrl), set()).add(vehicle)
+                return method(lrl, vehicle, *args)
+
+            return write
+
+        monkeypatch.setattr(RsuNode, "publish", recorded)
+        for name in ("upsert", "ensure", "adjust"):
+            monkeypatch.setattr(LocalReputationList, name, noting(getattr(LocalReputationList, name)))
+        world = build_scenario(cfg)
+        result = run(world)
+        assert {line.split("\t")[2] for line in result.log_lines if "\tRRL\t" in line} == {"10000", "10001"}
+        # Every publication still reads as it did when it was first sent.
+        for rrl, items, counts, bands in sent.values():
+            assert list(rrl.entries.items()) == items
+            assert rrl._counts == counts and rrl.trust_bands() == bands
+        published_rows = {id(rrl.entries) for rrl, *_ in sent.values()}
+        loaded = 0
+        for node in world.nodes:
+            lrl = node.lrl
+            if lrl._base:
+                # The rows are a sent publication's own dict, shared rather than copied.
+                assert id(lrl._base) in published_rows
+                loaded += 1
+            # A vehicle keeps only rows it wrote itself: never a copy of the publication.
+            assert lrl._own.keys() <= written.get(id(lrl), set())
+        assert loaded == cfg.vehicle_count
 
 
 class TestBandsBuiltAtPublication:
@@ -1467,6 +1531,34 @@ class TestEagerReference:
 
 
 class TestMemory:
+    def test_peak_grows_linearly_with_the_vehicle_count(self):
+        # Constant density: 10 m of road per vehicle, a roadside unit per km, n/10 attackers and
+        # 18 hazards per minute per 100 vehicles. No structure may hold an entry per vehicle pair.
+        def peak(n):
+            cfg = ScenarioConfig(
+                grid=(10.0 * n, 1000.0),
+                duration=2.0,
+                vehicle_count=n,
+                attacker_count=n // 10,
+                rsu_positions=tuple((1000.0 * k + 500.0, 500.0) for k in range(n // 100)),
+                event_rate_per_min=18.0 * n / 100,
+                seed=0,
+            )
+            gc.collect()
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                run(build_scenario(cfg))
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        assert peak(1600) <= 2.5 * peak(800)
+
     def test_no_runner_array_holds_a_vehicle_pair_each(self):
         n = 300
         world = build_scenario(small_config(vehicle_count=n, attacker_count=30, duration=2.0))
